@@ -3,7 +3,7 @@
 import argparse
 import sys
 
-from ghz_steering import RESIDUAL_KEYS, GhzConfig, build_state, monogamy_residuals
+from ghz_steering import RESIDUAL_KEYS, GhzConfig, sweep_eta
 
 
 def main() -> int:
@@ -15,11 +15,10 @@ def main() -> int:
 
     worst = (0.0, None)
     violations = 0
+    etas = [k / (args.eta_steps - 1) for k in range(args.eta_steps)]
     for r in args.r_values:
-        for k in range(args.eta_steps):
-            eta = k / (args.eta_steps - 1)
-            cfg = GhzConfig(r1=r, r2=r, r3=r, eta=eta)
-            res = monogamy_residuals(build_state(cfg)).residuals
+        for point in sweep_eta(GhzConfig(r1=r, r2=r, r3=r), etas):
+            eta, res = point.eta, point.residuals.residuals
             for key in RESIDUAL_KEYS:
                 value = res[key]
                 if value < worst[0]:

@@ -1,10 +1,10 @@
 """Command-line front end: build states, sweep loss, simulate tomography, self-check.
 
-Exit codes: 0 success, 2 unphysical state, 3 argument/parse error, 4
-check-suite failure.  Output is CSV or JSON; identical configurations
-(including seeds) produce byte-identical files, and files are written
-atomically (temp file then rename).  If the environment variable
-GHZ_STEERING_OUTDIR is set, relative output paths land inside it.
+Exit codes: 0 success, 2 unphysical state or numerical failure, 3
+argument/parse error, 4 check-suite failure.  Output is CSV or JSON;
+identical configurations (including seeds) produce byte-identical files, and
+files are written atomically (temp file then rename).  If the environment
+variable GHZ_STEERING_OUTDIR is set, relative output paths land inside it.
 """
 
 from __future__ import annotations
@@ -13,21 +13,33 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .network import GhzConfig, QuadCombo, build_state, correlation_variance, squeezing_db_to_r
+from .network import (
+    GhzConfig,
+    QuadCombo,
+    build_state,
+    build_states,
+    correlation_variance,
+    squeezing_db_to_r,
+)
 from .steering import (
     DIRECTIONS,
     STEERING_EPS,
     complementary_pairs,
     one_to_one_labels,
-    residuals_from_report,
     steering_report,
+    sweep_eta,
 )
-from .symplectic import PHYSICALITY_TOL, is_physical, purity, symplectic_eigenvalues
+from .symplectic import (
+    PHYSICALITY_TOL,
+    NumericalError,
+    is_physical,
+    purity,
+    symplectic_eigenvalues,
+)
 from .tomography import REJECT_NU_FLOOR, reconstruct_trials
 
 SCHEMA_VERSION = 1
@@ -193,15 +205,17 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    rows = []
-    for eta in args.grid:
-        state = build_state(replace(config, eta=eta))
-        if not is_physical(state, PHYSICALITY_TOL):
-            print(f"error: state at eta={eta} violates the uncertainty relation", file=sys.stderr)
-            return EXIT_UNPHYSICAL
-        report = steering_report(state, eta=eta)
-        residuals = residuals_from_report(report)
-        rows.append((eta, report, residuals))
+    nu_min = symplectic_eigenvalues(build_states(config, args.grid)).min(axis=1)
+    unphysical = np.flatnonzero(~(nu_min >= 1.0 - PHYSICALITY_TOL))
+    # Rows fail in grid order: the rows before the first unphysical eta are
+    # swept first, so a numerical failure among them is the error reported.
+    stop = unphysical[0] if unphysical.size else len(args.grid)
+    points = sweep_eta(config, args.grid[:stop])
+    if unphysical.size:
+        print(f"error: state at eta={args.grid[stop]} violates the uncertainty relation",
+              file=sys.stderr)
+        return EXIT_UNPHYSICAL
+    rows = [(p.eta, p.report, p.residuals) for p in points]
 
     if args.format == "csv":
         lines = [",".join(SWEEP_COLUMNS)]
@@ -275,27 +289,26 @@ def cmd_tomo(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     grid = [k * 0.05 for k in range(21)]
-    states = {eta: build_state(replace(config, eta=eta)) for eta in grid}
-    reports = {eta: steering_report(state, eta=eta) for eta, state in states.items()}
+    points = sweep_eta(config, grid)
 
     checks: list[tuple[str, bool, str]] = []
 
-    nu_min = min(symplectic_eigenvalues(state).min() for state in states.values())
+    nu_min = symplectic_eigenvalues(build_states(config, grid)).min()
     floor = args.nu_floor if args.nu_floor is not None else 1.0 - PHYSICALITY_TOL
     checks.append(("physicality", nu_min >= floor,
                    f"min symplectic eigenvalue {nu_min:.6g} vs floor {floor:.6g}"))
 
-    worst_pair = max(rep.g[lab] for rep in reports.values() for lab in one_to_one_labels())
+    reports = [p.report for p in points]
+    worst_pair = max(rep.g[lab] for rep in reports for lab in one_to_one_labels())
     checks.append(("one-to-one-nullity", worst_pair <= STEERING_EPS,
                    f"max pairwise G {worst_pair:.3g}"))
 
-    pure = reports[1.0]
+    pure = reports[-1]  # eta = 1
     asym = max(abs(pure.g[a] - pure.g[b]) for a, b in complementary_pairs())
     checks.append(("pure-state-symmetry", asym <= 1e-9,
                    f"max |G(X->Y) - G(Y->X)| at eta=1: {asym:.3g}"))
 
-    worst_res = min(min(residuals_from_report(rep).residuals.values())
-                    for rep in reports.values())
+    worst_res = min(min(p.residuals.residuals.values()) for p in points)
     checks.append(("monogamy", worst_res >= -1e-10, f"min residual {worst_res:.3g}"))
 
     failed = [name for name, ok, _ in checks if not ok]
@@ -355,6 +368,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except NumericalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNPHYSICAL
     except ValueError as exc:
         # domain validation failures (bad eta, bad grid, bad direction, ...)
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

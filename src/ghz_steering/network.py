@@ -10,7 +10,7 @@ analysis stage carries A' = sqrt(eta) A + sqrt(1 - eta) vacuum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -212,22 +212,35 @@ def build_ghz(config: GhzConfig) -> CovarianceMatrix:
     return apply_symplectic(CovarianceMatrix(sigma_in), net)
 
 
+def lossy_stack(cm: CovarianceMatrix, mode: int, etas) -> np.ndarray:
+    """Pure-loss channel on one mode for each efficiency in etas, as a (K, 2N, 2N) stack.
+
+    Row k is sigma -> X sigma X^T + Y at etas[k]: X scales the mode's
+    quadratures by sqrt(eta), Y adds (1 - eta) vacuum noise on that mode.
+    Done as one broadcast scale-and-add over the stack.
+    """
+    etas = np.asarray(etas, dtype=float).reshape(-1)
+    if not np.all((0.0 <= etas) & (etas <= 1.0)):
+        raise ValueError("efficiency must lie in [0, 1]")
+    if not 0 <= mode < cm.n_modes:
+        raise ValueError("mode index out of range")
+    dim = 2 * cm.n_modes
+    sl = slice(2 * mode, 2 * mode + 2)
+    scale = np.ones((etas.size, dim))
+    scale[:, sl] = np.sqrt(etas)[:, None]
+    noise = np.zeros((etas.size, dim, dim))
+    noise[:, sl, sl] = (1.0 - etas)[:, None, None] * np.eye(2)
+    out = scale[:, :, None] * cm.matrix * scale[:, None, :] + noise
+    return 0.5 * (out + np.swapaxes(out, 1, 2))
+
+
 def lossy_channel(cm: CovarianceMatrix, mode: int, eta: float) -> CovarianceMatrix:
     """Pure-loss channel of efficiency eta on one mode: sigma -> X sigma X^T + Y.
 
     X scales the mode's quadratures by sqrt(eta); Y adds (1 - eta) vacuum
     noise on that mode.  Loss composes multiplicatively in eta.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("efficiency must lie in [0, 1]")
-    if not 0 <= mode < cm.n_modes:
-        raise ValueError("mode index out of range")
-    x = np.eye(2 * cm.n_modes)
-    y = np.zeros((2 * cm.n_modes, 2 * cm.n_modes))
-    sl = slice(2 * mode, 2 * mode + 2)
-    x[sl, sl] = math.sqrt(eta) * np.eye(2)
-    y[sl, sl] = (1.0 - eta) * np.eye(2)
-    return CovarianceMatrix(x @ cm.matrix @ x.T + y)
+    return CovarianceMatrix(lossy_stack(cm, mode, [eta])[0])
 
 
 def build_state(config: GhzConfig) -> CovarianceMatrix:
@@ -237,6 +250,16 @@ def build_state(config: GhzConfig) -> CovarianceMatrix:
         if eta != 1.0:
             state = lossy_channel(state, mode, eta)
     return state
+
+
+def build_states(config: GhzConfig, etas) -> np.ndarray:
+    """build_state at each channel efficiency in etas, as a (K, 6, 6) stack.
+
+    The state without channel loss is built once; the loss on A is then one
+    :func:`lossy_stack` call.  Losses on different modes commute, so this
+    equals build_state(replace(config, eta=eta)) row by row.
+    """
+    return lossy_stack(build_state(replace(config, eta=1.0)), 0, etas)
 
 
 def correlation_variance(cm: CovarianceMatrix, combo: QuadCombo) -> float:

@@ -21,6 +21,11 @@ PHYSICALITY_TOL = 1e-9
 CONDITION_LIMIT = 1e12
 
 
+class NumericalError(ValueError):
+    """A numerical guard failed: a block too ill-conditioned to invert, or a
+    matrix that should be a covariance matrix is not positive definite."""
+
+
 @dataclass(frozen=True)
 class CovarianceMatrix:
     """Symmetrized second moments of the quadratures of an N-mode Gaussian state.
@@ -74,7 +79,7 @@ def _as_array(cm: CovarianceMatrix | np.ndarray) -> np.ndarray:
     if isinstance(cm, CovarianceMatrix):
         return cm.matrix
     m = np.asarray(cm, dtype=float)
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -88,45 +93,93 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
+_OMEGA_2 = symplectic_form(2)
+
+
 def quadrature_indices(modes: tuple[int, ...] | list[int]) -> list[int]:
     """Row/column indices of the (x, p) pair of each listed mode."""
     return [q for m in modes for q in (2 * m, 2 * m + 1)]
 
 
-def symplectic_eigenvalues(cm: CovarianceMatrix | np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a positive-definite covariance matrix, ascending.
+def require_invertible(blocks: np.ndarray) -> None:
+    """Guard before inverting symmetric blocks, one block or a stack (..., n, n).
 
-    Closed forms are used for one mode (sqrt of the determinant) and two modes
-    (roots of nu^4 - Delta nu^2 + det = 0 with Delta = det A + det B + 2 det C);
-    larger systems fall back to the eigenvalues of Omega @ sigma, whose spectrum
-    is +-i nu pairs.
+    The 2-norm condition number of a symmetric block is the ratio of its
+    largest to its smallest eigenvalue modulus.
 
     Raises
     ------
-    ValueError
+    NumericalError
+        If any block is singular or its condition number exceeds CONDITION_LIMIT.
+    """
+    moduli = np.abs(np.linalg.eigvalsh(blocks))
+    smallest, largest = moduli.min(axis=-1), moduli.max(axis=-1)
+    if np.any((smallest == 0.0) | (largest > CONDITION_LIMIT * smallest)):
+        raise NumericalError("steering party block not invertible")
+
+
+def one_mode_spectrum(m: np.ndarray) -> np.ndarray:
+    """Symplectic eigenvalue sqrt(det) of symmetric 2x2 blocks, shape (..., 2, 2) -> (...).
+
+    Raises
+    ------
+    NumericalError
+        If any block is not positive definite ("not a state").
+    """
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    if not np.all((m[..., 0, 0] > 0.0) & (det > 0.0)):
+        raise NumericalError("not a state: covariance matrix is not positive definite")
+    return np.sqrt(det)
+
+
+def two_mode_spectrum(m: np.ndarray) -> np.ndarray:
+    """Both symplectic eigenvalues of symmetric 4x4 blocks, shape (..., 4, 4) -> (..., 2), ascending.
+
+    With m = L L^T (Cholesky), i L^T Omega L is Hermitian and similar to
+    i Omega m, so its eigenvalues are +-nu.  A Hermitian eigensolver is
+    backward stable: each nu comes back to about machine epsilon times the
+    largest one, also when the two are nearly equal.
+
+    Raises
+    ------
+    NumericalError
+        If any block is not positive definite ("not a state").
+    """
+    try:
+        low = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        raise NumericalError("not a state: covariance matrix is not positive definite") from None
+    form = np.swapaxes(low, -1, -2) @ _OMEGA_2 @ low
+    return np.linalg.eigvalsh(1j * form)[..., 2:]
+
+
+def symplectic_eigenvalues(cm: CovarianceMatrix | np.ndarray) -> np.ndarray:
+    """Symplectic spectrum of a positive-definite covariance matrix, ascending.
+
+    Takes one matrix, shape (2N, 2N), or a stack of them, shape (K, 2N, 2N),
+    and returns shape (N,) or (K, N).  One mode uses sqrt of the determinant,
+    two modes :func:`two_mode_spectrum`; larger systems use the eigenvalues
+    of Omega @ sigma, whose spectrum is +-i nu pairs.
+
+    Raises
+    ------
+    NumericalError
         If the input is not positive definite ("not a state").
     """
     m = _as_array(cm)
-    n = m.shape[0] // 2
+    n = m.shape[-1] // 2
     if np.linalg.eigvalsh(m).min() <= 0:
-        raise ValueError("not a state: covariance matrix is not positive definite")
+        raise NumericalError("not a state: covariance matrix is not positive definite")
 
     if n == 1:
-        return np.array([np.sqrt(np.linalg.det(m))])
+        return one_mode_spectrum(m)[..., None]
     if n == 2:
-        a = np.linalg.det(m[0:2, 0:2])
-        b = np.linalg.det(m[2:4, 2:4])
-        c = np.linalg.det(m[0:2, 2:4])
-        delta = a + b + 2.0 * c
-        disc = max(delta * delta - 4.0 * np.linalg.det(m), 0.0)
-        root = np.sqrt(disc)
-        nu_sq = np.array([(delta - root) / 2.0, (delta + root) / 2.0])
-        return np.sqrt(np.clip(nu_sq, 0.0, None))
+        return two_mode_spectrum(m)
 
     evals = np.linalg.eigvals(symplectic_form(n) @ m)
-    moduli = np.sort(np.abs(evals))
+    moduli = np.sort(np.abs(evals), axis=-1)
     # each nu appears twice (+-i nu); average adjacent pairs to cancel solver noise
-    return 0.5 * (moduli[0::2] + moduli[1::2])
+    return 0.5 * (moduli[..., 0::2] + moduli[..., 1::2])
 
 
 def is_physical(cm: CovarianceMatrix | np.ndarray, tol: float = PHYSICALITY_TOL) -> bool:
@@ -171,8 +224,7 @@ def schur_complement(cm: CovarianceMatrix, partition: Partition) -> np.ndarray:
     blk_a = m[np.ix_(ia, ia)]
     blk_b = m[np.ix_(ib, ib)]
     cross = m[np.ix_(ia, ib)]
-    if np.linalg.cond(blk_a) > CONDITION_LIMIT:
-        raise ValueError("steering party block not invertible")
+    require_invertible(blk_a)
     out = blk_b - cross.T @ np.linalg.solve(blk_a, cross)
     return 0.5 * (out + out.T)
 

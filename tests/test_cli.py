@@ -223,6 +223,22 @@ class TestOutputResolution:
         assert target.exists()
 
 
+@pytest.mark.parametrize("argv", [["sweep", "--r", "8", "--grid", "0.5,1"], ["check", "--r", "8"]])
+def test_numerical_failure_exits_2(capsys, argv):
+    # at r = 8 the two-mode steering blocks have condition number ~1e14
+    rc, out, err = run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert "steering party block not invertible" in err
+
+
+def test_unphysical_row_before_a_numerical_failure_is_reported(capsys):
+    # rows fail in grid order: here the pure state at eta = 1 comes first
+    rc, _, err = run(capsys, ["sweep", "--r", "8", "--grid", "1,0.5"])
+    assert rc == 2
+    assert "state at eta=1.0 violates the uncertainty relation" in err
+
+
 def test_no_arguments_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -1,6 +1,7 @@
 """State preparation: squeezers, beam-splitter network, loss."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ghz_steering import (
     beam_splitter_symplectic,
     build_ghz,
     build_state,
+    build_states,
     correlation_variance,
     is_physical,
     lossy_channel,
@@ -243,6 +245,27 @@ class TestBuildState:
         cfg = GhzConfig(extra_eta=(1.0, 0.6, 1.0))
         direct = lossy_channel(build_ghz(GhzConfig()), 1, 0.6)
         assert np.allclose(build_state(cfg).matrix, direct.matrix, atol=1e-12)
+
+
+class TestBuildStates:
+    def test_rows_equal_build_state_exactly(self):
+        cfg = GhzConfig(r1=0.7, r2=0.7, r3=0.7, t1=0.2, t2=0.8)
+        etas = [0.0, 0.13, 0.5, 0.999, 1.0]
+        stack = build_states(cfg, etas)
+        assert stack.shape == (5, 6, 6)
+        for eta, row in zip(etas, stack):
+            assert np.array_equal(row, build_state(replace(cfg, eta=eta)).matrix)
+
+    def test_extra_losses_commute_with_the_channel(self):
+        cfg = GhzConfig(extra_eta=(0.7, 0.6, 1.0))
+        for eta, row in zip([0.2, 0.9], build_states(cfg, [0.2, 0.9])):
+            expected = build_state(GhzConfig(extra_eta=(0.7, 0.6, 1.0), eta=eta)).matrix
+            assert np.allclose(row, expected, atol=1e-14)
+
+    @pytest.mark.parametrize("etas", [[0.5, 1.2], [-0.1], [float("nan")]])
+    def test_rejects_efficiencies_outside_unit_interval(self, etas):
+        with pytest.raises(ValueError, match="efficiency"):
+            build_states(GhzConfig(), etas)
 
 
 class TestQuadCombo:

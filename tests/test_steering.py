@@ -13,14 +13,17 @@ from ghz_steering import (
     RESIDUAL_KEYS,
     CovarianceMatrix,
     GhzConfig,
+    NumericalError,
     Partition,
     build_state,
+    build_states,
     find_threshold,
     gaussian_steering,
     monogamy_residuals,
     parse_direction,
     reduce_modes,
     steering_report,
+    steering_stack,
     sweep_eta,
     symplectic_form,
 )
@@ -38,6 +41,43 @@ B_CONST = math.exp(-2 * R)
 U_CONST = (A_CONST + 2 * B_CONST) / 3
 V_CONST = (2 * A_CONST + B_CONST) / 3
 G_ONE_TO_TWO = 0.5 * math.log(U_CONST * V_CONST)
+
+
+def quadrature_rows(modes):
+    return [2 * "ABC".index(m) + q for m in modes for q in (0, 1)]
+
+
+def independent_g(m, label):
+    """G recomputed from scratch: Schur complement by hand, eigenvalues of
+    Omega @ sigma_bar, then the same clamped log sum."""
+    steering, steered = label.split("->")
+    comp, rows = quadrature_rows(steering), quadrature_rows(steered)
+    a_blk = m[np.ix_(comp, comp)]
+    b_blk = m[np.ix_(rows, rows)]
+    c_blk = m[np.ix_(comp, rows)]
+    bar = b_blk - c_blk.T @ np.linalg.solve(a_blk, c_blk)
+    evals = np.linalg.eigvals(symplectic_form(len(rows) // 2) @ bar)
+    nus = np.sort(np.abs(evals.imag))[::2]
+    return max(0.0, -sum(math.log(nu) for nu in nus if nu < 1 - 1e-10))
+
+
+def quartic_g(m, label):
+    """G as the quartic closed form gave it: two-mode nu^2 from Delta^2 - 4 det,
+    which loses about sqrt(machine epsilon) when the two nu are nearly equal."""
+    steering, steered = label.split("->")
+    comp, rows = quadrature_rows(steering), quadrature_rows(steered)
+    bar = m[np.ix_(rows, rows)] - m[np.ix_(comp, rows)].T @ np.linalg.solve(
+        m[np.ix_(comp, comp)], m[np.ix_(comp, rows)])
+    bar = 0.5 * (bar + bar.T)
+    if len(rows) == 2:
+        nus = np.array([math.sqrt(np.linalg.det(bar))])
+    else:
+        det = np.linalg.det
+        delta = det(bar[:2, :2]) + det(bar[2:, 2:]) + 2.0 * det(bar[:2, 2:])
+        root = math.sqrt(max(delta * delta - 4.0 * det(bar), 0.0))
+        nus = np.sqrt(np.clip([(delta - root) / 2.0, (delta + root) / 2.0], 0.0, None))
+    nus = np.where(np.abs(nus - 1.0) <= 1e-10, 1.0, nus)
+    return max(0.0, -sum(math.log(nu) for nu in nus if nu < 1.0))
 
 
 def two_mode_squeezed(r):
@@ -119,16 +159,8 @@ class TestGaussianSteering:
         # recompute from scratch: Schur complement by hand, eigenvalues of
         # Omega @ sigma_bar, then the same clamped log sum
         cm = build_state(GhzConfig(eta=0.7))
-        m = cm.matrix
-        for label, rows in [("BC->A", (0, 1)), ("A->BC", (2, 3, 4, 5))]:
-            comp = [i for i in range(6) if i not in rows]
-            a_blk = m[np.ix_(comp, comp)]
-            b_blk = m[np.ix_(rows, rows)]
-            c_blk = m[np.ix_(comp, rows)]
-            bar = b_blk - c_blk.T @ np.linalg.solve(a_blk, c_blk)
-            evals = np.linalg.eigvals(symplectic_form(len(rows) // 2) @ bar)
-            nus = np.sort(np.abs(evals.imag))[::2]
-            expected = max(0.0, -sum(math.log(nu) for nu in nus if nu < 1 - 1e-10))
+        for label in ("BC->A", "A->BC"):
+            expected = independent_g(cm.matrix, label)
             got = gaussian_steering(cm, parse_direction(label))
             assert got == pytest.approx(expected, abs=1e-10)
 
@@ -155,6 +187,72 @@ class TestGaussianSteering:
         cm = build_state(GhzConfig(r1=r, r2=r, r3=r, eta=eta))
         for label in DIRECTIONS:
             assert gaussian_steering(cm, parse_direction(label)) >= 0.0
+
+
+class TestSteeringStack:
+    @given(st.floats(min_value=0.0, max_value=1.7), st.floats(min_value=0.0, max_value=1.0),
+           st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_independent_solve(self, r, t1, t2, eta):
+        m = build_state(GhzConfig(r1=r, r2=r, r3=r, t1=t1, t2=t2, eta=eta)).matrix
+        g = steering_stack(m[None])
+        assert g.shape == (1, 12)
+        for label, value in zip(DIRECTIONS, g[0]):
+            expected = independent_g(m, label)
+            assert abs(value - expected) <= 1e-12, label
+            # An exact 0 of the quartic form stays exact, unless it was a false
+            # negative: at r = 1e-5, t1 = 1/8, t2 = 1/2, eta = 0 the quartic
+            # form gave 0 for B->AC where G = 1.09375e-10 (50-digit check).
+            if quartic_g(m, label) == 0.0 and expected == 0.0:
+                assert value == 0.0, label
+
+    @given(st.floats(min_value=0.0, max_value=1.7), st.floats(min_value=0.0, max_value=1.0),
+           st.floats(min_value=0.0, max_value=1.0),
+           st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=9))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_rows_match_single_state_calls(self, r, t1, t2, etas):
+        states = build_states(GhzConfig(r1=r, r2=r, r3=r, t1=t1, t2=t2), etas)
+        stacked = steering_stack(states)
+        for k in range(len(etas)):
+            assert np.abs(stacked[k] - steering_stack(states[k:k + 1])[0]).max() <= 1e-14
+
+    def test_no_false_positive_just_below_half(self):
+        # G(A->BC) is exactly 0 for eta <= 1/2: the smallest conditional nu
+        # is exactly 1 and the other one is within ~1e-6 of it.  The quartic
+        # closed form reported 1e-10..5e-8 on about 3% of such points.
+        rng = np.random.default_rng(20240501)
+        n = 2000
+        r = rng.uniform(0.1, 1.7, n)
+        t1, t2 = rng.uniform(0.1, 0.9, n), rng.uniform(0.1, 0.9, n)
+        eta = 0.5 - 3e-5 * rng.uniform(0.0, 1.0, n)
+        states = np.array([
+            build_state(GhzConfig(r1=r[k], r2=r[k], r3=r[k], t1=t1[k], t2=t2[k], eta=eta[k])).matrix
+            for k in range(n)])
+        g = steering_stack(states)[:, DIRECTIONS.index("A->BC")]
+        assert np.count_nonzero(g) == 0
+
+    @pytest.mark.parametrize("r", [0.1, R, 1.0, 1.7])
+    @pytest.mark.parametrize("t1, t2", [(0.1, 0.9), (1 / 3, 0.5), (0.8, 0.2)])
+    def test_collective_forward_is_monotone_in_transmission(self, r, t1, t2):
+        # find_threshold's bisection rests on this
+        states = build_states(GhzConfig(r1=r, r2=r, r3=r, t1=t1, t2=t2), np.linspace(0, 1, 201))
+        g = steering_stack(states)[:, DIRECTIONS.index("A->BC")]
+        assert np.all(np.diff(g) >= -1e-12)
+        assert g[0] == 0.0 and g[-1] > 0.0
+
+    def test_empty_stack(self):
+        assert steering_stack(np.zeros((0, 6, 6))).shape == (0, 12)
+
+    @pytest.mark.parametrize("shape", [(6, 6), (2, 4, 4), (1, 6, 5)])
+    def test_rejects_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="stack"):
+            steering_stack(np.ones(shape))
+
+    def test_ill_conditioned_block_is_a_numerical_error(self):
+        # at r = 8 the two-mode steering blocks have condition number ~1e14
+        states = build_states(GhzConfig(r1=8.0, r2=8.0, r3=8.0), [0.5])
+        with pytest.raises(NumericalError, match="not invertible"):
+            steering_stack(states)
 
 
 class TestSteeringReport:
@@ -243,7 +341,7 @@ class TestThreshold:
         cm = build_state(GhzConfig(eta=eta_star - 0.01))
         assert gaussian_steering(cm, parse_direction("A->BC")) <= STEERING_EPS
 
-    @pytest.mark.parametrize("direction", ["BC->A", "B->AC"])
+    @pytest.mark.parametrize("direction", ["BC->A", "B->AC", "CB->A"])
     def test_always_on_directions_have_no_threshold(self, direction):
         with pytest.raises(ValueError, match="no threshold in range"):
             find_threshold(GhzConfig(), direction)
@@ -251,3 +349,21 @@ class TestThreshold:
     def test_coarse_tolerance_still_brackets(self):
         eta_star = find_threshold(GhzConfig(), "A->BC", tol=5e-3)
         assert 0.49 <= eta_star <= 0.52
+
+    @pytest.mark.parametrize("r, t1, t2", [(R, 1 / 3, 0.5), (0.1, 0.8, 0.3), (1.7, 0.5, 0.9)])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-4, 0.3])
+    def test_same_result_as_plain_bisection(self, r, t1, t2, tol):
+        config = GhzConfig(r1=r, r2=r, r3=r, t1=t1, t2=t2)
+
+        def steerable(eta):
+            state = build_state(replace(config, eta=eta))
+            return gaussian_steering(state, parse_direction("A->BC")) > STEERING_EPS
+
+        lo, hi = 1e-6, 1.0
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if steerable(mid):
+                hi = mid
+            else:
+                lo = mid
+        assert find_threshold(config, "A->BC", tol=tol) == 0.5 * (lo + hi)

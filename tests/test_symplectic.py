@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from ghz_steering import (
     CovarianceMatrix,
     GhzConfig,
+    NumericalError,
     Partition,
     apply_symplectic,
     beam_splitter_symplectic,
     build_ghz,
     build_state,
+    build_states,
     is_physical,
     lossy_channel,
     phase_flip_symplectic,
@@ -113,10 +115,9 @@ class TestSymplecticEigenvalues:
         assert nus == pytest.approx([3.0])
 
     def test_two_mode_squeezed_is_pure(self):
-        # the quartic closed form squares the matrix entries, so degenerate
-        # eigenvalues at 1 only come back to sqrt(machine) accuracy
+        # the Hermitian route keeps degenerate eigenvalues at 1 to machine accuracy
         nus = symplectic_eigenvalues(two_mode_squeezed(R))
-        assert nus == pytest.approx([1.0, 1.0], abs=1e-7)
+        assert nus == pytest.approx([1.0, 1.0], abs=1e-14)
 
     def test_two_mode_thermal_product(self):
         cm = CovarianceMatrix(np.diag([2.0, 2.0, 5.0, 5.0]))
@@ -134,6 +135,17 @@ class TestSymplecticEigenvalues:
         with pytest.raises(ValueError, match="not a state"):
             symplectic_eigenvalues(CovarianceMatrix(np.diag([1.0, -1.0])))
 
+    def test_not_a_state_is_a_numerical_error(self):
+        with pytest.raises(NumericalError, match="not a state"):
+            symplectic_eigenvalues(np.diag([1.0, 1.0, 1.0, -1.0]))
+
+    def test_stack_matches_single_matrices(self):
+        states = build_states(GhzConfig(), [0.1, 0.5, 0.9])
+        nus = symplectic_eigenvalues(states)
+        assert nus.shape == (3, 3)
+        for row, state in zip(nus, states):
+            assert np.array_equal(row, symplectic_eigenvalues(state))
+
     @given(st.floats(min_value=0.0, max_value=1.5), st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=50)
     def test_two_mode_closed_form_matches_general_solver(self, r, t):
@@ -146,9 +158,7 @@ class TestSymplecticEigenvalues:
         nus = symplectic_eigenvalues(mixed)
         evals = np.linalg.eigvals(symplectic_form(2) @ mixed.matrix)
         expected = np.sort(np.abs(evals.imag))[::2]
-        # the quartic route cancels near-degenerate roots, so agreement is
-        # limited to roughly sqrt(machine epsilon) times the matrix scale
-        assert nus == pytest.approx(expected, abs=1e-5)
+        assert nus == pytest.approx(expected, abs=1e-12)
 
     @given(st.floats(min_value=0.0, max_value=1.5))
     @settings(max_examples=50)
@@ -228,6 +238,12 @@ class TestSchurComplement:
     def test_condition_number_guard(self):
         cm = CovarianceMatrix(np.diag([1e14, 1e-2, 1.0, 1.0]))
         with pytest.raises(ValueError, match="steering party block not invertible"):
+            schur_complement(cm, Partition(steering=(0,), steered=(1,)))
+
+    @pytest.mark.parametrize("block", [np.diag([1e13, 2.0]), np.diag([-1e13, 2.0]), np.zeros((2, 2))])
+    def test_condition_guard_is_a_numerical_error(self, block):
+        cm = CovarianceMatrix(np.block([[block, np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]]))
+        with pytest.raises(NumericalError, match="not invertible"):
             schur_complement(cm, Partition(steering=(0,), steered=(1,)))
 
     def test_partition_out_of_range(self):
