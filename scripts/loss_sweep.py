@@ -7,9 +7,9 @@ collective steering ability.  Writes a CSV and prints a short summary.
 
 import argparse
 import csv
-import math
 
 from ghz_steering import DIRECTIONS, GhzConfig, find_threshold, sweep_eta
+from ghz_steering.network import r_to_squeezing_db
 
 
 def main() -> None:
@@ -30,7 +30,7 @@ def main() -> None:
             writer.writerow([p.eta, *(p.report.g[d] for d in DIRECTIONS)])
 
     eta_star = find_threshold(cfg, "A->BC", tol=1e-5)
-    print(f"r = {args.r} ({20 * args.r / math.log(10):.3f} dB)")
+    print(f"r = {args.r} ({r_to_squeezing_db(args.r):.3f} dB)")
     print(f"A->BC activates at eta = {eta_star:.6f}")
     window = [p.eta for p in points if p.report.g["A->BC"] == 0 and p.report.g["BC->A"] > 0]
     if window:

@@ -3,124 +3,39 @@
 Covariance-matrix construction of the state, directed steering quantifiers
 for all 12 bipartitions, monogamy residuals, and a simulated tomography
 pipeline with statistical error bars.  See the README for the CLI.
+
+The package exports what the CLI, the scripts and the README use; the
+lower-level pieces live in the submodules ``symplectic``, ``network``,
+``steering`` and ``tomography``.
 """
 
-from .network import (
-    GhzConfig,
-    QuadCombo,
-    SymplecticMatrix,
-    apply_symplectic,
-    beam_splitter_symplectic,
-    build_ghz,
-    build_state,
-    build_states,
-    correlation_variance,
-    lossy_channel,
-    mode_matrix_symplectic,
-    network_mode_matrix,
-    phase_flip_symplectic,
-    r_to_squeezing_db,
-    squeezed_vacuum_cm,
-    squeezing_db_to_r,
-)
+from .network import GhzConfig, build_state, build_states
 from .steering import (
-    BOUNDARY_CLAMP,
     DIRECTIONS,
     RESIDUAL_KEYS,
-    STEERING_EPS,
-    MonogamyReport,
-    SteeringReport,
-    SweepPoint,
     find_threshold,
-    gaussian_steering,
     monogamy_residuals,
-    parse_direction,
-    residuals_from_report,
     steering_report,
     steering_stack,
     sweep_eta,
 )
-from .symplectic import (
-    CONDITION_LIMIT,
-    PHYSICALITY_TOL,
-    CovarianceMatrix,
-    NumericalError,
-    Partition,
-    is_physical,
-    purity,
-    quadrature_indices,
-    reduce_modes,
-    schur_complement,
-    symplectic_eigenvalues,
-    symplectic_form,
-)
-from .tomography import (
-    MEASUREMENT_LABELS,
-    REJECT_NU_FLOOR,
-    MeasurementSet,
-    TrialStatistics,
-    covariance_from_measurements,
-    measure_set,
-    population_measurements,
-    reconstruct_trials,
-    sample_quadratures,
-    write_samples_csv,
-)
+from .symplectic import CovarianceMatrix, NumericalError
+from .tomography import reconstruct_trials
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOUNDARY_CLAMP",
-    "CONDITION_LIMIT",
     "CovarianceMatrix",
     "DIRECTIONS",
     "GhzConfig",
-    "MEASUREMENT_LABELS",
-    "MeasurementSet",
-    "MonogamyReport",
     "NumericalError",
-    "PHYSICALITY_TOL",
-    "Partition",
-    "QuadCombo",
-    "REJECT_NU_FLOOR",
     "RESIDUAL_KEYS",
-    "STEERING_EPS",
-    "SteeringReport",
-    "SweepPoint",
-    "SymplecticMatrix",
-    "TrialStatistics",
-    "apply_symplectic",
-    "beam_splitter_symplectic",
-    "build_ghz",
     "build_state",
     "build_states",
-    "correlation_variance",
-    "covariance_from_measurements",
     "find_threshold",
-    "gaussian_steering",
-    "is_physical",
-    "lossy_channel",
-    "measure_set",
-    "mode_matrix_symplectic",
     "monogamy_residuals",
-    "network_mode_matrix",
-    "parse_direction",
-    "phase_flip_symplectic",
-    "population_measurements",
-    "purity",
-    "quadrature_indices",
-    "r_to_squeezing_db",
     "reconstruct_trials",
-    "reduce_modes",
-    "residuals_from_report",
-    "sample_quadratures",
-    "schur_complement",
-    "squeezed_vacuum_cm",
-    "squeezing_db_to_r",
     "steering_report",
     "steering_stack",
     "sweep_eta",
-    "symplectic_eigenvalues",
-    "symplectic_form",
-    "write_samples_csv",
 ]

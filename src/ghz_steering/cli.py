@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -25,14 +27,7 @@ from .network import (
     correlation_variance,
     squeezing_db_to_r,
 )
-from .steering import (
-    DIRECTIONS,
-    STEERING_EPS,
-    complementary_pairs,
-    one_to_one_labels,
-    steering_report,
-    sweep_eta,
-)
+from .steering import DIRECTIONS, MODE_NAMES, STEERING_EPS, steering_report, sweep_eta
 from .symplectic import (
     PHYSICALITY_TOL,
     NumericalError,
@@ -112,17 +107,6 @@ def _config_from_args(args: argparse.Namespace, eta: float | None = None) -> Ghz
     return GhzConfig(**kwargs)
 
 
-def _config_doc(config: GhzConfig) -> dict:
-    return {
-        "r1": config.r1,
-        "r2": config.r2,
-        "r3": config.r3,
-        "t1": config.t1,
-        "t2": config.t2,
-        "eta": config.eta,
-    }
-
-
 def _parse_grid(expr: str) -> list[float]:
     """Parse an eta grid: either start:stop:step or a comma-separated list."""
     try:
@@ -135,9 +119,9 @@ def _parse_grid(expr: str) -> list[float]:
                 raise ValueError("grid step must be positive")
             if not (0.0 <= start <= stop <= 1.0):
                 raise ValueError("grid must lie within [0, 1] with start <= stop")
-            count = int(round((stop - start) / step)) + 1
-            values = [min(start + k * step, stop) for k in range(count)]
-            return [v for v in values if v <= stop + 1e-12]
+            # the slack keeps a last point that round-off puts just short of stop
+            count = math.floor((stop - start) / step + 1e-9) + 1
+            return [min(start + k * step, stop) for k in range(count)]
         values = [float(f) for f in expr.split(",") if f.strip() != ""]
         if not values:
             raise ValueError("empty eta grid")
@@ -182,7 +166,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": "build",
-            "config": _config_doc(config),
+            "config": asdict(config),
             "covariance_matrix": state.matrix.tolist(),
             "purity": purity(state),
             "symplectic_eigenvalues": nus.tolist(),
@@ -194,7 +178,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         lines.append("# symplectic_eigenvalues=" + ";".join(_fmt(nu) for nu in nus))
         for lab, val in variances.items():
             lines.append(f"# var({lab})={_fmt(val)}")
-        header = [f"{quad}{name}" for name in "ABC" for quad in ("x", "p")]
+        header = [f"{quad}{name}" for name in MODE_NAMES for quad in ("x", "p")]
         lines.append(",".join(header))
         for row in state.matrix:
             lines.append(",".join(_fmt(v) for v in row))
@@ -227,7 +211,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": "sweep",
-            "config": _config_doc(config),
+            "config": asdict(config),
             "rows": [
                 {"eta": eta, "g": report.g, "residuals": residuals.residuals}
                 for eta, report, residuals in rows
@@ -268,7 +252,7 @@ def cmd_tomo(args: argparse.Namespace) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "tomo",
         "config": {
-            **_config_doc(config),
+            **asdict(config),
             "samples": args.samples,
             "trials": args.trials,
             "seed": args.seed,
@@ -299,12 +283,12 @@ def cmd_check(args: argparse.Namespace) -> int:
                    f"min symplectic eigenvalue {nu_min:.6g} vs floor {floor:.6g}"))
 
     reports = [p.report for p in points]
-    worst_pair = max(rep.g[lab] for rep in reports for lab in one_to_one_labels())
+    worst_pair = max(rep.g[lab] for rep in reports for lab in DIRECTIONS[:6])
     checks.append(("one-to-one-nullity", worst_pair <= STEERING_EPS,
                    f"max pairwise G {worst_pair:.3g}"))
 
     pure = reports[-1]  # eta = 1
-    asym = max(abs(pure.g[a] - pure.g[b]) for a, b in complementary_pairs())
+    asym = max(abs(pure.g[a] - pure.g[b]) for a, b in zip(DIRECTIONS[6::2], DIRECTIONS[7::2]))
     checks.append(("pure-state-symmetry", asym <= 1e-9,
                    f"max |G(X->Y) - G(Y->X)| at eta=1: {asym:.3g}"))
 

@@ -10,7 +10,7 @@ analysis stage carries A' = sqrt(eta) A + sqrt(1 - eta) vacuum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +35,7 @@ class GhzConfig:
     """Experiment description: squeezing strengths, network transmittances, loss.
 
     r1, r3 squeeze x; r2 squeezes p.  t1 and t2 are the power transmittances
-    of the two beam splitters.  eta is the channel efficiency applied to mode
-    A; extra_eta holds optional additional per-mode efficiencies (detection
-    or propagation losses), default off.
+    of the two beam splitters.  eta is the channel efficiency on mode A.
     """
 
     r1: float = 0.339
@@ -46,7 +44,6 @@ class GhzConfig:
     t1: float = 1.0 / 3.0
     t2: float = 0.5
     eta: float = 1.0
-    extra_eta: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self) -> None:
         for name in ("r1", "r2", "r3"):
@@ -56,10 +53,6 @@ class GhzConfig:
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        extra = tuple(float(e) for e in self.extra_eta)
-        if len(extra) != 3 or any(not 0.0 <= e <= 1.0 for e in extra):
-            raise ValueError("extra_eta must be three efficiencies in [0, 1]")
-        object.__setattr__(self, "extra_eta", extra)
 
     @classmethod
     def from_squeezing_db(cls, db: float, **kwargs) -> "GhzConfig":
@@ -135,6 +128,15 @@ def mode_matrix_symplectic(mode_matrix: np.ndarray) -> SymplecticMatrix:
     return SymplecticMatrix(s)
 
 
+def _beam_splitter_modes(n_modes: int, k: int, l: int, t: float) -> np.ndarray:
+    """Mode-space matrix of a beam splitter of power transmittance t on modes k and l."""
+    r = np.eye(n_modes)
+    r[k, k] = math.sqrt(1.0 - t)
+    r[k, l] = r[l, k] = math.sqrt(t)
+    r[l, l] = -math.sqrt(1.0 - t)
+    return r
+
+
 def beam_splitter_symplectic(n_modes: int, k: int, l: int, t: float) -> SymplecticMatrix:
     """Beam splitter of power transmittance t on modes k and l.
 
@@ -144,11 +146,7 @@ def beam_splitter_symplectic(n_modes: int, k: int, l: int, t: float) -> Symplect
         raise ValueError("transmittance must lie in [0, 1]")
     if k == l or min(k, l) < 0 or max(k, l) >= n_modes:
         raise ValueError("beam splitter needs two distinct in-range modes")
-    r = np.eye(n_modes)
-    r[k, k] = math.sqrt(1.0 - t)
-    r[k, l] = r[l, k] = math.sqrt(t)
-    r[l, l] = -math.sqrt(1.0 - t)
-    return mode_matrix_symplectic(r)
+    return mode_matrix_symplectic(_beam_splitter_modes(n_modes, k, l, t))
 
 
 def phase_flip_symplectic(n_modes: int, k: int) -> SymplecticMatrix:
@@ -167,27 +165,24 @@ def network_mode_matrix(t1: float, t2: float) -> np.ndarray:
     splitter on (2, 3) with transmittance t2.  At the default t1=1/3, t2=1/2
     the first row is (sqrt(2/3), sqrt(1/3), 0).
     """
-    b12 = np.eye(3)
-    b12[0, 0] = math.sqrt(1.0 - t1)
-    b12[0, 1] = b12[1, 0] = math.sqrt(t1)
-    b12[1, 1] = -math.sqrt(1.0 - t1)
     flip = np.diag([1.0, -1.0, 1.0])
-    b23 = np.eye(3)
-    b23[1, 1] = math.sqrt(1.0 - t2)
-    b23[1, 2] = b23[2, 1] = math.sqrt(t2)
-    b23[2, 2] = -math.sqrt(1.0 - t2)
-    return b23 @ flip @ b12
+    return _beam_splitter_modes(3, 1, 2, t2) @ flip @ _beam_splitter_modes(3, 0, 1, t1)
+
+
+def _squeezed_variances(r: float, squeezed: str) -> list[float]:
+    """(Var x, Var p) of a squeezed vacuum: e^{-2r} squeezed, e^{2r} anti-squeezed."""
+    if squeezed == "x":
+        return [math.exp(-2.0 * r), math.exp(2.0 * r)]
+    if squeezed == "p":
+        return [math.exp(2.0 * r), math.exp(-2.0 * r)]
+    raise ValueError(f"squeezed quadrature must be 'x' or 'p', got {squeezed!r}")
 
 
 def squeezed_vacuum_cm(r: float, squeezed: str = "x") -> CovarianceMatrix:
     """Single-mode squeezed vacuum: variance e^{-2r} in the squeezed quadrature."""
     if r < 0:
         raise ValueError("squeezing parameter must be non-negative")
-    if squeezed == "x":
-        return CovarianceMatrix(np.diag([math.exp(-2.0 * r), math.exp(2.0 * r)]))
-    if squeezed == "p":
-        return CovarianceMatrix(np.diag([math.exp(2.0 * r), math.exp(-2.0 * r)]))
-    raise ValueError(f"squeezed quadrature must be 'x' or 'p', got {squeezed!r}")
+    return CovarianceMatrix(np.diag(_squeezed_variances(r, squeezed)))
 
 
 def apply_symplectic(cm: CovarianceMatrix, s: SymplecticMatrix) -> CovarianceMatrix:
@@ -203,11 +198,8 @@ def build_ghz(config: GhzConfig) -> CovarianceMatrix:
     Inputs: x-squeezed r1, p-squeezed r2, x-squeezed r3.  The channel loss in
     config is NOT applied here; see :func:`build_state`.
     """
-    sigma_in = np.diag([
-        math.exp(-2.0 * config.r1), math.exp(2.0 * config.r1),
-        math.exp(2.0 * config.r2), math.exp(-2.0 * config.r2),
-        math.exp(-2.0 * config.r3), math.exp(2.0 * config.r3),
-    ])
+    sigma_in = np.diag(_squeezed_variances(config.r1, "x") + _squeezed_variances(config.r2, "p")
+                       + _squeezed_variances(config.r3, "x"))
     net = mode_matrix_symplectic(network_mode_matrix(config.t1, config.t2))
     return apply_symplectic(CovarianceMatrix(sigma_in), net)
 
@@ -244,22 +236,18 @@ def lossy_channel(cm: CovarianceMatrix, mode: int, eta: float) -> CovarianceMatr
 
 
 def build_state(config: GhzConfig) -> CovarianceMatrix:
-    """Network output after the channel: loss eta on mode A, then any extra_eta."""
-    state = lossy_channel(build_ghz(config), 0, config.eta)
-    for mode, eta in enumerate(config.extra_eta):
-        if eta != 1.0:
-            state = lossy_channel(state, mode, eta)
-    return state
+    """Network output after the channel: loss eta on mode A."""
+    return lossy_channel(build_ghz(config), 0, config.eta)
 
 
 def build_states(config: GhzConfig, etas) -> np.ndarray:
     """build_state at each channel efficiency in etas, as a (K, 6, 6) stack.
 
-    The state without channel loss is built once; the loss on A is then one
-    :func:`lossy_stack` call.  Losses on different modes commute, so this
-    equals build_state(replace(config, eta=eta)) row by row.
+    The lossless state is built once; the loss on A is then one
+    :func:`lossy_stack` call, equal to build_state(replace(config, eta=eta))
+    row by row.
     """
-    return lossy_stack(build_state(replace(config, eta=1.0)), 0, etas)
+    return lossy_stack(build_ghz(config), 0, etas)
 
 
 def correlation_variance(cm: CovarianceMatrix, combo: QuadCombo) -> float:

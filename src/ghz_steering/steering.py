@@ -11,11 +11,11 @@ three-mode state for a whole stack of states at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .network import GhzConfig, build_state, build_states, lossy_stack
+from .network import GhzConfig, build_ghz, build_states, lossy_stack
 from .symplectic import (
     CovarianceMatrix,
     Partition,
@@ -216,9 +216,9 @@ class SweepPoint:
 def sweep_eta(config: GhzConfig, etas: list[float] | tuple[float, ...] | np.ndarray) -> list[SweepPoint]:
     """Steering report and monogamy residuals for each channel efficiency.
 
-    The eta field of config is overridden point by point; everything else
-    (squeezing, network, extra losses) is held fixed.  All points are one
-    :func:`steering_stack` call.
+    The eta field of config is overridden point by point; the squeezing and
+    the network are held fixed.  All points are one :func:`steering_stack`
+    call.
     """
     etas = [float(eta) for eta in etas]
     g = steering_stack(build_states(config, etas))
@@ -240,12 +240,15 @@ def find_threshold(config: GhzConfig, direction: str, tol: float = 1e-4) -> floa
     Raises
     ------
     ValueError
-        If both bracket ends are on the same side ("no threshold in range"),
-        e.g. directions steerable at any nonzero efficiency.
+        If tol is not positive (bisection would never stop), or both bracket
+        ends are on the same side ("no threshold in range"), e.g. directions
+        steerable at any nonzero efficiency.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     parse_direction(direction)  # validates the label
     column = DIRECTIONS.index("->".join("".join(sorted(p)) for p in direction.split("->")))
-    lossless = build_state(replace(config, eta=1.0))
+    lossless = build_ghz(config)
 
     def steerable(etas: list[float]) -> list[bool]:
         g = steering_stack(lossy_stack(lossless, 0, etas))[:, column]
@@ -274,24 +277,3 @@ def _midpoints(lo: float, hi: float, depth: int) -> list[float]:
         return []
     mid = 0.5 * (lo + hi)
     return [mid, *_midpoints(lo, mid, depth - 1), *_midpoints(mid, hi, depth - 1)]
-
-
-def one_to_one_labels() -> tuple[str, ...]:
-    """The six single-mode-to-single-mode direction labels."""
-    return DIRECTIONS[:6]
-
-
-def one_to_two_labels() -> tuple[str, ...]:
-    """The six collective direction labels (single mode vs the remaining pair)."""
-    return DIRECTIONS[6:]
-
-
-def reverse_direction(label: str) -> str:
-    """Swap steering and steered parties of a direction label."""
-    left, right = label.split("->")
-    return f"{right}->{left}"
-
-
-def complementary_pairs() -> tuple[tuple[str, str], ...]:
-    """The three (one-vs-two, two-vs-one) label pairs over the same split."""
-    return (("A->BC", "BC->A"), ("B->AC", "AC->B"), ("C->AB", "AB->C"))

@@ -187,9 +187,10 @@ def is_physical(cm: CovarianceMatrix | np.ndarray, tol: float = PHYSICALITY_TOL)
     m = _as_array(cm)
     if m.shape[0] % 2 or m.shape[0] == 0:
         return False
-    if np.linalg.eigvalsh(m).min() <= 0:
+    try:
+        return bool(symplectic_eigenvalues(m).min() >= 1.0 - tol)
+    except NumericalError:  # not positive definite
         return False
-    return bool(symplectic_eigenvalues(m).min() >= 1.0 - tol)
 
 
 def reduce_modes(cm: CovarianceMatrix, modes: tuple[int, ...] | list[int]) -> CovarianceMatrix:

@@ -15,10 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import QuadCombo, correlation_variance
-from .steering import DIRECTIONS, SteeringReport, steering_report
-from .symplectic import CovarianceMatrix, symplectic_eigenvalues
-
-MODE_NAMES = "ABC"
+from .steering import DIRECTIONS, MODE_NAMES, SteeringReport, steering_report
+from .symplectic import CovarianceMatrix, NumericalError, symplectic_eigenvalues
 
 # Mode pairs in canonical order; every combination block below iterates these.
 _PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (1, 2))
@@ -58,6 +56,12 @@ MEASUREMENT_LABELS, LABEL_COMBOS = _build_labels()
 
 # Indicator matrix: row k is the quadrature coefficient vector of measurement k.
 _COMBO_MATRIX = np.array([LABEL_COMBOS[lab].indicator(3) for lab in MEASUREMENT_LABELS])
+
+# The variance -> covariance map, read off _COMBO_MATRIX.  Rows 0-5 measure
+# quadrature 0-5 alone; each later row measures s_a q_a + s_b q_b with a < b,
+# which fixes Cov(q_a, q_b) = s_a s_b (Var(row) - Var(q_a) - Var(q_b)) / 2.
+_SLOT_A, _SLOT_B = np.array([np.flatnonzero(row) for row in _COMBO_MATRIX[6:]]).T
+_SLOT_SIGN = np.array([np.prod(row[row != 0]) for row in _COMBO_MATRIX[6:]])
 
 
 @dataclass(frozen=True)
@@ -144,34 +148,16 @@ def population_measurements(cm: CovarianceMatrix) -> MeasurementSet:
 def covariance_from_measurements(ms: MeasurementSet) -> CovarianceMatrix:
     """Assemble the 6x6 covariance matrix from the 18 variances.
 
-    Diagonal from the singles; cross-mode x-x and p-p covariances from the
-    minus identity Cov = -1/2 [Var(u - v) - Var(u) - Var(v)]; cross-mode x-p
-    covariances from the plus identity Cov = +1/2 [Var(u + v) - Var(u) -
-    Var(v)], each plus combination filling exactly the slot it measures.
-    Within-mode x-p covariances are not measured and are set to 0.
+    Diagonal from the singles; each cross-mode covariance from the one
+    combination that measures its slot, through the minus identity Cov =
+    -1/2 [Var(u - v) - Var(u) - Var(v)] or the plus identity Cov = +1/2
+    [Var(u + v) - Var(u) - Var(v)].  Within-mode x-p covariances are not
+    measured and are set to 0.
     """
-    var = ms.variances
-    out = np.zeros((6, 6))
-    for mode in range(3):
-        out[2 * mode, 2 * mode] = var[f"x{MODE_NAMES[mode]}"]
-        out[2 * mode + 1, 2 * mode + 1] = var[f"p{MODE_NAMES[mode]}"]
-
-    def single(quad: str, mode: int) -> float:
-        return var[f"{quad}{MODE_NAMES[mode]}"]
-
-    for quad, offset in (("x", 0), ("p", 1)):
-        for i, j in _PAIRS:
-            combo = var[f"{quad}{MODE_NAMES[i]}-{quad}{MODE_NAMES[j]}"]
-            cov = -0.5 * (combo - single(quad, i) - single(quad, j))
-            out[2 * i + offset, 2 * j + offset] = out[2 * j + offset, 2 * i + offset] = cov
-    for i, j in _PAIRS:
-        combo = var[f"x{MODE_NAMES[i]}+p{MODE_NAMES[j]}"]
-        cov = 0.5 * (combo - single("x", i) - single("p", j))
-        out[2 * i, 2 * j + 1] = out[2 * j + 1, 2 * i] = cov
-    for i, j in _PAIRS:
-        combo = var[f"p{MODE_NAMES[i]}+x{MODE_NAMES[j]}"]
-        cov = 0.5 * (combo - single("p", i) - single("x", j))
-        out[2 * i + 1, 2 * j] = out[2 * j, 2 * i + 1] = cov
+    var = ms.as_array()
+    out = np.diag(var[:6])
+    cov = _SLOT_SIGN * 0.5 * (var[6:] - var[_SLOT_A] - var[_SLOT_B])
+    out[_SLOT_A, _SLOT_B] = out[_SLOT_B, _SLOT_A] = cov
     return CovarianceMatrix(out)
 
 
@@ -201,9 +187,10 @@ class TrialStatistics:
 
 
 def _min_symplectic(matrix: np.ndarray) -> float:
-    if np.linalg.eigvalsh(matrix).min() <= 0:
+    try:
+        return float(symplectic_eigenvalues(matrix).min())
+    except NumericalError:
         return 0.0  # not even positive definite; definitely below any floor
-    return float(symplectic_eigenvalues(matrix).min())
 
 
 def reconstruct_trials(

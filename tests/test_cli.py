@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from ghz_steering.cli import SWEEP_COLUMNS, main
+from ghz_steering.cli import DEFAULT_GRID, SWEEP_COLUMNS, main
 
 R = 0.339
 
@@ -136,6 +136,16 @@ class TestSweep:
         _, out, _ = run(capsys, ["sweep", "--grid", "0.2:0.6:0.2"])
         etas = [float(r.split(",")[0]) for r in out.splitlines()[1:]]
         assert etas == pytest.approx([0.2, 0.4, 0.6], abs=1e-12)
+
+    @pytest.mark.parametrize("grid, etas", [
+        ("0:1:0.6", [0.0, 0.6]),  # 1.0 is not on this grid
+        ("0:1:0.7", [0.0, 0.7]),
+        ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3]),  # 0.3 / 0.1 = 2.9999999999999996
+        (DEFAULT_GRID, [min(k * 0.05, 1.0) for k in range(21)]),
+    ])
+    def test_grid_range_holds_only_grid_points(self, capsys, grid, etas):
+        _, out, _ = run(capsys, ["sweep", "--grid", grid, "--format", "json"])
+        assert [row["eta"] for row in json.loads(out)["rows"]] == etas
 
     @pytest.mark.parametrize("grid", ["0:2:0.5", "0.5:0.1:0.1", "abc", ""])
     def test_bad_grid_is_a_usage_error(self, grid):

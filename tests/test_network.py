@@ -8,27 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghz_steering import (
-    CovarianceMatrix,
-    GhzConfig,
+from ghz_steering import CovarianceMatrix, GhzConfig, build_state, build_states
+from ghz_steering.network import (
     QuadCombo,
     apply_symplectic,
     beam_splitter_symplectic,
     build_ghz,
-    build_state,
-    build_states,
     correlation_variance,
-    is_physical,
     lossy_channel,
     network_mode_matrix,
     phase_flip_symplectic,
-    purity,
     r_to_squeezing_db,
-    reduce_modes,
     squeezed_vacuum_cm,
     squeezing_db_to_r,
-    symplectic_form,
 )
+from ghz_steering.symplectic import is_physical, purity, reduce_modes, symplectic_form
 
 R = 0.339
 
@@ -59,8 +53,6 @@ class TestGhzConfig:
         {"t1": 1.5},
         {"t2": -0.2},
         {"eta": 2.0},
-        {"extra_eta": (1.0, 1.0)},
-        {"extra_eta": (1.0, 1.5, 1.0)},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -241,11 +233,6 @@ class TestBuildState:
         direct = lossy_channel(build_ghz(GhzConfig()), 0, 0.3)
         assert np.array_equal(build_state(GhzConfig(eta=0.3)).matrix, direct.matrix)
 
-    def test_extra_eta_per_mode(self):
-        cfg = GhzConfig(extra_eta=(1.0, 0.6, 1.0))
-        direct = lossy_channel(build_ghz(GhzConfig()), 1, 0.6)
-        assert np.allclose(build_state(cfg).matrix, direct.matrix, atol=1e-12)
-
 
 class TestBuildStates:
     def test_rows_equal_build_state_exactly(self):
@@ -255,12 +242,6 @@ class TestBuildStates:
         assert stack.shape == (5, 6, 6)
         for eta, row in zip(etas, stack):
             assert np.array_equal(row, build_state(replace(cfg, eta=eta)).matrix)
-
-    def test_extra_losses_commute_with_the_channel(self):
-        cfg = GhzConfig(extra_eta=(0.7, 0.6, 1.0))
-        for eta, row in zip([0.2, 0.9], build_states(cfg, [0.2, 0.9])):
-            expected = build_state(GhzConfig(extra_eta=(0.7, 0.6, 1.0), eta=eta)).matrix
-            assert np.allclose(row, expected, atol=1e-14)
 
     @pytest.mark.parametrize("etas", [[0.5, 1.2], [-0.1], [float("nan")]])
     def test_rejects_efficiencies_outside_unit_interval(self, etas):

@@ -14,26 +14,16 @@ from ghz_steering import (
     CovarianceMatrix,
     GhzConfig,
     NumericalError,
-    Partition,
     build_state,
     build_states,
     find_threshold,
-    gaussian_steering,
     monogamy_residuals,
-    parse_direction,
-    reduce_modes,
     steering_report,
     steering_stack,
     sweep_eta,
-    symplectic_form,
 )
-from ghz_steering.steering import (
-    STEERING_EPS,
-    complementary_pairs,
-    one_to_one_labels,
-    one_to_two_labels,
-    reverse_direction,
-)
+from ghz_steering.steering import STEERING_EPS, gaussian_steering, parse_direction
+from ghz_steering.symplectic import Partition, reduce_modes, symplectic_form
 
 R = 0.339
 A_CONST = math.exp(2 * R)
@@ -113,20 +103,6 @@ class TestDirectionHelpers:
             "A->BC", "BC->A", "B->AC", "AC->B", "C->AB", "AB->C",
         )
 
-    def test_label_splits(self):
-        assert set(one_to_one_labels()) | set(one_to_two_labels()) == set(DIRECTIONS)
-        assert len(one_to_one_labels()) == 6
-        assert len(one_to_two_labels()) == 6
-
-    def test_reverse(self):
-        assert reverse_direction("A->BC") == "BC->A"
-        assert reverse_direction("C->B") == "B->C"
-
-    def test_complementary_pairs_cover_the_collective_labels(self):
-        flat = [d for pair in complementary_pairs() for d in pair]
-        assert sorted(flat) == sorted(one_to_two_labels())
-        assert all(reverse_direction(a) == b for a, b in complementary_pairs())
-
 
 class TestGaussianSteering:
     def test_vacuum_two_modes(self):
@@ -145,13 +121,13 @@ class TestGaussianSteering:
         # the conditional state sits on the nu = 1 boundary; the clamp must
         # return a hard zero, not a tiny residual
         cm = build_state(GhzConfig())
-        for label in one_to_one_labels():
+        for label in DIRECTIONS[:6]:
             assert gaussian_steering(cm, parse_direction(label)) == 0.0
 
     def test_ghz_collective_closed_form(self):
         # all six collective directions of the lossless state share one value
         cm = build_state(GhzConfig())
-        for label in one_to_two_labels():
+        for label in DIRECTIONS[6:]:
             got = gaussian_steering(cm, parse_direction(label))
             assert got == pytest.approx(G_ONE_TO_TWO, abs=1e-9)
 
@@ -271,7 +247,7 @@ class TestSteeringReport:
 
     def test_pure_state_directional_symmetry(self):
         rep = steering_report(build_state(GhzConfig()))
-        for fwd, rev in complementary_pairs():
+        for fwd, rev in zip(DIRECTIONS[6::2], DIRECTIONS[7::2]):
             assert rep.g[fwd] == pytest.approx(rep.g[rev], abs=1e-9)
 
     def test_swapping_unlossy_modes_relabels_the_report(self):
@@ -345,6 +321,12 @@ class TestThreshold:
     def test_always_on_directions_have_no_threshold(self, direction):
         with pytest.raises(ValueError, match="no threshold in range"):
             find_threshold(GhzConfig(), direction)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-4, float("nan")])
+    def test_rejects_a_tolerance_that_is_not_positive(self, tol):
+        # bisection to tol <= 0 never stops; nan would end it at once
+        with pytest.raises(ValueError, match="tol must be positive"):
+            find_threshold(GhzConfig(), "A->BC", tol=tol)
 
     def test_coarse_tolerance_still_brackets(self):
         eta_star = find_threshold(GhzConfig(), "A->BC", tol=5e-3)

@@ -7,23 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghz_steering import (
-    CovarianceMatrix,
-    GhzConfig,
-    NumericalError,
-    Partition,
+from ghz_steering import CovarianceMatrix, GhzConfig, NumericalError, build_state, build_states
+from ghz_steering.network import (
     apply_symplectic,
     beam_splitter_symplectic,
     build_ghz,
-    build_state,
-    build_states,
-    is_physical,
-    lossy_channel,
     phase_flip_symplectic,
+    squeezed_vacuum_cm,
+)
+from ghz_steering.symplectic import (
+    Partition,
+    is_physical,
     purity,
     reduce_modes,
     schur_complement,
-    squeezed_vacuum_cm,
     symplectic_eigenvalues,
     symplectic_form,
 )

@@ -8,21 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghz_steering import (
-    MEASUREMENT_LABELS,
-    REJECT_NU_FLOOR,
-    CovarianceMatrix,
-    GhzConfig,
-    MeasurementSet,
+from ghz_steering import CovarianceMatrix, GhzConfig, build_state, reconstruct_trials
+from ghz_steering.network import (
     QuadCombo,
     SymplecticMatrix,
     apply_symplectic,
-    build_state,
     correlation_variance,
+)
+from ghz_steering.tomography import (
+    MEASUREMENT_LABELS,
+    REJECT_NU_FLOOR,
+    MeasurementSet,
     covariance_from_measurements,
     measure_set,
     population_measurements,
-    reconstruct_trials,
     sample_quadratures,
     write_samples_csv,
 )
