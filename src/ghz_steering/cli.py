@@ -20,14 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from .network import (
+    MODE_NAMES,
     GhzConfig,
-    QuadCombo,
     build_state,
     build_states,
     correlation_variance,
     squeezing_db_to_r,
 )
-from .steering import DIRECTIONS, MODE_NAMES, STEERING_EPS, steering_report, sweep_eta
+from .steering import DIRECTIONS, STEERING_EPS, steering_report, sweep_eta
 from .symplectic import (
     PHYSICALITY_TOL,
     NumericalError,
@@ -55,12 +55,7 @@ SWEEP_COLUMNS: tuple[str, ...] = (
 )
 
 # The headline second-moment combinations reported by `build`.
-BUILD_COMBOS: dict[str, QuadCombo] = {
-    "xA-xB": QuadCombo(terms=((0, "x", 1), (1, "x", -1))),
-    "xA-xC": QuadCombo(terms=((0, "x", 1), (2, "x", -1))),
-    "xB-xC": QuadCombo(terms=((1, "x", 1), (2, "x", -1))),
-    "pA+pB+pC": QuadCombo(terms=((0, "p", 1), (1, "p", 1), (2, "p", 1))),
-}
+BUILD_COMBOS: tuple[str, ...] = ("xA-xB", "xA-xC", "xB-xC", "pA+pB+pC")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,6 +127,17 @@ def _parse_grid(expr: str) -> list[float]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for tolerances and floors: a float that is neither nan nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_state_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--r", type=float, default=0.339,
@@ -160,7 +166,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         return EXIT_UNPHYSICAL
 
     nus = symplectic_eigenvalues(state)
-    variances = {lab: correlation_variance(state, combo) for lab, combo in BUILD_COMBOS.items()}
+    variances = {lab: correlation_variance(state, lab) for lab in BUILD_COMBOS}
 
     if args.format == "json":
         doc = {
@@ -272,7 +278,7 @@ def cmd_tomo(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    grid = [k * 0.05 for k in range(21)]
+    grid = _parse_grid(DEFAULT_GRID)
     points = sweep_eta(config, grid)
 
     checks: list[tuple[str, bool, str]] = []
@@ -313,7 +319,7 @@ def build_parser() -> _Parser:
     _add_state_args(p_build)
     p_build.add_argument("--eta", type=float, default=1.0,
                          help="channel efficiency on mode A (default 1.0)")
-    p_build.add_argument("--tol-phys", type=float, default=PHYSICALITY_TOL,
+    p_build.add_argument("--tol-phys", type=_finite_float, default=PHYSICALITY_TOL,
                          help="physicality tolerance on the symplectic spectrum")
     _add_output_args(p_build, ("json", "csv"), "json")
     p_build.set_defaults(func=cmd_build)
@@ -340,7 +346,7 @@ def build_parser() -> _Parser:
 
     p_check = sub.add_parser("check", help="run the invariant suite")
     _add_state_args(p_check)
-    p_check.add_argument("--nu-floor", type=float, default=None,
+    p_check.add_argument("--nu-floor", type=_finite_float, default=None,
                          help="override the physicality floor (default 1 - 1e-9)")
     p_check.set_defaults(func=cmd_check)
 

@@ -10,14 +10,22 @@ analysis stage carries A' = sqrt(eta) A + sqrt(1 - eta) vacuum.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import CovarianceMatrix, _as_array, symplectic_form
+from .symplectic import CovarianceMatrix
 
-# Tolerance for the defining relation S Omega S^T = Omega.
-SYMPLECTIC_TOL = 1e-12
+MODE_NAMES = "ABC"
+
+# Largest squeezing parameter whose anti-squeezed variance e^{2r} is a finite float.
+MAX_SQUEEZING_R = math.log(sys.float_info.max) / 2.0
+
+# A combination label: terms [+-]?[xp]<mode>, every term after the first signed.
+_COMBO_LABEL = re.compile(r"[+-]?[xp]\w(?:[+-][xp]\w)*")
+_COMBO_TERM = re.compile(r"([+-]?)([xp])(\w)")
 
 
 def r_to_squeezing_db(r: float) -> float:
@@ -47,115 +55,24 @@ class GhzConfig:
 
     def __post_init__(self) -> None:
         for name in ("r1", "r2", "r3"):
-            if getattr(self, name) < 0:
+            val = getattr(self, name)
+            if val < 0:
                 raise ValueError(f"{name} must be non-negative")
+            if not val <= MAX_SQUEEZING_R:  # nan, inf, or e^{2r} overflows
+                raise ValueError(f"{name} must be finite and at most {MAX_SQUEEZING_R:.6g}")
         for name in ("t1", "t2", "eta"):
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
 
-    @classmethod
-    def from_squeezing_db(cls, db: float, **kwargs) -> "GhzConfig":
-        """Build a config with equal squeezing on all three inputs, given in dB."""
-        r = squeezing_db_to_r(db)
-        return cls(r1=r, r2=r, r3=r, **kwargs)
 
-
-@dataclass(frozen=True)
-class SymplecticMatrix:
-    """Linear quadrature transform S with S Omega S^T = Omega."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-            raise ValueError("symplectic matrix must be square with even dimension")
-        omega = symplectic_form(m.shape[0] // 2)
-        if np.abs(m @ omega @ m.T - omega).max() > SYMPLECTIC_TOL:
-            raise ValueError("matrix does not preserve the symplectic form")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def n_modes(self) -> int:
-        return self.matrix.shape[0] // 2
-
-
-@dataclass(frozen=True)
-class QuadCombo:
-    """Signed combination of quadratures, e.g. x_A - x_B or p_A + p_B + p_C.
-
-    Each term is (mode index, "x" or "p", +1 or -1).
-    """
-
-    terms: tuple[tuple[int, str, int], ...]
-
-    def __post_init__(self) -> None:
-        terms = tuple((int(m), q, int(s)) for m, q, s in self.terms)
-        if not terms:
-            raise ValueError("combination needs at least one term")
-        seen = set()
-        for mode, quad, sign in terms:
-            if mode < 0:
-                raise ValueError("mode indices must be non-negative")
-            if quad not in ("x", "p"):
-                raise ValueError(f"quadrature must be 'x' or 'p', got {quad!r}")
-            if sign not in (1, -1):
-                raise ValueError("signs must be +1 or -1")
-            if (mode, quad) in seen:
-                raise ValueError(f"duplicate term for mode {mode} quadrature {quad}")
-            seen.add((mode, quad))
-        object.__setattr__(self, "terms", terms)
-
-    def indicator(self, n_modes: int) -> np.ndarray:
-        """Coefficient vector of the combination over 2N interleaved quadratures."""
-        vec = np.zeros(2 * n_modes)
-        for mode, quad, sign in self.terms:
-            if mode >= n_modes:
-                raise ValueError(f"combination uses mode {mode} but state has {n_modes} modes")
-            vec[2 * mode + (0 if quad == "x" else 1)] = float(sign)
-        return vec
-
-
-def mode_matrix_symplectic(mode_matrix: np.ndarray) -> SymplecticMatrix:
-    """Embed a real orthogonal mode-space matrix as the same action on x and p sectors."""
-    r = np.asarray(mode_matrix, dtype=float)
-    n = r.shape[0]
-    s = np.zeros((2 * n, 2 * n))
-    s[0::2, 0::2] = r
-    s[1::2, 1::2] = r
-    return SymplecticMatrix(s)
-
-
-def _beam_splitter_modes(n_modes: int, k: int, l: int, t: float) -> np.ndarray:
-    """Mode-space matrix of a beam splitter of power transmittance t on modes k and l."""
-    r = np.eye(n_modes)
+def _beam_splitter_modes(k: int, l: int, t: float) -> np.ndarray:
+    """3x3 mode-space matrix of a beam splitter of power transmittance t on modes k and l."""
+    r = np.eye(3)
     r[k, k] = math.sqrt(1.0 - t)
     r[k, l] = r[l, k] = math.sqrt(t)
     r[l, l] = -math.sqrt(1.0 - t)
     return r
-
-
-def beam_splitter_symplectic(n_modes: int, k: int, l: int, t: float) -> SymplecticMatrix:
-    """Beam splitter of power transmittance t on modes k and l.
-
-    Mode-space action on the pair: [[sqrt(1-t), sqrt(t)], [sqrt(t), -sqrt(1-t)]].
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("transmittance must lie in [0, 1]")
-    if k == l or min(k, l) < 0 or max(k, l) >= n_modes:
-        raise ValueError("beam splitter needs two distinct in-range modes")
-    return mode_matrix_symplectic(_beam_splitter_modes(n_modes, k, l, t))
-
-
-def phase_flip_symplectic(n_modes: int, k: int) -> SymplecticMatrix:
-    """180-degree rotation of mode k: (x, p) -> (-x, -p)."""
-    if not 0 <= k < n_modes:
-        raise ValueError("mode index out of range")
-    r = np.eye(n_modes)
-    r[k, k] = -1.0
-    return mode_matrix_symplectic(r)
 
 
 def network_mode_matrix(t1: float, t2: float) -> np.ndarray:
@@ -166,42 +83,23 @@ def network_mode_matrix(t1: float, t2: float) -> np.ndarray:
     the first row is (sqrt(2/3), sqrt(1/3), 0).
     """
     flip = np.diag([1.0, -1.0, 1.0])
-    return _beam_splitter_modes(3, 1, 2, t2) @ flip @ _beam_splitter_modes(3, 0, 1, t1)
-
-
-def _squeezed_variances(r: float, squeezed: str) -> list[float]:
-    """(Var x, Var p) of a squeezed vacuum: e^{-2r} squeezed, e^{2r} anti-squeezed."""
-    if squeezed == "x":
-        return [math.exp(-2.0 * r), math.exp(2.0 * r)]
-    if squeezed == "p":
-        return [math.exp(2.0 * r), math.exp(-2.0 * r)]
-    raise ValueError(f"squeezed quadrature must be 'x' or 'p', got {squeezed!r}")
-
-
-def squeezed_vacuum_cm(r: float, squeezed: str = "x") -> CovarianceMatrix:
-    """Single-mode squeezed vacuum: variance e^{-2r} in the squeezed quadrature."""
-    if r < 0:
-        raise ValueError("squeezing parameter must be non-negative")
-    return CovarianceMatrix(np.diag(_squeezed_variances(r, squeezed)))
-
-
-def apply_symplectic(cm: CovarianceMatrix, s: SymplecticMatrix) -> CovarianceMatrix:
-    """Transform the state: sigma -> S sigma S^T."""
-    if s.n_modes != cm.n_modes:
-        raise ValueError("mode count mismatch between state and transform")
-    return CovarianceMatrix(s.matrix @ cm.matrix @ s.matrix.T)
+    return _beam_splitter_modes(1, 2, t2) @ flip @ _beam_splitter_modes(0, 1, t1)
 
 
 def build_ghz(config: GhzConfig) -> CovarianceMatrix:
     """Lossless output of the preparation network, modes ordered (A, B, C).
 
-    Inputs: x-squeezed r1, p-squeezed r2, x-squeezed r3.  The channel loss in
-    config is NOT applied here; see :func:`build_state`.
+    Inputs: x-squeezed r1, p-squeezed r2, x-squeezed r3, each with variance
+    e^{-2r} in the squeezed and e^{2r} in the other quadrature.  The passive
+    network acts alike on the x and p sectors.  The channel loss in config
+    is NOT applied here; see :func:`build_state`.
     """
-    sigma_in = np.diag(_squeezed_variances(config.r1, "x") + _squeezed_variances(config.r2, "p")
-                       + _squeezed_variances(config.r3, "x"))
-    net = mode_matrix_symplectic(network_mode_matrix(config.t1, config.t2))
-    return apply_symplectic(CovarianceMatrix(sigma_in), net)
+    r1, r2, r3 = config.r1, config.r2, config.r3
+    sigma_in = np.diag([math.exp(-2.0 * r1), math.exp(2.0 * r1), math.exp(2.0 * r2),
+                        math.exp(-2.0 * r2), math.exp(-2.0 * r3), math.exp(2.0 * r3)])
+    net = np.zeros((6, 6))
+    net[0::2, 0::2] = net[1::2, 1::2] = network_mode_matrix(config.t1, config.t2)
+    return CovarianceMatrix(net @ sigma_in @ net.T)
 
 
 def lossy_stack(cm: CovarianceMatrix, mode: int, etas) -> np.ndarray:
@@ -250,7 +148,26 @@ def build_states(config: GhzConfig, etas) -> np.ndarray:
     return lossy_stack(build_ghz(config), 0, etas)
 
 
-def correlation_variance(cm: CovarianceMatrix, combo: QuadCombo) -> float:
-    """Variance of a signed quadrature combination, v^T sigma v."""
-    vec = combo.indicator(cm.n_modes)
-    return float(vec @ _as_array(cm) @ vec)
+def combo_vector(label: str) -> np.ndarray:
+    """Coefficient vector over (xA, pA, xB, pB, xC, pC) of a signed quadrature combination.
+
+    The label is a sum of terms [+-]?[xp][ABC], such as "xA", "xA-xB" or
+    "pA+pB+pC"; each quadrature may appear once.
+    """
+    if not _COMBO_LABEL.fullmatch(label):
+        raise ValueError(f"unreadable quadrature combination {label!r}")
+    vec = np.zeros(2 * len(MODE_NAMES))
+    for sign, quad, mode in _COMBO_TERM.findall(label):
+        if mode not in MODE_NAMES:
+            raise ValueError(f"unknown mode {mode!r} in combination {label!r}")
+        slot = 2 * MODE_NAMES.index(mode) + "xp".index(quad)
+        if vec[slot]:
+            raise ValueError(f"{quad}{mode} appears twice in combination {label!r}")
+        vec[slot] = -1.0 if sign == "-" else 1.0
+    return vec
+
+
+def correlation_variance(cm: CovarianceMatrix, label: str) -> float:
+    """Variance v^T sigma v of a three-mode combination, v = combo_vector(label)."""
+    vec = combo_vector(label)
+    return float(vec @ cm.matrix @ vec)

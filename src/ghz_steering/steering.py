@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import GhzConfig, build_ghz, build_states, lossy_stack
+from .network import MODE_NAMES, GhzConfig, build_ghz, build_states, lossy_stack
 from .symplectic import (
     CovarianceMatrix,
     Partition,
@@ -37,8 +37,6 @@ STEERING_EPS = 1e-8
 # find_threshold evaluates the midpoints of this many bisection steps ahead
 # in one stacked call: one call of 7 states costs about 1.5 calls of one.
 BISECTION_LOOKAHEAD = 3
-
-MODE_NAMES = "ABC"
 
 # Canonical order of the 12 directed bipartitions of (A, B, C).  "A" always
 # denotes the mode that went through the lossy channel.

@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .network import QuadCombo, correlation_variance
-from .steering import DIRECTIONS, MODE_NAMES, SteeringReport, steering_report
+from .network import MODE_NAMES, combo_vector, correlation_variance
+from .steering import DIRECTIONS, SteeringReport, steering_report
 from .symplectic import CovarianceMatrix, NumericalError, symplectic_eigenvalues
-
-# Mode pairs in canonical order; every combination block below iterates these.
-_PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (1, 2))
 
 # A reconstructed trial is kept when its minimum symplectic eigenvalue is at
 # least this floor.  The floor sits well below 1 on purpose: a pure state
@@ -29,33 +27,19 @@ _PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (1, 2))
 # projection or repair is ever applied.
 REJECT_NU_FLOOR = 0.95
 
-
-def _build_labels() -> tuple[tuple[str, ...], dict[str, QuadCombo]]:
-    labels: list[str] = []
-    combos: dict[str, QuadCombo] = {}
-
-    def add(label: str, terms) -> None:
-        labels.append(label)
-        combos[label] = QuadCombo(terms=tuple(terms))
-
-    for mode in range(3):
-        for quad in ("x", "p"):
-            add(f"{quad}{MODE_NAMES[mode]}", [(mode, quad, 1)])
-    for quad in ("x", "p"):
-        for i, j in _PAIRS:
-            add(f"{quad}{MODE_NAMES[i]}-{quad}{MODE_NAMES[j]}", [(i, quad, 1), (j, quad, -1)])
-    for i, j in _PAIRS:
-        add(f"x{MODE_NAMES[i]}+p{MODE_NAMES[j]}", [(i, "x", 1), (j, "p", 1)])
-    for i, j in _PAIRS:
-        add(f"p{MODE_NAMES[i]}+x{MODE_NAMES[j]}", [(i, "p", 1), (j, "x", 1)])
-    return tuple(labels), combos
-
+# Mode pairs in canonical order: AB, AC, BC.
+_PAIRS = tuple(combinations(MODE_NAMES, 2))
 
 #: The 18 measured variances, in protocol order: singles, minus combos, plus combos.
-MEASUREMENT_LABELS, LABEL_COMBOS = _build_labels()
+MEASUREMENT_LABELS: tuple[str, ...] = (
+    *(f"{quad}{mode}" for mode in MODE_NAMES for quad in "xp"),
+    *(f"{quad}{a}-{quad}{b}" for quad in "xp" for a, b in _PAIRS),
+    *(f"x{a}+p{b}" for a, b in _PAIRS),
+    *(f"p{a}+x{b}" for a, b in _PAIRS),
+)
 
-# Indicator matrix: row k is the quadrature coefficient vector of measurement k.
-_COMBO_MATRIX = np.array([LABEL_COMBOS[lab].indicator(3) for lab in MEASUREMENT_LABELS])
+# Row k is the quadrature coefficient vector of measurement k.
+_COMBO_MATRIX = np.array([combo_vector(label) for label in MEASUREMENT_LABELS])
 
 # The variance -> covariance map, read off _COMBO_MATRIX.  Rows 0-5 measure
 # quadrature 0-5 alone; each later row measures s_a q_a + s_b q_b with a < b,
@@ -141,7 +125,7 @@ def population_measurements(cm: CovarianceMatrix) -> MeasurementSet:
     """Noise-free measurement set: population variances straight from the matrix."""
     if cm.n_modes != 3:
         raise ValueError("expected a three-mode state")
-    variances = {lab: correlation_variance(cm, LABEL_COMBOS[lab]) for lab in MEASUREMENT_LABELS}
+    variances = {lab: correlation_variance(cm, lab) for lab in MEASUREMENT_LABELS}
     return MeasurementSet(variances=variances)
 
 

@@ -22,7 +22,7 @@ from ghz_steering import (
     steering_report,
 )
 from ghz_steering.cli import main
-from ghz_steering.network import QuadCombo, correlation_variance
+from ghz_steering.network import correlation_variance
 from ghz_steering.steering import gaussian_steering, parse_direction
 from ghz_steering.symplectic import Partition, purity, schur_complement, symplectic_form
 from ghz_steering.tomography import covariance_from_measurements, population_measurements
@@ -48,14 +48,10 @@ def test_1_state_preparation_reproduces_correlation_variances():
     failures = []
     state = build_state(GhzConfig())
 
-    combos = {
-        "xA-xB": (QuadCombo(((0, "x", 1), (1, "x", -1))), 2 * B_CONST),
-        "xA-xC": (QuadCombo(((0, "x", 1), (2, "x", -1))), 2 * B_CONST),
-        "xB-xC": (QuadCombo(((1, "x", 1), (2, "x", -1))), 2 * B_CONST),
-        "pA+pB+pC": (QuadCombo(((0, "p", 1), (1, "p", 1), (2, "p", 1))), 3 * B_CONST),
-    }
-    for label, (combo, expected) in combos.items():
-        got = correlation_variance(state, combo)
+    combos = {"xA-xB": 2 * B_CONST, "xA-xC": 2 * B_CONST, "xB-xC": 2 * B_CONST,
+              "pA+pB+pC": 3 * B_CONST}
+    for label, expected in combos.items():
+        got = correlation_variance(state, label)
         if abs(got - expected) > 1e-9:
             failures.append(f"var({label}) = {got!r}, expected {expected!r}")
     p = purity(state)

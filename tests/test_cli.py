@@ -77,6 +77,13 @@ class TestBuild:
         assert rc == 2
         assert "uncertainty" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_is_a_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["build", f"--tol-phys={value}"])
+        assert exc.value.code == 3
+        assert "argument --tol-phys: must be a finite number" in capsys.readouterr().err
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "state.json"
         rc, out, _ = run(capsys, ["build", "--output", str(target)])
@@ -215,6 +222,13 @@ class TestCheck:
         assert any(line.startswith("FAIL physicality") for line in out.splitlines())
         assert "check failed: physicality" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_floor_is_a_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", f"--nu-floor={value}"])
+        assert exc.value.code == 3
+        assert "argument --nu-floor: must be a finite number" in capsys.readouterr().err
+
 
 class TestOutputResolution:
     def test_env_var_redirects_relative_paths(self, capsys, tmp_path, monkeypatch):
@@ -247,6 +261,21 @@ def test_unphysical_row_before_a_numerical_failure_is_reported(capsys):
     rc, _, err = run(capsys, ["sweep", "--r", "8", "--grid", "1,0.5"])
     assert rc == 2
     assert "state at eta=1.0 violates the uncertainty relation" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--r", "400"],
+    ["sweep", "--r", "400"],
+    ["build", "--r", "nan"],
+    ["build", "--r", "inf"],
+    ["check", "--r", "nan"],
+])
+def test_squeezing_out_of_range_is_a_usage_error(capsys, argv):
+    # r = 400 overflows e^{2r}; nan and inf are no squeezing strength at all
+    rc, out, err = run(capsys, argv)
+    assert rc == 3
+    assert out == ""
+    assert "error: r1 must be finite and at most 354.891" in err
 
 
 def test_no_arguments_is_a_usage_error():

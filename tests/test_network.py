@@ -5,21 +5,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghz_steering import CovarianceMatrix, GhzConfig, build_state, build_states
 from ghz_steering.network import (
-    QuadCombo,
-    apply_symplectic,
-    beam_splitter_symplectic,
+    MAX_SQUEEZING_R,
     build_ghz,
+    combo_vector,
     correlation_variance,
     lossy_channel,
     network_mode_matrix,
-    phase_flip_symplectic,
     r_to_squeezing_db,
-    squeezed_vacuum_cm,
     squeezing_db_to_r,
 )
 from ghz_steering.symplectic import is_physical, purity, reduce_modes, symplectic_form
@@ -44,76 +41,23 @@ class TestGhzConfig:
         assert cfg.t2 == 0.5
         assert cfg.eta == 1.0
 
-    def test_from_squeezing_db(self):
-        cfg = GhzConfig.from_squeezing_db(2.9445165873)
-        assert cfg.r1 == pytest.approx(R, abs=1e-9)
-
     @pytest.mark.parametrize("kwargs", [
         {"r1": -0.1},
         {"t1": 1.5},
         {"t2": -0.2},
         {"eta": 2.0},
+        {"r1": math.nan},
+        {"r2": math.inf},
+        {"r3": 400.0},
+        {"r1": math.nextafter(MAX_SQUEEZING_R, math.inf)},
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             GhzConfig(**kwargs)
 
-
-class TestSqueezedVacuum:
-    def test_x_squeezed(self):
-        cm = squeezed_vacuum_cm(R, squeezed="x")
-        assert np.allclose(cm.matrix, np.diag([math.exp(-2 * R), math.exp(2 * R)]))
-
-    def test_p_squeezed(self):
-        cm = squeezed_vacuum_cm(R, squeezed="p")
-        assert np.allclose(cm.matrix, np.diag([math.exp(2 * R), math.exp(-2 * R)]))
-
-    def test_zero_squeezing_is_vacuum(self):
-        assert np.array_equal(squeezed_vacuum_cm(0.0).matrix, np.eye(2))
-
-    def test_rejects_negative_r(self):
-        with pytest.raises(ValueError):
-            squeezed_vacuum_cm(-0.1)
-
-    def test_rejects_unknown_quadrature(self):
-        with pytest.raises(ValueError):
-            squeezed_vacuum_cm(R, squeezed="q")
-
-
-class TestBeamSplitter:
-    def test_fully_reflective(self):
-        s = beam_splitter_symplectic(2, 0, 1, 0.0)
-        # t = 0: first mode passes, second picks up a sign
-        assert np.allclose(s.matrix, np.diag([1.0, 1.0, -1.0, -1.0]))
-
-    def test_fully_transmissive_swaps(self):
-        s = beam_splitter_symplectic(2, 0, 1, 1.0)
-        expected = np.zeros((4, 4))
-        expected[0:2, 2:4] = np.eye(2)
-        expected[2:4, 0:2] = np.eye(2)
-        assert np.allclose(s.matrix, expected)
-
-    def test_untouched_modes_stay_identity(self):
-        s = beam_splitter_symplectic(3, 0, 2, 0.4)
-        assert np.array_equal(s.matrix[2:4, 2:4], np.eye(2))
-        assert np.array_equal(s.matrix[2:4, 0:2], np.zeros((2, 2)))
-
-    @pytest.mark.parametrize("k,l,t", [(0, 0, 0.5), (0, 3, 0.5), (0, 1, 1.5)])
-    def test_invalid_arguments(self, k, l, t):
-        with pytest.raises(ValueError):
-            beam_splitter_symplectic(3, k, l, t)
-
-    @given(st.floats(min_value=0.0, max_value=1.0))
-    @settings(max_examples=50)
-    def test_is_symplectic(self, t):
-        s = beam_splitter_symplectic(3, 0, 1, t).matrix
-        omega = symplectic_form(3)
-        assert np.allclose(s @ omega @ s.T, omega, atol=1e-12)
-
-
-def test_phase_flip_targets_one_mode():
-    s = phase_flip_symplectic(3, 1).matrix
-    assert np.array_equal(s, np.diag([1.0, 1.0, -1.0, -1.0, 1.0, 1.0]))
+    def test_largest_squeezing_is_accepted(self):
+        assert GhzConfig(r1=MAX_SQUEEZING_R).r1 == MAX_SQUEEZING_R
+        assert math.isfinite(math.exp(2.0 * MAX_SQUEEZING_R))
 
 
 class TestNetworkModeMatrix:
@@ -130,11 +74,41 @@ class TestNetworkModeMatrix:
         u = network_mode_matrix(1 / 3, 0.5)
         assert np.allclose(u @ u.T, np.eye(3), atol=1e-12)
 
+    @pytest.mark.parametrize("t1,t2,expected", [
+        # t = 0 passes both beams (the second with a sign), t = 1 swaps them
+        (0.0, 0.0, [[1, 0, 0], [0, 1, 0], [0, 0, -1]]),
+        (1.0, 0.0, [[0, 1, 0], [-1, 0, 0], [0, 0, -1]]),
+        (0.0, 1.0, [[1, 0, 0], [0, 0, 1], [0, 1, 0]]),
+        (1.0, 1.0, [[0, 1, 0], [0, 0, 1], [-1, 0, 0]]),
+    ])
+    def test_corners(self, t1, t2, expected):
+        assert np.array_equal(network_mode_matrix(t1, t2), np.array(expected, dtype=float))
+
+    @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
+    @example(0.0, 0.0)
+    @example(1.0, 0.0)
+    @example(0.0, 1.0)
+    @example(1.0, 1.0)
+    @settings(max_examples=100)
+    def test_preserves_the_symplectic_form(self, t1, t2):
+        # build_ghz applies the network alike to the x and the p sector
+        net = np.zeros((6, 6))
+        net[0::2, 0::2] = net[1::2, 1::2] = network_mode_matrix(t1, t2)
+        omega = symplectic_form(3)
+        assert np.abs(net @ omega @ net.T - omega).max() <= 1e-12
+
 
 class TestBuildGhz:
     def test_zero_squeezing_gives_vacuum(self):
         cm = build_ghz(GhzConfig(r1=0.0, r2=0.0, r3=0.0))
         assert np.allclose(cm.matrix, np.eye(6), atol=1e-12)
+
+    def test_uncoupled_network_passes_the_squeezed_inputs(self):
+        # at t1 = t2 = 0 the network only flips signs: x, p, x squeezed vacua
+        cm = build_ghz(GhzConfig(r1=0.2, r2=0.5, r3=0.9, t1=0.0, t2=0.0))
+        expected = np.diag([math.exp(-0.4), math.exp(0.4), math.exp(1.0), math.exp(-1.0),
+                            math.exp(-1.8), math.exp(1.8)])
+        assert np.array_equal(cm.matrix, expected)
 
     def test_block_structure(self):
         m = build_ghz(GhzConfig()).matrix
@@ -153,14 +127,9 @@ class TestBuildGhz:
     def test_correlation_variances(self):
         cm = build_ghz(GhzConfig())
         b = math.exp(-2 * R)
-        pairs = [
-            (QuadCombo(((0, "x", 1), (1, "x", -1))), 2 * b),
-            (QuadCombo(((0, "x", 1), (2, "x", -1))), 2 * b),
-            (QuadCombo(((1, "x", 1), (2, "x", -1))), 2 * b),
-            (QuadCombo(((0, "p", 1), (1, "p", 1), (2, "p", 1))), 3 * b),
-        ]
-        for combo, expected in pairs:
-            assert correlation_variance(cm, combo) == pytest.approx(expected, abs=1e-10)
+        pairs = [("xA-xB", 2 * b), ("xA-xC", 2 * b), ("xB-xC", 2 * b), ("pA+pB+pC", 3 * b)]
+        for label, expected in pairs:
+            assert correlation_variance(cm, label) == pytest.approx(expected, abs=1e-10)
 
     @given(st.floats(min_value=0.0, max_value=2.0))
     @settings(max_examples=40)
@@ -249,31 +218,24 @@ class TestBuildStates:
             build_states(GhzConfig(), etas)
 
 
-class TestQuadCombo:
-    def test_indicator(self):
-        combo = QuadCombo(((0, "x", 1), (1, "p", -1)))
-        assert np.array_equal(combo.indicator(2), np.array([1.0, 0.0, 0.0, -1.0]))
+class TestComboVector:
+    def test_coefficient_vector(self):
+        assert np.array_equal(combo_vector("xA-pB"), np.array([1.0, 0.0, 0.0, -1.0, 0.0, 0.0]))
+        assert np.array_equal(combo_vector("-xC+pA"), np.array([0.0, 1.0, 0.0, 0.0, -1.0, 0.0]))
 
     def test_rejects_duplicate_slot(self):
-        with pytest.raises(ValueError):
-            QuadCombo(((0, "x", 1), (0, "x", -1)))
+        with pytest.raises(ValueError, match="twice"):
+            combo_vector("xA-xA")
 
-    def test_rejects_unknown_quadrature(self):
-        with pytest.raises(ValueError):
-            QuadCombo(((0, "y", 1),))
+    @pytest.mark.parametrize("label", ["yA", "xA-yB", "", "xA xB", "xAxB", "xA-", "xAB"])
+    def test_rejects_unreadable_label(self, label):
+        with pytest.raises(ValueError, match="unreadable"):
+            combo_vector(label)
 
-    def test_mode_out_of_range_at_evaluation(self):
-        combo = QuadCombo(((5, "x", 1),))
-        with pytest.raises(ValueError):
-            correlation_variance(build_ghz(GhzConfig()), combo)
+    def test_rejects_mode_d(self):
+        with pytest.raises(ValueError, match="unknown mode"):
+            combo_vector("xA-xD")
 
 
 def test_vacuum_difference_variance():
-    vac = CovarianceMatrix(np.eye(4))
-    combo = QuadCombo(((0, "x", 1), (1, "x", -1)))
-    assert correlation_variance(vac, combo) == pytest.approx(2.0)
-
-
-def test_apply_symplectic_dimension_mismatch():
-    with pytest.raises(ValueError):
-        apply_symplectic(CovarianceMatrix(np.eye(4)), phase_flip_symplectic(3, 0))
+    assert correlation_variance(CovarianceMatrix(np.eye(6)), "xA-xB") == pytest.approx(2.0)

@@ -9,12 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghz_steering import CovarianceMatrix, GhzConfig, build_state, reconstruct_trials
-from ghz_steering.network import (
-    QuadCombo,
-    SymplecticMatrix,
-    apply_symplectic,
-    correlation_variance,
-)
+from ghz_steering.network import correlation_variance
 from ghz_steering.tomography import (
     MEASUREMENT_LABELS,
     REJECT_NU_FLOOR,
@@ -140,8 +135,7 @@ class TestPopulationMeasurements:
     def test_matches_correlation_variance(self):
         cm = build_state(GhzConfig(eta=0.6))
         ms = population_measurements(cm)
-        assert ms.variances["xA-xB"] == correlation_variance(
-            cm, QuadCombo(((0, "x", 1), (1, "x", -1))))
+        assert ms.variances["xA-xB"] == correlation_variance(cm, "xA-xB")
 
     def test_lossless_pair_value(self):
         ms = population_measurements(build_state(GhzConfig()))
@@ -172,7 +166,7 @@ class TestCovarianceFromMeasurements:
         # extracted from Var(xA + xB), which is not part of the protocol
         cm = build_state(GhzConfig(eta=0.7))
         ms = population_measurements(cm).variances
-        plus = correlation_variance(cm, QuadCombo(((0, "x", 1), (1, "x", 1))))
+        plus = correlation_variance(cm, "xA+xB")
         from_minus = -0.5 * (ms["xA-xB"] - ms["xA"] - ms["xB"])
         from_plus = 0.5 * (plus - ms["xA"] - ms["xB"])
         assert from_minus == pytest.approx(from_plus, abs=1e-12)
@@ -184,7 +178,8 @@ class TestCovarianceFromMeasurements:
         rot = np.eye(6)
         rot[0:2, 0:2] = [[math.cos(theta), math.sin(theta)],
                          [-math.sin(theta), math.cos(theta)]]
-        rotated = apply_symplectic(build_state(GhzConfig()), SymplecticMatrix(rot))
+        state = build_state(GhzConfig()).matrix
+        rotated = CovarianceMatrix(rot @ state @ rot.T)
         out = covariance_from_measurements(population_measurements(rotated))
         assert abs(rotated.matrix[0, 1]) > 0.1
         assert out.matrix[0, 1] == 0.0
