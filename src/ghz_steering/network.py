@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import CovarianceMatrix
+from .symplectic import CovarianceMatrix, symmetric_part
 
 MODE_NAMES = "ABC"
 
@@ -121,7 +121,7 @@ def lossy_stack(cm: CovarianceMatrix, mode: int, etas) -> np.ndarray:
     noise = np.zeros((etas.size, dim, dim))
     noise[:, sl, sl] = (1.0 - etas)[:, None, None] * np.eye(2)
     out = scale[:, :, None] * cm.matrix * scale[:, None, :] + noise
-    return 0.5 * (out + np.swapaxes(out, 1, 2))
+    return symmetric_part(out)
 
 
 def lossy_channel(cm: CovarianceMatrix, mode: int, eta: float) -> CovarianceMatrix:

@@ -23,6 +23,7 @@ from .symplectic import (
     quadrature_indices,
     require_invertible,
     schur_complement,
+    symmetric_part,
     symplectic_eigenvalues,
     two_mode_spectrum,
 )
@@ -104,10 +105,6 @@ def _kernel_labels() -> list[str]:
 _TO_DIRECTIONS = np.array([_kernel_labels().index(label) for label in DIRECTIONS])
 
 
-def _symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
-
-
 def steering_stack(states: np.ndarray) -> np.ndarray:
     """G of all 12 directions for a stack of three-mode covariance matrices.
 
@@ -136,8 +133,8 @@ def steering_stack(states: np.ndarray) -> np.ndarray:
     cross_t = np.swapaxes(cross, -1, -2)
     require_invertible(one)
     require_invertible(rest)
-    one_to_two = _symmetrize(rest - cross_t @ np.linalg.solve(one, cross))
-    two_to_one = _symmetrize(one - cross @ np.linalg.solve(rest, cross_t))
+    one_to_two = symmetric_part(rest - cross_t @ np.linalg.solve(one, cross))
+    two_to_one = symmetric_part(one - cross @ np.linalg.solve(rest, cross_t))
 
     single = np.concatenate([
         np.stack([one_to_two[..., :2, :2], one_to_two[..., 2:, 2:]], axis=2).reshape(k, 6, 2, 2),

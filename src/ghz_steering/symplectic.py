@@ -22,8 +22,18 @@ CONDITION_LIMIT = 1e12
 
 
 class NumericalError(ValueError):
-    """A numerical guard failed: a block too ill-conditioned to invert, or a
-    matrix that should be a covariance matrix is not positive definite."""
+    """A numerical guard failed: a block too ill-conditioned to invert, a
+    matrix that should be a covariance matrix is not positive definite, or
+    its entries are too large for the eigensolver."""
+
+
+def symmetric_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^T) / 2 over the last two axes, formed without overflow.
+
+    Halving before adding keeps every entry of a finite input finite, also
+    entries near the largest float, where m + m^T would overflow to inf.
+    """
+    return 0.5 * m + 0.5 * np.swapaxes(m, -1, -2)
 
 
 @dataclass(frozen=True)
@@ -44,7 +54,7 @@ class CovarianceMatrix:
             raise ValueError("covariance matrix dimension must be 2N for N >= 1 modes")
         if not np.all(np.isfinite(m)):
             raise ValueError("covariance matrix entries must be finite")
-        m = 0.5 * (m + m.T)
+        m = symmetric_part(m)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -78,8 +88,7 @@ class Partition:
 def _as_array(cm: CovarianceMatrix | np.ndarray) -> np.ndarray:
     if isinstance(cm, CovarianceMatrix):
         return cm.matrix
-    m = np.asarray(cm, dtype=float)
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+    return symmetric_part(np.asarray(cm, dtype=float))
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -101,6 +110,14 @@ def quadrature_indices(modes: tuple[int, ...] | list[int]) -> list[int]:
     return [q for m in modes for q in (2 * m, 2 * m + 1)]
 
 
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh, with a solver failure (non-finite input) raised as NumericalError."""
+    try:
+        return np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError:
+        raise NumericalError("eigenvalue solver failed: matrix entries out of range") from None
+
+
 def require_invertible(blocks: np.ndarray) -> None:
     """Guard before inverting symmetric blocks, one block or a stack (..., n, n).
 
@@ -112,9 +129,10 @@ def require_invertible(blocks: np.ndarray) -> None:
     NumericalError
         If any block is singular or its condition number exceeds CONDITION_LIMIT.
     """
-    moduli = np.abs(np.linalg.eigvalsh(blocks))
+    moduli = np.abs(_eigvalsh(blocks))
     smallest, largest = moduli.min(axis=-1), moduli.max(axis=-1)
-    if np.any((smallest == 0.0) | (largest > CONDITION_LIMIT * smallest)):
+    # written so that a nan modulus fails the test too, and huge moduli do not overflow
+    if not np.all((smallest > 0.0) & (largest / CONDITION_LIMIT <= smallest)):
         raise NumericalError("steering party block not invertible")
 
 
@@ -168,7 +186,7 @@ def symplectic_eigenvalues(cm: CovarianceMatrix | np.ndarray) -> np.ndarray:
     """
     m = _as_array(cm)
     n = m.shape[-1] // 2
-    if np.linalg.eigvalsh(m).min() <= 0:
+    if not _eigvalsh(m).min() > 0:  # nan included
         raise NumericalError("not a state: covariance matrix is not positive definite")
 
     if n == 1:
@@ -226,8 +244,7 @@ def schur_complement(cm: CovarianceMatrix, partition: Partition) -> np.ndarray:
     blk_b = m[np.ix_(ib, ib)]
     cross = m[np.ix_(ia, ib)]
     require_invertible(blk_a)
-    out = blk_b - cross.T @ np.linalg.solve(blk_a, cross)
-    return 0.5 * (out + out.T)
+    return symmetric_part(blk_b - cross.T @ np.linalg.solve(blk_a, cross))
 
 
 def purity(cm: CovarianceMatrix | np.ndarray) -> float:

@@ -278,6 +278,19 @@ def test_squeezing_out_of_range_is_a_usage_error(capsys, argv):
     assert "error: r1 must be finite and at most 354.891" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["build", "--r", "354.8913"], "error: constructed state violates the uncertainty relation"),
+    (["sweep", "--r", "354.8913"], "error: not a state"),
+])
+def test_squeezing_near_the_float_limit_is_a_numerical_failure(capsys, argv, message):
+    # entries near the largest float: symmetrizing must not overflow them to
+    # inf, and the state fails physicality (exit 2), not argument parsing (3)
+    rc, out, err = run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(message)
+
+
 def test_no_arguments_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

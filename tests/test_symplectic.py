@@ -14,6 +14,7 @@ from ghz_steering.symplectic import (
     is_physical,
     purity,
     reduce_modes,
+    require_invertible,
     schur_complement,
     symplectic_eigenvalues,
     symplectic_form,
@@ -71,6 +72,14 @@ class TestCovarianceMatrix:
 
     def test_n_modes(self):
         assert CovarianceMatrix(np.eye(6)).n_modes == 3
+
+    def test_entries_near_the_float_limit_stay_finite(self):
+        big = np.finfo(float).max
+        raw = np.array([[big, 0.9 * big], [big, big]])
+        cm = CovarianceMatrix(raw)
+        assert np.all(np.isfinite(cm.matrix))
+        assert cm.matrix[0, 0] == big
+        assert cm.matrix[0, 1] == cm.matrix[1, 0] == pytest.approx(0.95 * big, rel=1e-15)
 
 
 class TestPartition:
@@ -143,6 +152,16 @@ class TestSymplecticEigenvalues:
     def test_not_a_state_is_a_numerical_error(self):
         with pytest.raises(NumericalError, match="not a state"):
             symplectic_eigenvalues(np.diag([1.0, 1.0, 1.0, -1.0]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_input_is_a_numerical_error(self, bad):
+        # numpy's LinAlgError (a ValueError) must not escape as a usage error
+        m = np.full((6, 6), bad)
+        with pytest.raises(NumericalError):
+            symplectic_eigenvalues(m)
+        with pytest.raises(NumericalError):
+            require_invertible(m[None, :2, :2])
+        assert not is_physical(m)
 
     def test_stack_matches_single_matrices(self):
         states = build_states(GhzConfig(), [0.1, 0.5, 0.9])

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +11,16 @@ from hypothesis import strategies as st
 
 from ghz_steering import CovarianceMatrix, GhzConfig, build_state, reconstruct_trials
 from ghz_steering.network import correlation_variance
+from ghz_steering.symplectic import symplectic_eigenvalues
 from ghz_steering.tomography import (
+    _BLOCK_ROWS,
     MEASUREMENT_LABELS,
     REJECT_NU_FLOOR,
     MeasurementSet,
     covariance_from_measurements,
     measure_set,
     population_measurements,
+    sample_covariance,
     sample_quadratures,
     write_samples_csv,
 )
@@ -92,6 +96,33 @@ class TestSampleQuadratures:
         samples = sample_quadratures(cm, 100_000, seed=11)
         diff = samples[:, 0] - samples[:, 2]
         assert diff.var(ddof=1) == pytest.approx(2 * math.exp(-2 * R), abs=0.02)
+
+
+def relative_error(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestSampleCovariance:
+    @pytest.mark.parametrize("n", [2, 5, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                   3 * _BLOCK_ROWS + 7])
+    def test_matches_the_sample_table(self, n):
+        # the blocked stream is the table's stream; only rounding differs
+        cm = build_state(GhzConfig(eta=0.7))
+        table = sample_quadratures(cm, n, seed=21)
+        got = sample_covariance(cm, n, seed=21).matrix
+        assert relative_error(got, np.cov(table, rowvar=False)) <= 1e-12
+
+    @pytest.mark.parametrize("cm, n", [
+        (build_state(GhzConfig()), 1),
+        (build_state(GhzConfig()), 0),
+        (CovarianceMatrix(np.diag([1.0, -1.0, 1.0, 1.0, 1.0, 1.0])), 10),
+    ])
+    def test_raises_what_sample_quadratures_raises(self, cm, n):
+        with pytest.raises(ValueError) as table_error:
+            sample_quadratures(cm, n, seed=0)
+        with pytest.raises(ValueError) as cov_error:
+            sample_covariance(cm, n, seed=0)
+        assert str(cov_error.value) == str(table_error.value)
 
 
 class TestWriteSamplesCsv:
@@ -204,8 +235,35 @@ class TestReconstructTrials:
         stats = reconstruct_trials(cm, n_samples=20_000, n_trials=3, seed=7)
         child = np.random.SeedSequence(7).spawn(3)[1]
         direct = covariance_from_measurements(
-            measure_set(sample_quadratures(cm, 20_000, child)))
+            population_measurements(sample_covariance(cm, 20_000, child)))
         assert np.array_equal(stats.matrices[1].matrix, direct.matrix)
+
+    @pytest.mark.parametrize("n, seed", [(20_000, 7), (20_000, 12345), (1000, 0)])
+    def test_matches_the_sample_table_pipeline(self, n, seed):
+        # (1000, 0) rejects its last trial
+        cm = build_state(GhzConfig())
+        stats = reconstruct_trials(cm, n_samples=n, n_trials=3, seed=seed)
+        tables = [sample_quadratures(cm, n, child)
+                  for child in np.random.SeedSequence(seed).spawn(3)]
+        accepted = []
+        for index, (got, table) in enumerate(zip(stats.matrices, tables)):
+            want = covariance_from_measurements(measure_set(table)).matrix
+            assert relative_error(got.matrix, want) <= 1e-12
+            if symplectic_eigenvalues(want).min() >= REJECT_NU_FLOOR:
+                accepted.append(index)
+        assert stats.accepted == tuple(accepted)
+
+    def test_memory_does_not_grow_with_samples(self):
+        # a 1M-sample table alone is 48 MB; the streamed trials stay near
+        # one block of draws
+        state = build_state(GhzConfig())
+        tracemalloc.start()
+        try:
+            reconstruct_trials(state, 1_000_000, 2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_bookkeeping_fields(self):
         cm = build_state(GhzConfig())
