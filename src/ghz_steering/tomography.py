@@ -9,20 +9,23 @@ statistics give the mean and error bar of every steering value.
 Every measured variance is v^T S v for the 6x6 sample covariance S of the
 record, so a trial never holds its record: :func:`sample_covariance` draws
 the samples in fixed blocks and keeps only running sums, and memory per
-trial does not grow with the number of samples.
+trial does not grow with the number of samples.  In
+:func:`reconstruct_trials` only this sampling runs per trial; measuring,
+reconstruction, the rejection floor and the steering values run once over
+the (K, 6, 6) stack of all trials.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .network import MODE_NAMES, combo_vector
-from .steering import DIRECTIONS, SteeringReport, steering_report
-from .symplectic import CovarianceMatrix, NumericalError, symplectic_eigenvalues
+from .steering import DIRECTIONS, SteeringReport, steering_stack
+from .steering import steering_report  # noqa: F401 -- not called; the benchmark traces this name
+from .symplectic import CovarianceMatrix, symmetric_part, symplectic_eigenvalues
 
 # A reconstructed trial is kept when its minimum symplectic eigenvalue is at
 # least this floor.  The floor sits well below 1 on purpose: a pure state
@@ -62,15 +65,18 @@ class MeasurementSet:
     def __post_init__(self) -> None:
         if tuple(self.variances.keys()) != MEASUREMENT_LABELS:
             raise ValueError("need exactly the 18 canonical measurement labels, in order")
-        vals = np.array(list(self.variances.values()))
-        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-            raise ValueError("variances must be finite and non-negative")
+        _check_variances(self.as_array())
 
     def as_array(self) -> np.ndarray:
         return np.array(list(self.variances.values()))
 
 
-# Rows of standard normals drawn per block by sample_covariance: 8192 x 6
+def _check_variances(variances: np.ndarray) -> None:
+    if not np.all(np.isfinite(variances)) or np.any(variances < 0):
+        raise ValueError("variances must be finite and non-negative")
+
+
+# Rows of standard normals drawn per block by _normal_covariance: 8192 x 6
 # doubles (384 KB) stay in the L2 cache.  Blocks of a default_rng stream
 # concatenate to exactly the one large draw of sample_quadratures.
 _BLOCK_ROWS = 8192
@@ -115,7 +121,11 @@ def sample_covariance(
     rounding (1e-12 relative); memory does not grow with n_samples.
     """
     root = _sampling_root(cm, n_samples)
-    dim = root.shape[0]
+    return CovarianceMatrix(root.T @ _normal_covariance(n_samples, root.shape[0], seed) @ root)
+
+
+def _normal_covariance(n_samples: int, dim: int, seed: int | np.random.SeedSequence) -> np.ndarray:
+    """cov(Z) of n_samples standard-normal rows Z, streamed in _BLOCK_ROWS blocks."""
     rng = np.random.default_rng(seed)
     ones = np.ones(min(_BLOCK_ROWS, n_samples))  # ones @ block sums columns faster than .sum(0)
     sums = np.zeros(dim)
@@ -125,37 +135,16 @@ def sample_covariance(
         sums += ones[:len(block)] @ block
         gram += block.T @ block
     mean = sums / n_samples
-    cov_z = (gram - n_samples * np.outer(mean, mean)) / (n_samples - 1)
-    return CovarianceMatrix(root.T @ cov_z @ root)
+    return (gram - n_samples * np.outer(mean, mean)) / (n_samples - 1)
 
 
-def write_samples_csv(samples: np.ndarray, destination) -> None:
-    """Write a sample table as CSV: header of quadrature labels, one row per sample.
-
-    destination is a filesystem path or a text file object.
-    """
-    samples = np.asarray(samples)
-    n_modes = samples.shape[1] // 2
-    names = [MODE_NAMES[k] if n_modes <= len(MODE_NAMES) else str(k + 1) for k in range(n_modes)]
-    header = [f"{quad}{name}" for name in names for quad in ("x", "p")]
-
-    def dump(fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in samples:
-            writer.writerow([repr(float(v)) for v in row])
-
-    if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
-        with open(destination, "w", newline="") as fh:
-            dump(fh)
-    else:
-        dump(destination)
+def _variances(cov: np.ndarray) -> np.ndarray:
+    """The 18 variances diag(C cov C^T), C = _COMBO_MATRIX, of a 6x6 covariance or a stack."""
+    return ((_COMBO_MATRIX @ cov) * _COMBO_MATRIX).sum(axis=-1)
 
 
 def _measurements(cov: np.ndarray) -> MeasurementSet:
-    """The 18 variances diag(C cov C^T) of a 6x6 covariance, C = _COMBO_MATRIX."""
-    variances = ((_COMBO_MATRIX @ cov) * _COMBO_MATRIX).sum(axis=1)
-    return MeasurementSet(variances=dict(zip(MEASUREMENT_LABELS, variances.tolist())))
+    return MeasurementSet(variances=dict(zip(MEASUREMENT_LABELS, _variances(cov).tolist())))
 
 
 def measure_set(samples: np.ndarray) -> MeasurementSet:
@@ -187,11 +176,16 @@ def covariance_from_measurements(ms: MeasurementSet) -> CovarianceMatrix:
     [Var(u + v) - Var(u) - Var(v)].  Within-mode x-p covariances are not
     measured and are set to 0.
     """
-    var = ms.as_array()
-    out = np.diag(var[:6])
-    cov = _SLOT_SIGN * 0.5 * (var[6:] - var[_SLOT_A] - var[_SLOT_B])
-    out[_SLOT_A, _SLOT_B] = out[_SLOT_B, _SLOT_A] = cov
-    return CovarianceMatrix(out)
+    return CovarianceMatrix(_covariance_from_variances(ms.as_array()))
+
+
+def _covariance_from_variances(var: np.ndarray) -> np.ndarray:
+    """The variance -> covariance map on the last axis: (..., 18) -> (..., 6, 6)."""
+    out = np.zeros(var.shape[:-1] + (6, 6))
+    out[..., range(6), range(6)] = var[..., :6]
+    cov = _SLOT_SIGN * 0.5 * (var[..., 6:] - var[..., _SLOT_A] - var[..., _SLOT_B])
+    out[..., _SLOT_A, _SLOT_B] = out[..., _SLOT_B, _SLOT_A] = cov
+    return out
 
 
 @dataclass(frozen=True)
@@ -219,13 +213,6 @@ class TrialStatistics:
         return tuple(i for i in range(self.n_trials) if i not in self.accepted)
 
 
-def _min_symplectic(matrix: np.ndarray) -> float:
-    try:
-        return float(symplectic_eigenvalues(matrix).min())
-    except NumericalError:
-        return 0.0  # not even positive definite; definitely below any floor
-
-
 def reconstruct_trials(
     cm_true: CovarianceMatrix,
     n_samples: int = 100_000,
@@ -234,13 +221,17 @@ def reconstruct_trials(
 ) -> TrialStatistics:
     """Repeat sample -> measure -> reconstruct -> steering, then aggregate.
 
-    Each trial measures the 18 variances on its streamed sample covariance
-    (:func:`sample_covariance`), so no sample table is ever held.
+    Only the sampling runs per trial: each trial streams its sample
+    covariance (as :func:`sample_covariance` does), so no sample table is
+    ever held.  Measuring the 18 variances, the reconstruction, the
+    rejection floor and the steering values then run once over the stack of
+    all trials; every value equals that of the trial computed alone.
 
     Each trial uses a child seed spawned deterministically from (seed, trial
     index).  Trials whose reconstructed matrix falls below the physicality
-    floor (min symplectic eigenvalue < REJECT_NU_FLOOR) are recorded and
-    excluded from the statistics; nothing is repaired or projected.
+    floor (min symplectic eigenvalue < REJECT_NU_FLOOR, or 0 when the matrix
+    is not positive definite) are recorded and excluded from the
+    statistics; nothing is repaired or projected.
 
     Raises
     ------
@@ -250,41 +241,42 @@ def reconstruct_trials(
     """
     if n_trials < 2:
         raise ValueError("need at least 2 trials for a standard deviation")
+    root = _sampling_root(cm_true, n_samples)
     children = np.random.SeedSequence(seed).spawn(n_trials)
+    cov_z = np.array([_normal_covariance(n_samples, root.shape[0], child) for child in children])
 
-    matrices: list[CovarianceMatrix] = []
-    nu_mins: list[float] = []
-    accepted: list[int] = []
-    reports: list[SteeringReport] = []
-    for index, child in enumerate(children):
-        sampled = sample_covariance(cm_true, n_samples, child)
-        reconstructed = covariance_from_measurements(population_measurements(sampled))
-        matrices.append(reconstructed)
-        nu_min = _min_symplectic(reconstructed.matrix)
-        nu_mins.append(nu_min)
-        if nu_min < REJECT_NU_FLOOR:
-            continue
-        accepted.append(index)
-        reports.append(steering_report(reconstructed))
+    sampled = root.T @ cov_z @ root
+    if not np.all(np.isfinite(sampled)):
+        raise ValueError("covariance matrix entries must be finite")
+    variances = _variances(symmetric_part(sampled))
+    _check_variances(variances)
+    matrices = tuple(CovarianceMatrix(m) for m in _covariance_from_variances(variances))
+    stack = np.array([m.matrix for m in matrices])
+
+    nu_min = np.zeros(n_trials)  # stays 0 where a matrix is not positive definite
+    definite = np.linalg.eigvalsh(stack).min(axis=-1) > 0
+    if definite.any():
+        nu_min[definite] = symplectic_eigenvalues(stack[definite]).min(axis=-1)
+    accepted = np.flatnonzero(nu_min >= REJECT_NU_FLOOR)
+    values = np.ascontiguousarray(steering_stack(stack[accepted]))
 
     if len(accepted) < 2:
-        detail = ", ".join(f"trial {i}: nu_min={nu:.4f}" for i, nu in enumerate(nu_mins))
+        detail = ", ".join(f"trial {i}: nu_min={nu:.4f}" for i, nu in enumerate(nu_min))
         raise RuntimeError(
             f"only {len(accepted)} of {n_trials} trials reconstructed a physical "
             f"matrix (floor {REJECT_NU_FLOOR}); {detail}"
         )
 
-    values = np.array([[rep.g[d] for d in DIRECTIONS] for rep in reports])
     mean = dict(zip(DIRECTIONS, values.mean(axis=0).tolist()))
     std = dict(zip(DIRECTIONS, values.std(axis=0, ddof=1).tolist()))
     return TrialStatistics(
         n_samples=n_samples,
         n_trials=n_trials,
         seed=seed,
-        matrices=tuple(matrices),
-        min_symplectic_eigenvalues=tuple(nu_mins),
-        accepted=tuple(accepted),
-        reports=tuple(reports),
+        matrices=matrices,
+        min_symplectic_eigenvalues=tuple(nu_min.tolist()),
+        accepted=tuple(accepted.tolist()),
+        reports=tuple(SteeringReport(g=dict(zip(DIRECTIONS, row))) for row in values.tolist()),
         mean=mean,
         std=std,
     )

@@ -51,6 +51,32 @@ def independent_g(m, label):
     return max(0.0, -sum(math.log(nu) for nu in nus if nu < 1 - 1e-10))
 
 
+def closed_form_g(m, label):
+    """G = max(0, 1/2 ln(det sigma_X / det sigma_XY)) for X steering Y, no clamp.
+
+    Kogias, Lee, Ragy and Adesso (PRL 114, 060403, 2015) give it for a
+    steered party of one mode.  It also holds for A->BC, because the lossless
+    A|BC split is pure: a local symplectic on BC leaves one mode plus vacuum
+    and does not touch the loss on A.
+    """
+    steering, steered = label.split("->")
+
+    def det(modes):
+        rows = quadrature_rows(modes)
+        return np.linalg.det(m[np.ix_(rows, rows)])
+
+    return max(0.0, 0.5 * math.log(det(steering) / det(steering + steered)))
+
+
+def random_states(seed, n):
+    """n states with r1, r2, r3 in [0, 1.7] and t1, t2, eta in [0, 1]."""
+    rng = np.random.default_rng(seed)
+    return np.array([
+        build_state(GhzConfig(r1=r1, r2=r2, r3=r3, t1=t1, t2=t2, eta=eta)).matrix
+        for r1, r2, r3, t1, t2, eta in zip(*rng.uniform(0.0, 1.7, (3, n)),
+                                           *rng.uniform(0.0, 1.0, (3, n)))])
+
+
 def quartic_g(m, label):
     """G as the quartic closed form gave it: two-mode nu^2 from Delta^2 - 4 det,
     which loses about sqrt(machine epsilon) when the two nu are nearly equal."""
@@ -215,6 +241,14 @@ class TestSteeringStack:
         g = steering_stack(states)[:, DIRECTIONS.index("A->BC")]
         assert np.all(np.diff(g) >= -1e-12)
         assert g[0] == 0.0 and g[-1] > 0.0
+
+    @pytest.mark.parametrize(
+        "label", [d for d in DIRECTIONS if len(d.split("->")[1]) == 1] + ["A->BC"])
+    def test_matches_the_closed_form(self, label):
+        states = random_states(20261018, 400)
+        g = steering_stack(states)[:, DIRECTIONS.index(label)]
+        expected = [closed_form_g(m, label) for m in states]
+        assert np.abs(g - expected).max() <= 1e-12
 
     def test_empty_stack(self):
         assert steering_stack(np.zeros((0, 6, 6))).shape == (0, 12)

@@ -1,6 +1,5 @@
 """Measurement protocol: sampling, the 18 variances, reconstruction, trials."""
 
-import io
 import math
 import tracemalloc
 
@@ -9,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghz_steering import CovarianceMatrix, GhzConfig, build_state, reconstruct_trials
+from ghz_steering import (
+    DIRECTIONS,
+    CovarianceMatrix,
+    GhzConfig,
+    NumericalError,
+    build_state,
+    reconstruct_trials,
+    steering_report,
+)
 from ghz_steering.network import correlation_variance
 from ghz_steering.symplectic import symplectic_eigenvalues
 from ghz_steering.tomography import (
@@ -22,7 +29,6 @@ from ghz_steering.tomography import (
     population_measurements,
     sample_covariance,
     sample_quadratures,
-    write_samples_csv,
 )
 
 R = 0.339
@@ -125,23 +131,6 @@ class TestSampleCovariance:
         assert str(cov_error.value) == str(table_error.value)
 
 
-class TestWriteSamplesCsv:
-    def test_file_round_trip(self, tmp_path):
-        samples = sample_quadratures(build_state(GhzConfig()), 25, seed=5)
-        path = tmp_path / "samples.csv"
-        write_samples_csv(samples, path)
-        text = path.read_text().splitlines()
-        assert text[0] == "xA,pA,xB,pB,xC,pC"
-        assert len(text) == 26
-        back = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert np.array_equal(back, samples)
-
-    def test_file_object(self):
-        buf = io.StringIO()
-        write_samples_csv(np.zeros((3, 6)), buf)
-        assert buf.getvalue().splitlines()[0] == "xA,pA,xB,pB,xC,pC"
-
-
 class TestMeasureSet:
     def test_unbiased_divisor(self):
         # columns 0 and 2 hold [0, 1, 2]: var = 1 with ddof=1, and their
@@ -219,7 +208,50 @@ class TestCovarianceFromMeasurements:
         assert np.max(np.abs((out.matrix - rotated.matrix)[mask])) <= 1e-12
 
 
+def per_trial_reference(cm, n_samples, n_trials, seed):
+    """reconstruct_trials as a loop of one-trial library calls."""
+    matrices, nu_mins, accepted, rows = [], [], [], []
+    for index, child in enumerate(np.random.SeedSequence(seed).spawn(n_trials)):
+        sampled = sample_covariance(cm, n_samples, child)
+        matrix = covariance_from_measurements(population_measurements(sampled))
+        matrices.append(matrix.matrix)
+        try:
+            nu_min = float(symplectic_eigenvalues(matrix.matrix).min())
+        except NumericalError:  # not positive definite
+            nu_min = 0.0
+        nu_mins.append(nu_min)
+        if nu_min >= REJECT_NU_FLOOR:
+            accepted.append(index)
+            rows.append([steering_report(matrix).g[d] for d in DIRECTIONS])
+    values = np.array(rows)
+    return matrices, nu_mins, accepted, rows, values.mean(axis=0), values.std(axis=0, ddof=1)
+
+
 class TestReconstructTrials:
+    @pytest.mark.parametrize("cm, n, trials, seed", [
+        (build_state(GhzConfig()), 20_000, 3, 7),
+        (build_state(GhzConfig()), 1000, 3, 0),  # rejects trial 2
+        (build_state(GhzConfig(eta=0.8)), 2000, 50, 3),
+        # seed found by searching 0..99: trial 0 of this thermal state is not
+        # positive definite, trials 1 and 2 are accepted
+        (CovarianceMatrix(3.0 * np.eye(6)), 10, 3, 12),
+    ])
+    def test_equals_the_per_trial_loop(self, cm, n, trials, seed):
+        stats = reconstruct_trials(cm, n_samples=n, n_trials=trials, seed=seed)
+        matrices, nu_mins, accepted, rows, mean, std = per_trial_reference(cm, n, trials, seed)
+        assert all(np.array_equal(got.matrix, want) for got, want in zip(stats.matrices, matrices))
+        assert len(stats.matrices) == trials
+        assert np.array_equal(stats.min_symplectic_eigenvalues, nu_mins)
+        assert stats.accepted == tuple(accepted)
+        assert [[rep.g[d] for d in DIRECTIONS] for rep in stats.reports] == rows
+        assert np.array_equal([stats.mean[d] for d in DIRECTIONS], mean)
+        assert np.array_equal([stats.std[d] for d in DIRECTIONS], std)
+
+    def test_a_trial_that_is_not_positive_definite_reads_zero(self):
+        stats = reconstruct_trials(CovarianceMatrix(3.0 * np.eye(6)), 10, 3, seed=12)
+        assert stats.min_symplectic_eigenvalues[0] == 0.0
+        assert stats.rejected == (0,) and len(stats.accepted) >= 2
+
     def test_deterministic(self):
         cm = build_state(GhzConfig())
         one = reconstruct_trials(cm, n_samples=20_000, n_trials=3, seed=7)
