@@ -110,8 +110,8 @@ def _parse_grid(expr: str) -> list[float]:
             if len(fields) != 3:
                 raise ValueError("grid must be start:stop:step")
             start, stop, step = (float(f) for f in fields)
-            if step <= 0:
-                raise ValueError("grid step must be positive")
+            if not (math.isfinite(step) and step > 0):
+                raise ValueError("grid step must be finite and positive")
             if not (0.0 <= start <= stop <= 1.0):
                 raise ValueError("grid must lie within [0, 1] with start <= stop")
             # the slack keeps a last point that round-off puts just short of stop
@@ -135,6 +135,17 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for seeds: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return value
 
 
@@ -339,7 +350,7 @@ def build_parser() -> _Parser:
                         help="quadrature samples per trial (default 100000)")
     p_tomo.add_argument("--trials", type=int, default=3,
                         help="number of reconstruction trials (default 3)")
-    p_tomo.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p_tomo.add_argument("--seed", type=_non_negative_int, default=DEFAULT_SEED,
                         help=f"master seed; trials derive child seeds (default {DEFAULT_SEED})")
     _add_output_args(p_tomo, ("json",), "json")
     p_tomo.set_defaults(func=cmd_tomo)

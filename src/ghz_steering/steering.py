@@ -25,7 +25,6 @@ from .symplectic import (
     schur_complement,
     symmetric_part,
     symplectic_eigenvalues,
-    two_mode_spectrum,
 )
 
 # Conditional symplectic eigenvalues this close to 1 count as exactly 1; keeps
@@ -142,7 +141,7 @@ def steering_stack(states: np.ndarray) -> np.ndarray:
     ], axis=1)  # (K, 9, 2, 2): the 1->1 then the 2->1 conditionals
     nus = np.ones((k, 12, 2))  # a one-mode conditional's second entry stays 1: no term
     nus[:, :9, 0] = one_mode_spectrum(single)
-    nus[:, 9:] = two_mode_spectrum(one_to_two)
+    nus[:, 9:] = symplectic_eigenvalues(one_to_two)
     return _quantifier(nus)[:, _TO_DIRECTIONS]
 
 

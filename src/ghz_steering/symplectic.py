@@ -20,6 +20,8 @@ PHYSICALITY_TOL = 1e-9
 # inversion would be numerically meaningless, so fail loudly instead.
 CONDITION_LIMIT = 1e12
 
+_NOT_A_STATE = "not a state: covariance matrix is not positive definite"
+
 
 class NumericalError(ValueError):
     """A numerical guard failed: a block too ill-conditioned to invert, a
@@ -102,9 +104,6 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
-_OMEGA_2 = symplectic_form(2)
-
-
 def quadrature_indices(modes: tuple[int, ...] | list[int]) -> list[int]:
     """Row/column indices of the (x, p) pair of each listed mode."""
     return [q for m in modes for q in (2 * m, 2 * m + 1)]
@@ -139,6 +138,9 @@ def require_invertible(blocks: np.ndarray) -> None:
 def one_mode_spectrum(m: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalue sqrt(det) of symmetric 2x2 blocks, shape (..., 2, 2) -> (...).
 
+    The one-mode closed form of :func:`symplectic_eigenvalues`, which the
+    steering kernel uses for its nine one-mode conditionals.
+
     Raises
     ------
     NumericalError
@@ -146,58 +148,35 @@ def one_mode_spectrum(m: np.ndarray) -> np.ndarray:
     """
     det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
     if not np.all((m[..., 0, 0] > 0.0) & (det > 0.0)):
-        raise NumericalError("not a state: covariance matrix is not positive definite")
+        raise NumericalError(_NOT_A_STATE)
     return np.sqrt(det)
-
-
-def two_mode_spectrum(m: np.ndarray) -> np.ndarray:
-    """Both symplectic eigenvalues of symmetric 4x4 blocks, shape (..., 4, 4) -> (..., 2), ascending.
-
-    With m = L L^T (Cholesky), i L^T Omega L is Hermitian and similar to
-    i Omega m, so its eigenvalues are +-nu.  A Hermitian eigensolver is
-    backward stable: each nu comes back to about machine epsilon times the
-    largest one, also when the two are nearly equal.
-
-    Raises
-    ------
-    NumericalError
-        If any block is not positive definite ("not a state").
-    """
-    try:
-        low = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        raise NumericalError("not a state: covariance matrix is not positive definite") from None
-    form = np.swapaxes(low, -1, -2) @ _OMEGA_2 @ low
-    return np.linalg.eigvalsh(1j * form)[..., 2:]
 
 
 def symplectic_eigenvalues(cm: CovarianceMatrix | np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a positive-definite covariance matrix, ascending.
 
-    Takes one matrix, shape (2N, 2N), or a stack of them, shape (K, 2N, 2N),
-    and returns shape (N,) or (K, N).  One mode uses sqrt of the determinant,
-    two modes :func:`two_mode_spectrum`; larger systems use the eigenvalues
-    of Omega @ sigma, whose spectrum is +-i nu pairs.
+    Takes one matrix, shape (2N, 2N), or a stack of them with any leading
+    shape (..., 2N, 2N), and returns shape (..., N).  Every N takes the same
+    route: with sigma = L L^T (Cholesky), i L^T Omega L is Hermitian and
+    similar to i Omega sigma, so its eigenvalues are +-nu.  A Hermitian
+    eigensolver is backward stable: each nu comes back to about machine
+    epsilon times the largest one, also when two of them nearly coincide.
 
     Raises
     ------
     NumericalError
-        If the input is not positive definite ("not a state").
+        If the input has a non-finite entry or is not positive definite
+        (the Cholesky factorization fails): "not a state".
     """
     m = _as_array(cm)
+    if not np.all(np.isfinite(m)):
+        raise NumericalError(_NOT_A_STATE)
+    try:
+        low = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        raise NumericalError(_NOT_A_STATE) from None
     n = m.shape[-1] // 2
-    if not _eigvalsh(m).min() > 0:  # nan included
-        raise NumericalError("not a state: covariance matrix is not positive definite")
-
-    if n == 1:
-        return one_mode_spectrum(m)[..., None]
-    if n == 2:
-        return two_mode_spectrum(m)
-
-    evals = np.linalg.eigvals(symplectic_form(n) @ m)
-    moduli = np.sort(np.abs(evals), axis=-1)
-    # each nu appears twice (+-i nu); average adjacent pairs to cancel solver noise
-    return 0.5 * (moduli[..., 0::2] + moduli[..., 1::2])
+    return _eigvalsh(1j * (np.swapaxes(low, -1, -2) @ symplectic_form(n) @ low))[..., n:]
 
 
 def is_physical(cm: CovarianceMatrix | np.ndarray, tol: float = PHYSICALITY_TOL) -> bool:
@@ -251,5 +230,5 @@ def purity(cm: CovarianceMatrix | np.ndarray) -> float:
     """Purity of the Gaussian state, 1/sqrt(det sigma); equals 1 for pure states."""
     det = np.linalg.det(_as_array(cm))
     if det <= 0:
-        raise ValueError("not a state: covariance matrix is not positive definite")
+        raise ValueError(_NOT_A_STATE)
     return float(1.0 / np.sqrt(det))

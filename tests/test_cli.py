@@ -160,6 +160,13 @@ class TestSweep:
             main(["sweep", "--grid", grid])
         assert exc.value.code == 3
 
+    @pytest.mark.parametrize("grid", ["0:1:nan", "0:1:inf"])
+    def test_non_finite_grid_step_is_a_grid_argument_error(self, capsys, grid):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--grid", grid])
+        assert exc.value.code == 3
+        assert "argument --grid: grid step must be finite and positive" in capsys.readouterr().err
+
     def test_reruns_are_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(capsys, ["sweep", "--output", str(a)])
@@ -200,6 +207,12 @@ class TestTomo:
         rc, _, err = run(capsys, ["tomo", "--trials", "1"])
         assert rc == 3
         assert "2 trials" in err
+
+    def test_negative_seed_is_a_seed_argument_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tomo", "--seed", "-1"])
+        assert exc.value.code == 3
+        assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
 
 
 class TestCheck:

@@ -13,6 +13,7 @@ from ghz_steering.symplectic import (
     Partition,
     is_physical,
     purity,
+    quadrature_indices,
     reduce_modes,
     require_invertible,
     schur_complement,
@@ -35,6 +36,15 @@ def beam_splitter(n_modes, k, l, t):
 
 def transform(cm, s):
     return CovarianceMatrix(s @ cm.matrix @ s.T)
+
+
+def random_lossy_states(seed, count):
+    """States with r1, r2, r3 in [0, 1.7] and t1, t2 in [0, 1], eta in [0.05, 0.95]."""
+    rng = np.random.default_rng(seed)
+    return [build_state(GhzConfig(r1=r1, r2=r2, r3=r3, t1=t1, t2=t2, eta=eta))
+            for r1, r2, r3, t1, t2, eta in zip(*rng.uniform(0.0, 1.7, (3, count)),
+                                               *rng.uniform(0.0, 1.0, (2, count)),
+                                               rng.uniform(0.05, 0.95, count))]
 
 
 def two_mode_squeezed(r: float) -> CovarianceMatrix:
@@ -163,6 +173,27 @@ class TestSymplecticEigenvalues:
             require_invertible(m[None, :2, :2])
         assert not is_physical(m)
 
+    @pytest.mark.parametrize("modes", [(0,), (2,), (0, 1), (1, 2), (0, 1, 2)])
+    def test_matches_an_independent_solve(self, modes):
+        # eigenvalues of Omega @ sigma come in pairs +-i nu; Omega is built here
+        n = len(modes)
+        omega = np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]])
+        for state in random_lossy_states(seed=n, count=40):
+            reduced = reduce_modes(state, modes)
+            expected = np.sort(np.abs(np.linalg.eigvals(omega @ reduced.matrix).imag))[::2]
+            assert symplectic_eigenvalues(reduced) == pytest.approx(expected, rel=0, abs=1e-12)
+
+    def test_higher_rank_stack_matches_rows_bit_for_bit(self):
+        # (K, 3, 4, 4): the two-mode reductions of each state, as the steering kernel stacks them
+        pairs = [quadrature_indices(pair) for pair in ((1, 2), (0, 2), (0, 1))]
+        states = np.array([s.matrix for s in random_lossy_states(seed=5, count=7)])
+        stack = np.stack([states[:, idx][:, :, idx] for idx in pairs], axis=1)
+        nus = symplectic_eigenvalues(stack)
+        assert nus.shape == (7, 3, 2)
+        for k in range(7):
+            for j in range(3):
+                assert np.array_equal(nus[k, j], symplectic_eigenvalues(stack[k, j]))
+
     def test_stack_matches_single_matrices(self):
         states = build_states(GhzConfig(), [0.1, 0.5, 0.9])
         nus = symplectic_eigenvalues(states)
@@ -172,9 +203,9 @@ class TestSymplecticEigenvalues:
 
     @given(st.floats(min_value=0.0, max_value=1.5), st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=50)
-    def test_two_mode_closed_form_matches_general_solver(self, r, t):
-        # mix two squeezed modes on a beam splitter, then compare the quartic
-        # closed form against a direct eigen-solve of Omega @ sigma
+    def test_two_mode_spectrum_matches_general_solver(self, r, t):
+        # mix two squeezed modes on a beam splitter, then compare the
+        # spectrum against a direct eigen-solve of Omega @ sigma
         state = CovarianceMatrix(np.diag([
             math.exp(-2 * r), math.exp(2 * r), math.exp(2 * r), math.exp(-2 * r),
         ]))
@@ -208,6 +239,20 @@ class TestIsPhysical:
 
     def test_non_positive_definite(self):
         assert not is_physical(CovarianceMatrix(np.diag([1.0, -1.0])))
+
+    def test_pure_states_up_to_r_4_are_physical(self):
+        # pins the verdict at the default tolerance; from r = 4.23 on,
+        # round-off pushes min nu below 1 - PHYSICALITY_TOL
+        for k in range(401):
+            r = k / 100
+            assert is_physical(build_state(GhzConfig(r1=r, r2=r, r3=r))), r
+
+    def test_random_states_up_to_r_4_are_physical(self):
+        rng = np.random.default_rng(2024)
+        for r1, r2, r3, t1, t2, eta in zip(*rng.uniform(0.0, 4.0, (3, 200)),
+                                           *rng.uniform(0.0, 1.0, (3, 200))):
+            config = GhzConfig(r1=r1, r2=r2, r3=r3, t1=t1, t2=t2, eta=eta)
+            assert is_physical(build_state(config)), config
 
     def test_tolerance_is_respected(self):
         slightly_off = CovarianceMatrix((1 - 1e-6) * np.eye(2))
