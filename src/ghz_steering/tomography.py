@@ -10,13 +10,17 @@ Every measured variance is v^T S v for the 6x6 sample covariance S of the
 record, so a trial never holds its record: :func:`sample_covariance` draws
 the samples in fixed blocks and keeps only running sums, and memory per
 trial does not grow with the number of samples.  In
-:func:`reconstruct_trials` only this sampling runs per trial; measuring,
-reconstruction, the rejection floor and the steering values run once over
-the (K, 6, 6) stack of all trials.
+:func:`reconstruct_trials` only this sampling runs per trial, on up to one
+thread per usable CPU; measuring, reconstruction, the rejection floor and the
+steering values run once over the (K, 6, 6) stack of all trials.  Every trial
+draws from its own seeded stream, so the results do not depend on the number
+of threads.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -127,15 +131,60 @@ def sample_covariance(
 def _normal_covariance(n_samples: int, dim: int, seed: int | np.random.SeedSequence) -> np.ndarray:
     """cov(Z) of n_samples standard-normal rows Z, streamed in _BLOCK_ROWS blocks."""
     rng = np.random.default_rng(seed)
-    ones = np.ones(min(_BLOCK_ROWS, n_samples))  # ones @ block sums columns faster than .sum(0)
+    rows = min(_BLOCK_ROWS, n_samples)
+    buf = np.empty((rows, dim))  # refilled in place: the same stream as fresh blocks
+    ones = np.ones(rows)  # ones @ block sums columns faster than .sum(0)
     sums = np.zeros(dim)
     gram = np.zeros((dim, dim))
     for start in range(0, n_samples, _BLOCK_ROWS):
-        block = rng.standard_normal((min(_BLOCK_ROWS, n_samples - start), dim))
+        block = rng.standard_normal(out=buf[:min(_BLOCK_ROWS, n_samples - start)])
         sums += ones[:len(block)] @ block
         gram += block.T @ block
     mean = sums / n_samples
     return (gram - n_samples * np.outer(mean, mean)) / (n_samples - 1)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _normal_covariances(n_samples: int, dim: int, seeds: list[np.random.SeedSequence]) -> np.ndarray:
+    """The (K, dim, dim) stack of _normal_covariance for each seed, in seed order.
+
+    Runs on up to one thread per usable CPU, the calling thread included:
+    thread j takes seeds j, j + workers, ...  Each seed has its own generator
+    and numpy releases the GIL while it fills an array, so the threads overlap
+    and every matrix is bit-identical to a call made alone.  An exception
+    raised for a seed is re-raised here, the first in seed order, after every
+    thread has ended.
+    """
+    workers = min(len(seeds), _usable_cpus())
+    out = np.empty((len(seeds), dim, dim))
+    errors: dict[int, Exception] = {}
+
+    def run(first: int) -> None:
+        for index in range(first, len(seeds), workers):
+            try:
+                out[index] = _normal_covariance(n_samples, dim, seeds[index])
+            except Exception as exc:  # re-raised in the calling thread
+                errors[index] = exc
+                return
+
+    threads = [threading.Thread(target=run, args=(first,)) for first in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return out
 
 
 def _variances(cov: np.ndarray) -> np.ndarray:
@@ -223,9 +272,11 @@ def reconstruct_trials(
 
     Only the sampling runs per trial: each trial streams its sample
     covariance (as :func:`sample_covariance` does), so no sample table is
-    ever held.  Measuring the 18 variances, the reconstruction, the
-    rejection floor and the steering values then run once over the stack of
-    all trials; every value equals that of the trial computed alone.
+    ever held.  Trials are sampled on up to one thread per usable CPU, and
+    the results do not depend on the number of threads.  Measuring the 18
+    variances, the reconstruction, the rejection floor and the steering
+    values then run once over the stack of all trials; every value equals
+    that of the trial computed alone.
 
     Each trial uses a child seed spawned deterministically from (seed, trial
     index).  Trials whose reconstructed matrix falls below the physicality
@@ -243,7 +294,7 @@ def reconstruct_trials(
         raise ValueError("need at least 2 trials for a standard deviation")
     root = _sampling_root(cm_true, n_samples)
     children = np.random.SeedSequence(seed).spawn(n_trials)
-    cov_z = np.array([_normal_covariance(n_samples, root.shape[0], child) for child in children])
+    cov_z = _normal_covariances(n_samples, root.shape[0], children)
 
     sampled = root.T @ cov_z @ root
     if not np.all(np.isfinite(sampled)):

@@ -317,3 +317,14 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "build"
+
+
+def test_import_leaves_concurrent_futures_unloaded():
+    # concurrent.futures pulls in logging: ~2.6 ms on every cold command
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ghz_steering.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

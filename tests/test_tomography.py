@@ -1,6 +1,8 @@
 """Measurement protocol: sampling, the 18 variances, reconstruction, trials."""
 
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,6 +19,7 @@ from ghz_steering import (
     reconstruct_trials,
     steering_report,
 )
+from ghz_steering import tomography
 from ghz_steering.network import correlation_variance
 from ghz_steering.symplectic import symplectic_eigenvalues
 from ghz_steering.tomography import (
@@ -223,8 +226,22 @@ def per_trial_reference(cm, n_samples, n_trials, seed):
         if nu_min >= REJECT_NU_FLOOR:
             accepted.append(index)
             rows.append([steering_report(matrix).g[d] for d in DIRECTIONS])
+    if len(rows) < 2:  # reconstruct_trials raises
+        return matrices, nu_mins, accepted, rows, None, None
     values = np.array(rows)
     return matrices, nu_mins, accepted, rows, values.mean(axis=0), values.std(axis=0, ddof=1)
+
+
+def assert_equals_reference(stats, reference):
+    """reconstruct_trials output bit-identical to per_trial_reference."""
+    matrices, nu_mins, accepted, rows, mean, std = reference
+    assert all(np.array_equal(got.matrix, want) for got, want in zip(stats.matrices, matrices))
+    assert len(stats.matrices) == len(matrices)
+    assert np.array_equal(stats.min_symplectic_eigenvalues, nu_mins)
+    assert stats.accepted == tuple(accepted)
+    assert [[rep.g[d] for d in DIRECTIONS] for rep in stats.reports] == rows
+    assert np.array_equal([stats.mean[d] for d in DIRECTIONS], mean)
+    assert np.array_equal([stats.std[d] for d in DIRECTIONS], std)
 
 
 class TestReconstructTrials:
@@ -238,14 +255,7 @@ class TestReconstructTrials:
     ])
     def test_equals_the_per_trial_loop(self, cm, n, trials, seed):
         stats = reconstruct_trials(cm, n_samples=n, n_trials=trials, seed=seed)
-        matrices, nu_mins, accepted, rows, mean, std = per_trial_reference(cm, n, trials, seed)
-        assert all(np.array_equal(got.matrix, want) for got, want in zip(stats.matrices, matrices))
-        assert len(stats.matrices) == trials
-        assert np.array_equal(stats.min_symplectic_eigenvalues, nu_mins)
-        assert stats.accepted == tuple(accepted)
-        assert [[rep.g[d] for d in DIRECTIONS] for rep in stats.reports] == rows
-        assert np.array_equal([stats.mean[d] for d in DIRECTIONS], mean)
-        assert np.array_equal([stats.std[d] for d in DIRECTIONS], std)
+        assert_equals_reference(stats, per_trial_reference(cm, n, trials, seed))
 
     def test_a_trial_that_is_not_positive_definite_reads_zero(self):
         stats = reconstruct_trials(CovarianceMatrix(3.0 * np.eye(6)), 10, 3, seed=12)
@@ -327,6 +337,93 @@ class TestReconstructTrials:
         assert stats.mean["BC->A"] == pytest.approx(np.mean(values))
         assert stats.std["BC->A"] == pytest.approx(np.std(values, ddof=1))
         assert all(v >= 0 for v in stats.std.values())
+
+
+def expected_too_few_message(nu_mins, accepted):
+    detail = ", ".join(f"trial {i}: nu_min={nu:.4f}" for i, nu in enumerate(nu_mins))
+    return (f"only {len(accepted)} of {len(nu_mins)} trials reconstructed a physical "
+            f"matrix (floor {REJECT_NU_FLOOR}); {detail}")
+
+
+def worker_counts(n_trials):
+    return [1, 2, 3, n_trials + 2]
+
+
+class TestConcurrentSampling:
+    """Trials are sampled on up to one thread per usable CPU."""
+
+    @pytest.mark.parametrize("cm, n, trials, seed", [
+        (build_state(GhzConfig()), 20_000, 3, 7),  # 2 full blocks plus 3616 rows
+        (build_state(GhzConfig()), 1000, 3, 0),  # rejects trial 2
+        (build_state(GhzConfig(eta=0.8)), 2000, 50, 3),
+    ])
+    def test_results_do_not_depend_on_the_worker_count(self, monkeypatch, cm, n, trials, seed):
+        reference = per_trial_reference(cm, n, trials, seed)
+        for workers in worker_counts(trials):
+            monkeypatch.setattr(tomography, "_usable_cpus", lambda: workers)
+            stats = reconstruct_trials(cm, n_samples=n, n_trials=trials, seed=seed)
+            assert_equals_reference(stats, reference)
+
+    def test_too_few_accepted_raises_the_same_message_for_any_worker_count(self, monkeypatch):
+        cm = build_state(GhzConfig())
+        _, nu_mins, accepted, *_ = per_trial_reference(cm, 1000, 3, 4)
+        assert len(accepted) < 2
+        for workers in worker_counts(3):
+            monkeypatch.setattr(tomography, "_usable_cpus", lambda: workers)
+            with pytest.raises(RuntimeError) as exc:
+                reconstruct_trials(cm, n_samples=1000, n_trials=3, seed=4)
+            assert str(exc.value) == expected_too_few_message(nu_mins, accepted)
+
+    @pytest.mark.parametrize("workers, groups", [
+        (1, [[0, 1, 2, 3, 4]]),  # the calling thread alone
+        (2, [[0, 2, 4], [1, 3]]),
+        (3, [[0, 3], [1, 4], [2]]),
+        (7, [[0], [1], [2], [3], [4]]),
+    ])
+    def test_each_worker_thread_takes_a_strided_group(self, monkeypatch, workers, groups):
+        real = tomography._normal_covariance
+        trial = {child.spawn_key: index
+                 for index, child in enumerate(np.random.SeedSequence(1).spawn(5))}
+        taken = {}
+
+        def recording(n_samples, dim, seed):
+            taken.setdefault(threading.current_thread(), []).append(trial[seed.spawn_key])
+            return real(n_samples, dim, seed)
+
+        monkeypatch.setattr(tomography, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(tomography, "_normal_covariance", recording)
+        reconstruct_trials(build_state(GhzConfig()), n_samples=2000, n_trials=5, seed=1)
+        assert taken[threading.current_thread()] == groups[0]
+        assert sorted(taken.values()) == groups
+
+    @pytest.mark.parametrize("workers", worker_counts(4))
+    def test_errors_propagate_and_no_thread_is_left(self, monkeypatch, workers):
+        # trials 1 and 2 fail; the first in trial order is the one raised
+        real = tomography._normal_covariance
+        failing = {child.spawn_key: index
+                   for index, child in enumerate(np.random.SeedSequence(5).spawn(4))
+                   if index in (1, 2)}
+
+        def flaky(n_samples, dim, seed):
+            if seed.spawn_key in failing:
+                raise FloatingPointError(f"trial {failing[seed.spawn_key]} failed")
+            return real(n_samples, dim, seed)
+
+        monkeypatch.setattr(tomography, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(tomography, "_normal_covariance", flaky)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match=r"^trial 1 failed$"):
+            reconstruct_trials(build_state(GhzConfig()), n_samples=2000, n_trials=4, seed=5)
+        assert threading.active_count() == before
+
+    def test_usable_cpus_follows_the_affinity_mask(self):
+        assert tomography._usable_cpus() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("cpu_count, want", [(4, 4), (None, 1)])
+    def test_usable_cpus_without_affinity(self, monkeypatch, cpu_count, want):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert tomography._usable_cpus() == want
 
 
 def test_reconstruction_error_shrinks_with_sample_size():
