@@ -29,9 +29,9 @@ from .network import (
 )
 from .steering import DIRECTIONS, STEERING_EPS, steering_report, sweep_eta
 from .symplectic import (
-    PHYSICALITY_TOL,
     NumericalError,
     is_physical,
+    physicality_floor,
     purity,
     symplectic_eigenvalues,
 )
@@ -206,8 +206,9 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    nu_min = symplectic_eigenvalues(build_states(config, args.grid)).min(axis=1)
-    unphysical = np.flatnonzero(~(nu_min >= 1.0 - PHYSICALITY_TOL))
+    states = build_states(config, args.grid)
+    nu_min = symplectic_eigenvalues(states).min(axis=1)
+    unphysical = np.flatnonzero(~(nu_min >= physicality_floor(states, nu_min)))
     # Rows fail in grid order: the rows before the first unphysical eta are
     # swept first, so a numerical failure among them is the error reported.
     stop = unphysical[0] if unphysical.size else len(args.grid)
@@ -242,7 +243,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_tomo(args: argparse.Namespace) -> int:
     config = _config_from_args(args, eta=args.eta)
     state = build_state(config)
-    if not is_physical(state, PHYSICALITY_TOL):
+    if not is_physical(state):
         print("error: constructed state violates the uncertainty relation", file=sys.stderr)
         return EXIT_UNPHYSICAL
     analytic = steering_report(state, eta=config.eta)
@@ -294,10 +295,13 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     checks: list[tuple[str, bool, str]] = []
 
-    nu_min = symplectic_eigenvalues(build_states(config, grid)).min()
-    floor = args.nu_floor if args.nu_floor is not None else 1.0 - PHYSICALITY_TOL
-    checks.append(("physicality", nu_min >= floor,
-                   f"min symplectic eigenvalue {nu_min:.6g} vs floor {floor:.6g}"))
+    states = build_states(config, grid)
+    nu_min = symplectic_eigenvalues(states).min(axis=1)
+    floor = (physicality_floor(states, nu_min) if args.nu_floor is None
+             else np.full_like(nu_min, args.nu_floor))
+    worst = np.argmin(nu_min - floor)  # the row with the least margin
+    checks.append(("physicality", bool(np.all(nu_min >= floor)),
+                   f"min symplectic eigenvalue {nu_min[worst]:.6g} vs floor {floor[worst]:.6g}"))
 
     reports = [p.report for p in points]
     worst_pair = max(rep.g[lab] for rep in reports for lab in DIRECTIONS[:6])
@@ -330,8 +334,9 @@ def build_parser() -> _Parser:
     _add_state_args(p_build)
     p_build.add_argument("--eta", type=float, default=1.0,
                          help="channel efficiency on mode A (default 1.0)")
-    p_build.add_argument("--tol-phys", type=_finite_float, default=PHYSICALITY_TOL,
-                         help="physicality tolerance on the symplectic spectrum")
+    p_build.add_argument("--tol-phys", type=_finite_float, default=None,
+                         help="physicality tolerance on the symplectic spectrum "
+                              "(default max(1e-9, eps * condition number))")
     _add_output_args(p_build, ("json", "csv"), "json")
     p_build.set_defaults(func=cmd_build)
 
@@ -358,7 +363,8 @@ def build_parser() -> _Parser:
     p_check = sub.add_parser("check", help="run the invariant suite")
     _add_state_args(p_check)
     p_check.add_argument("--nu-floor", type=_finite_float, default=None,
-                         help="override the physicality floor (default 1 - 1e-9)")
+                         help="override the physicality floor "
+                              "(default 1 - max(1e-9, eps * condition number))")
     p_check.set_defaults(func=cmd_check)
 
     return parser

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Uncertainty-relation slack: physical means min symplectic eigenvalue >= 1 - PHYSICALITY_TOL.
+# Uncertainty-relation slack: physical means min symplectic eigenvalue >= 1 - PHYSICALITY_TOL,
+# widened by the conditioning of the matrix (see physicality_floor).
 PHYSICALITY_TOL = 1e-9
 
 # Condition-number guard on the steering-party block of a Schur complement.
@@ -179,13 +180,38 @@ def symplectic_eigenvalues(cm: CovarianceMatrix | np.ndarray) -> np.ndarray:
     return _eigvalsh(1j * (np.swapaxes(low, -1, -2) @ symplectic_form(n) @ low))[..., n:]
 
 
-def is_physical(cm: CovarianceMatrix | np.ndarray, tol: float = PHYSICALITY_TOL) -> bool:
-    """True when cm satisfies the uncertainty relation: min symplectic eigenvalue >= 1 - tol."""
+def physicality_floor(m: np.ndarray, nu_min: np.ndarray) -> np.ndarray:
+    """The least admissible min symplectic eigenvalue of each matrix of a stack.
+
+    m has shape (..., 2N, 2N) and nu_min shape (...).  The floor is
+    1 - PHYSICALITY_TOL.  Where nu_min falls below it, the floor becomes
+    1 - max(PHYSICALITY_TOL, eps * kappa), kappa = lambda_max / lambda_min
+    the condition number of the matrix: the round-off of a computed spectrum
+    grows with kappa, and on exact pure states it stays below eps * kappa / 10
+    for r up to 8.  kappa is computed for those matrices only; one that is
+    not positive definite gets a nan floor, which no nu_min meets.
+    """
+    floor = np.full(np.shape(nu_min), 1.0 - PHYSICALITY_TOL)
+    low = ~(nu_min >= floor)
+    if low.any():
+        w = _eigvalsh(m[low])
+        kappa = w[..., -1] / np.where(w[..., 0] > 0.0, w[..., 0], np.nan)
+        floor[low] = 1.0 - np.maximum(PHYSICALITY_TOL, np.finfo(float).eps * kappa)
+    return floor
+
+
+def is_physical(cm: CovarianceMatrix | np.ndarray, tol: float | None = None) -> bool:
+    """True when cm satisfies the uncertainty relation, within round-off.
+
+    The min symplectic eigenvalue must reach 1 - tol, or, without tol, the
+    condition-aware :func:`physicality_floor`.
+    """
     m = _as_array(cm)
     if m.shape[0] % 2 or m.shape[0] == 0:
         return False
     try:
-        return bool(symplectic_eigenvalues(m).min() >= 1.0 - tol)
+        nu_min = symplectic_eigenvalues(m).min()
+        return bool(nu_min >= (1.0 - tol if tol is not None else physicality_floor(m, nu_min)))
     except NumericalError:  # not positive definite
         return False
 

@@ -7,20 +7,23 @@ identities, with within-mode x-p covariances taken as 0.  Multi-trial
 statistics give the mean and error bar of every steering value.
 
 Every measured variance is v^T S v for the 6x6 sample covariance S of the
-record, so a trial never holds its record: :func:`sample_covariance` draws
-the samples in fixed blocks and keeps only running sums, and memory per
-trial does not grow with the number of samples.  In
-:func:`reconstruct_trials` only this sampling runs per trial, on up to one
-thread per usable CPU; measuring, reconstruction, the rejection floor and the
-steering values run once over the (K, 6, 6) stack of all trials.  Every trial
-draws from its own seeded stream, so the results do not depend on the number
-of threads.
+record, so a trial never holds its record: its samples are drawn in fixed
+blocks into running sums, and memory does not grow with the number of
+samples.  One streaming sampler serves :func:`sample_covariance` (one seed)
+and :func:`reconstruct_trials` (one seed per trial).  It hands out blocks,
+not whole trials, to up to one thread per usable CPU, so no CPU idles while
+another finishes the last trials.  Each trial keeps its own seeded stream
+and is drawn by one thread at a time, in order, so the results do not
+depend on the number of threads.  Measuring, reconstruction, the rejection
+floor and the steering values then run once over the (K, 6, 6) stack of all
+trials.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -80,7 +83,7 @@ def _check_variances(variances: np.ndarray) -> None:
         raise ValueError("variances must be finite and non-negative")
 
 
-# Rows of standard normals drawn per block by _normal_covariance: 8192 x 6
+# Rows of standard normals drawn per block by _normal_covariances: 8192 x 6
 # doubles (384 KB) stay in the L2 cache.  Blocks of a default_rng stream
 # concatenate to exactly the one large draw of sample_quadratures.
 _BLOCK_ROWS = 8192
@@ -125,23 +128,7 @@ def sample_covariance(
     rounding (1e-12 relative); memory does not grow with n_samples.
     """
     root = _sampling_root(cm, n_samples)
-    return CovarianceMatrix(root.T @ _normal_covariance(n_samples, root.shape[0], seed) @ root)
-
-
-def _normal_covariance(n_samples: int, dim: int, seed: int | np.random.SeedSequence) -> np.ndarray:
-    """cov(Z) of n_samples standard-normal rows Z, streamed in _BLOCK_ROWS blocks."""
-    rng = np.random.default_rng(seed)
-    rows = min(_BLOCK_ROWS, n_samples)
-    buf = np.empty((rows, dim))  # refilled in place: the same stream as fresh blocks
-    ones = np.ones(rows)  # ones @ block sums columns faster than .sum(0)
-    sums = np.zeros(dim)
-    gram = np.zeros((dim, dim))
-    for start in range(0, n_samples, _BLOCK_ROWS):
-        block = rng.standard_normal(out=buf[:min(_BLOCK_ROWS, n_samples - start)])
-        sums += ones[:len(block)] @ block
-        gram += block.T @ block
-    mean = sums / n_samples
-    return (gram - n_samples * np.outer(mean, mean)) / (n_samples - 1)
+    return CovarianceMatrix(root.T @ _normal_covariances(n_samples, root.shape[0], [seed])[0] @ root)
 
 
 def _usable_cpus() -> int:
@@ -152,39 +139,83 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _normal_covariances(n_samples: int, dim: int, seeds: list[np.random.SeedSequence]) -> np.ndarray:
-    """The (K, dim, dim) stack of _normal_covariance for each seed, in seed order.
+def _normal_covariances(n_samples: int, dim: int, seeds: list) -> np.ndarray:
+    """The (K, dim, dim) stack of cov(Z), Z n_samples standard-normal rows per seed.
 
-    Runs on up to one thread per usable CPU, the calling thread included:
-    thread j takes seeds j, j + workers, ...  Each seed has its own generator
-    and numpy releases the GIL while it fills an array, so the threads overlap
-    and every matrix is bit-identical to a call made alone.  An exception
-    raised for a seed is re-raised here, the first in seed order, after every
-    thread has ended.
+    Each seed has its own generator, column sums and Z^T Z.  Up to one thread
+    per usable CPU, the calling thread included, takes the next trial from a
+    shared queue, draws one _BLOCK_ROWS block into its own buffer, adds it to
+    that trial's totals and puts the trial back while rows remain.  numpy
+    releases the GIL while it fills a block, so the threads overlap and end
+    within one block of each other.  A trial is held by one thread at a time
+    and its blocks are added in stream order, so every matrix is
+    bit-identical to one drawn alone, whatever the thread count.
+
+    A failure in trial i stops the scheduling of the trials after i, and the
+    first failure in trial order is re-raised once every thread has ended.
+    An interrupt in the calling thread empties the queue, so the other
+    threads stop after their current block.
     """
-    workers = min(len(seeds), _usable_cpus())
-    out = np.empty((len(seeds), dim, dim))
+    n_trials = len(seeds)
+    workers = min(n_trials, _usable_cpus())
+    rngs: list[np.random.Generator | None] = [None] * n_trials
+    drawn = [0] * n_trials
+    sums = np.zeros((n_trials, dim))
+    grams = np.zeros((n_trials, dim, dim))
+    waiting = deque(range(n_trials))
+    stop = n_trials  # trials from this index on are no longer scheduled
+    lock = threading.Lock()
     errors: dict[int, Exception] = {}
 
-    def run(first: int) -> None:
-        for index in range(first, len(seeds), workers):
-            try:
-                out[index] = _normal_covariance(n_samples, dim, seeds[index])
-            except Exception as exc:  # re-raised in the calling thread
-                errors[index] = exc
-                return
+    def cancel(first: int) -> None:
+        """Schedule no trial from first on; the caller holds the lock."""
+        nonlocal stop
+        stop = min(stop, first)
+        kept = [index for index in waiting if index < stop]
+        waiting.clear()
+        waiting.extend(kept)
 
-    threads = [threading.Thread(target=run, args=(first,)) for first in range(1, workers)]
+    def run() -> None:
+        rows = min(_BLOCK_ROWS, n_samples)
+        buf = np.empty((rows, dim))  # refilled in place: the same stream as fresh blocks
+        ones = np.ones(rows)  # ones @ block sums columns faster than .sum(0)
+        while True:
+            with lock:
+                if not waiting:
+                    return
+                index = waiting.popleft()
+            try:
+                if rngs[index] is None:
+                    rngs[index] = np.random.default_rng(seeds[index])
+                block = rngs[index].standard_normal(out=buf[:min(rows, n_samples - drawn[index])])
+                sums[index] += ones[:len(block)] @ block
+                grams[index] += block.T @ block
+            except Exception as exc:  # re-raised in the calling thread
+                with lock:
+                    errors[index] = exc
+                    cancel(index)
+                continue
+            drawn[index] += len(block)
+            with lock:
+                if drawn[index] < n_samples and index < stop:
+                    waiting.append(index)
+
+    threads = [threading.Thread(target=run) for _ in range(1, workers)]
     for thread in threads:
         thread.start()
     try:
-        run(0)
+        run()
+    except BaseException:  # an interrupt: the other threads end after their current block
+        with lock:
+            cancel(0)
+        raise
     finally:
         for thread in threads:
             thread.join()
     if errors:
         raise errors[min(errors)]
-    return out
+    mean = sums / n_samples
+    return (grams - n_samples * (mean[:, :, None] * mean[:, None, :])) / (n_samples - 1)
 
 
 def _variances(cov: np.ndarray) -> np.ndarray:
@@ -271,9 +302,11 @@ def reconstruct_trials(
     """Repeat sample -> measure -> reconstruct -> steering, then aggregate.
 
     Only the sampling runs per trial: each trial streams its sample
-    covariance (as :func:`sample_covariance` does), so no sample table is
-    ever held.  Trials are sampled on up to one thread per usable CPU, and
-    the results do not depend on the number of threads.  Measuring the 18
+    covariance through the same sampler as :func:`sample_covariance`, so no
+    sample table is ever held.  Up to one thread per usable CPU draws the
+    trials block by block from a shared queue, so the threads finish within
+    one block of each other, and the results do not depend on the number of
+    threads.  Measuring the 18
     variances, the reconstruction, the rejection floor and the steering
     values then run once over the stack of all trials; every value equals
     that of the trial computed alone.

@@ -8,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+from ghz_steering import cli
 from ghz_steering.cli import DEFAULT_GRID, SWEEP_COLUMNS, main
+from ghz_steering.symplectic import PHYSICALITY_TOL
 
 R = 0.339
 
@@ -229,6 +231,10 @@ class TestCheck:
         names = {line.split()[1].rstrip(":") for line in out.splitlines()}
         assert names == {"physicality", "one-to-one-nullity", "pure-state-symmetry", "monogamy"}
 
+    def test_exact_pure_state_at_r_5_passes_physicality(self, capsys):
+        _, out, _ = run(capsys, ["check", "--r", "5"])
+        assert out.splitlines()[0] == "PASS physicality: min symplectic eigenvalue 1 vs floor 1"
+
     def test_unreachable_floor_fails(self, capsys):
         rc, out, err = run(capsys, ["check", "--nu-floor", "1.5"])
         assert rc == 4
@@ -269,11 +275,29 @@ def test_numerical_failure_exits_2(capsys, argv):
     assert "steering party block not invertible" in err
 
 
-def test_unphysical_row_before_a_numerical_failure_is_reported(capsys):
-    # rows fail in grid order: here the pure state at eta = 1 comes first
+def test_unphysical_row_before_a_numerical_failure_is_reported(capsys, monkeypatch):
+    # rows fail in grid order: here the pure state at eta = 1 comes first.
+    # Built states pass the condition-aware floor, so the fixed floor stands
+    # in for it; under that floor round-off makes the r = 8 row unphysical.
+    monkeypatch.setattr(cli, "physicality_floor",
+                        lambda states, nu_min: np.full_like(nu_min, 1 - PHYSICALITY_TOL))
     rc, _, err = run(capsys, ["sweep", "--r", "8", "--grid", "1,0.5"])
     assert rc == 2
     assert "state at eta=1.0 violates the uncertainty relation" in err
+
+
+@pytest.mark.parametrize("argv", [["build", "--r", "6"], ["sweep", "--r", "6"]])
+def test_exact_pure_states_at_large_squeezing_are_physical(capsys, argv):
+    # min nu - 1 = -1.9e-7 from round-off, within eps * kappa = 5.9e-6
+    rc, out, err = run(capsys, argv)
+    assert rc == 0
+    assert out and err == ""
+
+
+def test_an_explicit_tolerance_still_rejects_round_off(capsys):
+    rc, _, err = run(capsys, ["build", "--r", "6", "--tol-phys", "1e-9"])
+    assert rc == 2
+    assert "uncertainty" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghz_steering import CovarianceMatrix, GhzConfig, NumericalError, build_state, build_states
+from ghz_steering import symplectic
 from ghz_steering.network import build_ghz
 from ghz_steering.symplectic import (
+    PHYSICALITY_TOL,
     Partition,
     is_physical,
+    physicality_floor,
     purity,
     quadrature_indices,
     reduce_modes,
@@ -241,7 +244,7 @@ class TestIsPhysical:
         assert not is_physical(CovarianceMatrix(np.diag([1.0, -1.0])))
 
     def test_pure_states_up_to_r_4_are_physical(self):
-        # pins the verdict at the default tolerance; from r = 4.23 on,
+        # pins the verdict where the fixed floor holds; from r = 4.23 on,
         # round-off pushes min nu below 1 - PHYSICALITY_TOL
         for k in range(401):
             r = k / 100
@@ -253,6 +256,36 @@ class TestIsPhysical:
                                            *rng.uniform(0.0, 1.0, (3, 200))):
             config = GhzConfig(r1=r1, r2=r2, r3=r3, t1=t1, t2=t2, eta=eta)
             assert is_physical(build_state(config)), config
+
+    def test_pure_states_up_to_r_8_are_physical_within_round_off(self):
+        # the round-off of min nu stays below eps * kappa / 10 on these states,
+        # and the condition-aware floor admits eps * kappa
+        for k in range(81):
+            r = 4 + k / 20
+            assert is_physical(build_state(GhzConfig(r1=r, r2=r, r3=r))), r
+
+    def test_an_explicit_tolerance_overrides_the_condition_aware_floor(self):
+        state = build_state(GhzConfig(r1=6, r2=6, r3=6))
+        assert is_physical(state)
+        assert not is_physical(state, tol=PHYSICALITY_TOL)
+
+    def test_a_well_conditioned_state_below_the_fixed_floor_is_unphysical(self):
+        # at r = 0.339 kappa is about 4, so the floor stays 1 - PHYSICALITY_TOL
+        state = CovarianceMatrix((1 - 1e-6) * build_state(GhzConfig(r1=R, r2=R, r3=R)).matrix)
+        assert symplectic_eigenvalues(state).min() == pytest.approx(1 - 1e-6, abs=1e-12)
+        assert physicality_floor(state.matrix, 1 - 1e-6) == 1 - PHYSICALITY_TOL
+        assert not is_physical(state)
+
+    def test_rows_above_the_fixed_floor_need_no_condition_number(self, monkeypatch):
+        states = build_states(GhzConfig(), np.linspace(0.0, 1.0, 21))
+        nu_min = symplectic_eigenvalues(states).min(axis=-1)
+
+        def no_eigvalsh(m):
+            raise AssertionError("condition number computed")
+
+        monkeypatch.setattr(symplectic, "_eigvalsh", no_eigvalsh)
+        assert np.array_equal(physicality_floor(states, nu_min),
+                              np.full(21, 1 - PHYSICALITY_TOL))
 
     def test_tolerance_is_respected(self):
         slightly_off = CovarianceMatrix((1 - 1e-6) * np.eye(2))

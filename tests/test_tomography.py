@@ -2,8 +2,11 @@
 
 import math
 import os
+import sys
 import threading
+import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -349,8 +352,54 @@ def worker_counts(n_trials):
     return [1, 2, 3, n_trials + 2]
 
 
+def streamed_reference(n_samples, dim, seed):
+    """cov(Z) of n_samples standard-normal rows Z, summed block by block in stream order."""
+    rng = np.random.default_rng(seed)
+    sums, gram = np.zeros(dim), np.zeros((dim, dim))
+    for start in range(0, n_samples, _BLOCK_ROWS):
+        block = rng.standard_normal((min(_BLOCK_ROWS, n_samples - start), dim))
+        sums += np.ones(len(block)) @ block
+        gram += block.T @ block
+    mean = sums / n_samples
+    return (gram - n_samples * np.outer(mean, mean)) / (n_samples - 1)
+
+
+class LoggedGenerator(np.random.Generator):
+    """The stream of default_rng(seed), logging each block as (trial, thread, rows, alone).
+
+    Each block is held open for `hold` seconds so that threads interleave;
+    `alone` is False when another thread was inside this generator at the
+    same time.  hook(trial, block number) runs before each block and may raise.
+    """
+
+    def __init__(self, trial, seed, log, hold=0.005, hook=None):
+        super().__init__(np.random.PCG64(seed))
+        self.trial, self.log, self.hold, self.hook = trial, log, hold, hook
+        self.blocks = 0
+        self.inside = threading.Lock()
+
+    def standard_normal(self, *args, **kwargs):
+        alone = self.inside.acquire(blocking=False)
+        try:
+            self.log.append((self.trial, threading.current_thread(), len(kwargs["out"]), alone))
+            block, self.blocks = self.blocks, self.blocks + 1
+            if self.hook is not None:
+                self.hook(self.trial, block)
+            time.sleep(self.hold)
+            return super().standard_normal(*args, **kwargs)
+        finally:
+            if alone:
+                self.inside.release()
+
+
+def logged_generators(n_trials, seed, log, **kwargs):
+    """One LoggedGenerator per child seed that reconstruct_trials would spawn."""
+    children = np.random.SeedSequence(seed).spawn(n_trials)
+    return [LoggedGenerator(trial, child, log, **kwargs) for trial, child in enumerate(children)]
+
+
 class TestConcurrentSampling:
-    """Trials are sampled on up to one thread per usable CPU."""
+    """Trials are sampled block by block on up to one thread per usable CPU."""
 
     @pytest.mark.parametrize("cm, n, trials, seed", [
         (build_state(GhzConfig()), 20_000, 3, 7),  # 2 full blocks plus 3616 rows
@@ -374,47 +423,76 @@ class TestConcurrentSampling:
                 reconstruct_trials(cm, n_samples=1000, n_trials=3, seed=4)
             assert str(exc.value) == expected_too_few_message(nu_mins, accepted)
 
-    @pytest.mark.parametrize("workers, groups", [
-        (1, [[0, 1, 2, 3, 4]]),  # the calling thread alone
-        (2, [[0, 2, 4], [1, 3]]),
-        (3, [[0, 3], [1, 4], [2]]),
-        (7, [[0], [1], [2], [3], [4]]),
-    ])
-    def test_each_worker_thread_takes_a_strided_group(self, monkeypatch, workers, groups):
-        real = tomography._normal_covariance
-        trial = {child.spawn_key: index
-                 for index, child in enumerate(np.random.SeedSequence(1).spawn(5))}
-        taken = {}
-
-        def recording(n_samples, dim, seed):
-            taken.setdefault(threading.current_thread(), []).append(trial[seed.spawn_key])
-            return real(n_samples, dim, seed)
-
-        monkeypatch.setattr(tomography, "_usable_cpus", lambda: workers)
-        monkeypatch.setattr(tomography, "_normal_covariance", recording)
-        reconstruct_trials(build_state(GhzConfig()), n_samples=2000, n_trials=5, seed=1)
-        assert taken[threading.current_thread()] == groups[0]
-        assert sorted(taken.values()) == groups
+    def test_two_threads_share_every_trial_block_by_block(self, monkeypatch):
+        # 12 blocks per trial: each round of two blocks hands a thread another
+        # trial, so a thread that never meets one trial needs ~18 lucky rounds
+        log = []
+        monkeypatch.setattr(tomography, "_usable_cpus", lambda: 2)
+        tomography._normal_covariances(12 * _BLOCK_ROWS, 6,
+                                       logged_generators(3, 1, log, hold=0.002))
+        drawers = {trial: {thread for t, thread, *_ in log if t == trial} for trial in range(3)}
+        assert all(len(threads) == 2 for threads in drawers.values()), drawers
 
     @pytest.mark.parametrize("workers", worker_counts(4))
-    def test_errors_propagate_and_no_thread_is_left(self, monkeypatch, workers):
-        # trials 1 and 2 fail; the first in trial order is the one raised
-        real = tomography._normal_covariance
-        failing = {child.spawn_key: index
-                   for index, child in enumerate(np.random.SeedSequence(5).spawn(4))
-                   if index in (1, 2)}
-
-        def flaky(n_samples, dim, seed):
-            if seed.spawn_key in failing:
-                raise FloatingPointError(f"trial {failing[seed.spawn_key]} failed")
-            return real(n_samples, dim, seed)
-
+    def test_a_trial_is_drawn_by_one_thread_at_a_time_in_stream_order(self, monkeypatch, workers):
+        n = 3 * _BLOCK_ROWS + 7
+        log = []
         monkeypatch.setattr(tomography, "_usable_cpus", lambda: workers)
-        monkeypatch.setattr(tomography, "_normal_covariance", flaky)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            got = tomography._normal_covariances(n, 6, logged_generators(4, 2, log, hold=0.001))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(alone for *_, alone in log)
+        for trial, child in enumerate(np.random.SeedSequence(2).spawn(4)):
+            assert [rows for t, _, rows, _ in log if t == trial] == [_BLOCK_ROWS] * 3 + [7]
+            assert got[trial].tobytes() == streamed_reference(n, 6, child).tobytes()
+
+    @pytest.mark.parametrize("workers", worker_counts(4))
+    def test_the_first_failure_in_trial_order_propagates(self, monkeypatch, workers):
+        # trial 2 fails on its first block and trial 1 on its second;
+        # the sequential loop would raise trial 1's error
+        def hook(trial, block):
+            if (trial, block) in ((1, 1), (2, 0)):
+                raise FloatingPointError(f"trial {trial} failed")
+
+        log = []
+        monkeypatch.setattr(tomography, "_usable_cpus", lambda: workers)
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match=r"^trial 1 failed$"):
-            reconstruct_trials(build_state(GhzConfig()), n_samples=2000, n_trials=4, seed=5)
+            tomography._normal_covariances(5 * _BLOCK_ROWS, 6,
+                                           logged_generators(4, 5, log, hook=hook))
         assert threading.active_count() == before
+        blocks = Counter(trial for trial, *_ in log)
+        assert blocks[0] == 5  # runs on: it could still fail first in trial order
+        assert blocks[3] <= 1  # no longer scheduled once trial 2 has failed
+
+    @pytest.mark.parametrize("workers", [2, 3, 6])
+    def test_an_interrupt_stops_the_other_threads_within_one_block(self, monkeypatch, workers):
+        caller = threading.current_thread()
+        caller_blocks, late = [], []
+
+        def hook(trial, block):
+            if threading.current_thread() is not caller:
+                if caller_blocks and caller_blocks[-1] == "interrupted":
+                    late.append(threading.current_thread())
+                return
+            caller_blocks.append(trial)
+            if len(caller_blocks) == 2:
+                caller_blocks.append("interrupted")
+                raise KeyboardInterrupt
+
+        log = []
+        monkeypatch.setattr(tomography, "_usable_cpus", lambda: workers)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            tomography._normal_covariances(5 * _BLOCK_ROWS, 6,
+                                           logged_generators(4, 6, log, hook=hook))
+        assert threading.active_count() == before
+        # a block in progress is finished; at most one more can start before the queue empties
+        assert all(count <= 1 for count in Counter(late).values()), late
+        assert len(log) < 4 * 5
 
     def test_usable_cpus_follows_the_affinity_mask(self):
         assert tomography._usable_cpus() == len(os.sched_getaffinity(0))
