@@ -8,7 +8,7 @@ collective steering ability.  Writes a CSV and prints a short summary.
 import argparse
 import csv
 
-from ghz_steering import DIRECTIONS, GhzConfig, find_threshold, sweep_eta
+from ghz_steering import DIRECTIONS, GhzConfig, build_states, find_threshold, steering_stack
 from ghz_steering.network import r_to_squeezing_db
 
 
@@ -21,21 +21,22 @@ def main() -> None:
 
     cfg = GhzConfig(r1=args.r, r2=args.r, r3=args.r)
     etas = [k / (args.steps - 1) for k in range(args.steps)]
-    points = sweep_eta(cfg, etas)
+    g = steering_stack(build_states(cfg, etas)).tolist()  # row k: G of DIRECTIONS at etas[k]
 
     with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["eta", *DIRECTIONS])
-        for p in points:
-            writer.writerow([p.eta, *(p.report.g[d] for d in DIRECTIONS)])
+        for eta, row in zip(etas, g):
+            writer.writerow([eta, *row])
 
     eta_star = find_threshold(cfg, "A->BC", tol=1e-5)
     print(f"r = {args.r} ({r_to_squeezing_db(args.r):.3f} dB)")
     print(f"A->BC activates at eta = {eta_star:.6f}")
-    window = [p.eta for p in points if p.report.g["A->BC"] == 0 and p.report.g["BC->A"] > 0]
+    fwd, rev = DIRECTIONS.index("A->BC"), DIRECTIONS.index("BC->A")
+    window = [eta for eta, row in zip(etas, g) if row[fwd] == 0 and row[rev] > 0]
     if window:
         print(f"one-way window on the grid: eta in [{min(window)}, {max(window)}]")
-    print(f"wrote {args.output} ({len(points)} rows)")
+    print(f"wrote {args.output} ({len(g)} rows)")
 
 
 if __name__ == "__main__":

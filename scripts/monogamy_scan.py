@@ -3,7 +3,7 @@
 import argparse
 import sys
 
-from ghz_steering import RESIDUAL_KEYS, GhzConfig, sweep_eta
+from ghz_steering import RESIDUAL_KEYS, GhzConfig, build_states, monogamy_stack, steering_stack
 
 
 def main() -> int:
@@ -17,10 +17,9 @@ def main() -> int:
     violations = 0
     etas = [k / (args.eta_steps - 1) for k in range(args.eta_steps)]
     for r in args.r_values:
-        for point in sweep_eta(GhzConfig(r1=r, r2=r, r3=r), etas):
-            eta, res = point.eta, point.residuals.residuals
-            for key in RESIDUAL_KEYS:
-                value = res[key]
+        residuals = monogamy_stack(steering_stack(build_states(GhzConfig(r1=r, r2=r, r3=r), etas)))
+        for eta, res in zip(etas, residuals.tolist()):
+            for key, value in zip(RESIDUAL_KEYS, res):
                 if value < worst[0]:
                     worst = (value, (r, eta, key))
                 if value < -args.tol:

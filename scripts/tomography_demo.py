@@ -21,7 +21,7 @@ def main() -> None:
     args = ap.parse_args()
 
     state = build_state(GhzConfig(eta=args.eta))
-    analytic = steering_report(state).g
+    analytic = steering_report(state)
     print("direction  " + "".join(f"{f'n={n}':>22}" for n in args.sizes) + f"{'analytic':>14}")
 
     rows = {d: [] for d in SHOW}

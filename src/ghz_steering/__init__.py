@@ -15,9 +15,9 @@ from .steering import (
     RESIDUAL_KEYS,
     find_threshold,
     monogamy_residuals,
+    monogamy_stack,
     steering_report,
     steering_stack,
-    sweep_eta,
 )
 from .symplectic import CovarianceMatrix, NumericalError
 from .tomography import reconstruct_trials
@@ -34,8 +34,8 @@ __all__ = [
     "build_states",
     "find_threshold",
     "monogamy_residuals",
+    "monogamy_stack",
     "reconstruct_trials",
     "steering_report",
     "steering_stack",
-    "sweep_eta",
 ]

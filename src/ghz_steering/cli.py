@@ -1,7 +1,7 @@
 """Command-line front end: build states, sweep loss, simulate tomography, self-check.
 
 Exit codes: 0 success, 2 unphysical state or numerical failure, 3
-argument/parse error, 4 check-suite failure.  Output is CSV or JSON;
+argument/parse error or unwritable output, 4 check-suite failure.  Output is CSV or JSON;
 identical configurations (including seeds) produce byte-identical files, and
 files are written atomically (temp file then rename).  If the environment
 variable GHZ_STEERING_OUTDIR is set, relative output paths land inside it.
@@ -27,7 +27,8 @@ from .network import (
     correlation_variance,
     squeezing_db_to_r,
 )
-from .steering import DIRECTIONS, STEERING_EPS, steering_report, sweep_eta
+from .steering import (DIRECTIONS, RESIDUAL_KEYS, STEERING_EPS, monogamy_stack,
+                       steering_report, steering_stack)
 from .symplectic import (
     NumericalError,
     is_physical,
@@ -51,7 +52,7 @@ EXIT_CHECK_FAILED = 4
 SWEEP_COLUMNS: tuple[str, ...] = (
     "eta",
     *[f"G_{label.replace('->', 'to')}" for label in DIRECTIONS],
-    "res_A_out", "res_A_in", "res_B_out", "res_B_in", "res_C_out", "res_C_in",
+    *[f"res_{key}" for key in RESIDUAL_KEYS],
 )
 
 # The headline second-moment combinations reported by `build`.
@@ -82,14 +83,20 @@ def _resolve_output(path_arg: str | None) -> Path | None:
 
 
 def _emit(text: str, path: Path | None) -> None:
-    """Write to stdout, or atomically to path (write temp file, then rename)."""
+    """Write to stdout, or atomically to path (temp file, then rename); ValueError if unwritable."""
     if path is None:
         sys.stdout.write(text)
         return
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)  # already gone after the rename
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _config_from_args(args: argparse.Namespace, eta: float | None = None) -> GhzConfig:
@@ -204,26 +211,32 @@ def cmd_build(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _physicality(states: np.ndarray, nu_floor: float | None = None):
+    """Each state's smallest symplectic eigenvalue and physicality floor (nu_floor if given)."""
+    nu_min = symplectic_eigenvalues(states).min(axis=1)
+    floor = (physicality_floor(states, nu_min) if nu_floor is None
+             else np.full_like(nu_min, nu_floor))
+    return nu_min, floor
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     states = build_states(config, args.grid)
-    nu_min = symplectic_eigenvalues(states).min(axis=1)
-    unphysical = np.flatnonzero(~(nu_min >= physicality_floor(states, nu_min)))
+    nu_min, floor = _physicality(states)
+    unphysical = np.flatnonzero(~(nu_min >= floor))
     # Rows fail in grid order: the rows before the first unphysical eta are
-    # swept first, so a numerical failure among them is the error reported.
+    # evaluated first, so a numerical failure among them is the error reported.
     stop = unphysical[0] if unphysical.size else len(args.grid)
-    points = sweep_eta(config, args.grid[:stop])
+    g = steering_stack(states[:stop])
     if unphysical.size:
         print(f"error: state at eta={args.grid[stop]} violates the uncertainty relation",
               file=sys.stderr)
         return EXIT_UNPHYSICAL
-    rows = [(p.eta, p.report, p.residuals) for p in points]
+    rows = list(zip(args.grid, g.tolist(), monogamy_stack(g).tolist()))
 
     if args.format == "csv":
         lines = [",".join(SWEEP_COLUMNS)]
-        for eta, report, residuals in rows:
-            values = [eta, *report.g.values(), *residuals.residuals.values()]
-            lines.append(",".join(_fmt(v) for v in values))
+        lines += [",".join(_fmt(v) for v in (eta, *g_row, *res)) for eta, g_row, res in rows]
         text = "\n".join(lines) + "\n"
     else:
         doc = {
@@ -231,8 +244,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "command": "sweep",
             "config": asdict(config),
             "rows": [
-                {"eta": eta, "g": report.g, "residuals": residuals.residuals}
-                for eta, report, residuals in rows
+                {"eta": eta, "g": dict(zip(DIRECTIONS, g_row)),
+                 "residuals": dict(zip(RESIDUAL_KEYS, res))}
+                for eta, g_row, res in rows
             ],
         }
         text = json.dumps(doc, indent=2) + "\n"
@@ -246,7 +260,7 @@ def cmd_tomo(args: argparse.Namespace) -> int:
     if not is_physical(state):
         print("error: constructed state violates the uncertainty relation", file=sys.stderr)
         return EXIT_UNPHYSICAL
-    analytic = steering_report(state, eta=config.eta)
+    analytic = steering_report(state)
     try:
         stats = reconstruct_trials(state, n_samples=args.samples, n_trials=args.trials,
                                    seed=args.seed)
@@ -254,17 +268,10 @@ def cmd_tomo(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNPHYSICAL
 
-    trials_doc = []
-    accepted = set(stats.accepted)
-    report_by_trial = dict(zip(stats.accepted, stats.reports))
-    for index in range(stats.n_trials):
-        entry = {
-            "trial": index,
-            "accepted": index in accepted,
-            "min_symplectic_eigenvalue": stats.min_symplectic_eigenvalues[index],
-            "g": report_by_trial[index].g if index in accepted else None,
-        }
-        trials_doc.append(entry)
+    g_by_trial = dict(zip(stats.accepted, stats.g.tolist()))
+    trials_doc = [{"trial": index, "accepted": index in g_by_trial, "min_symplectic_eigenvalue": nu,
+                   "g": dict(zip(DIRECTIONS, g_by_trial[index])) if index in g_by_trial else None}
+                  for index, nu in enumerate(stats.min_symplectic_eigenvalues)]
 
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -279,7 +286,7 @@ def cmd_tomo(args: argparse.Namespace) -> int:
             "min_symplectic_eigenvalue_floor": REJECT_NU_FLOOR,
             "note": "trials reconstructing below the floor are excluded; no repair applied",
         },
-        "analytic": analytic.g,
+        "analytic": analytic,
         "trials": trials_doc,
         "mean": stats.mean,
         "std": stats.std,
@@ -291,31 +298,20 @@ def cmd_tomo(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     grid = _parse_grid(DEFAULT_GRID)
-    points = sweep_eta(config, grid)
-
-    checks: list[tuple[str, bool, str]] = []
-
     states = build_states(config, grid)
-    nu_min = symplectic_eigenvalues(states).min(axis=1)
-    floor = (physicality_floor(states, nu_min) if args.nu_floor is None
-             else np.full_like(nu_min, args.nu_floor))
+    g = steering_stack(states)  # before physicality: its numerical failures come first
+    nu_min, floor = _physicality(states, args.nu_floor)
     worst = np.argmin(nu_min - floor)  # the row with the least margin
-    checks.append(("physicality", bool(np.all(nu_min >= floor)),
-                   f"min symplectic eigenvalue {nu_min[worst]:.6g} vs floor {floor[worst]:.6g}"))
-
-    reports = [p.report for p in points]
-    worst_pair = max(rep.g[lab] for rep in reports for lab in DIRECTIONS[:6])
-    checks.append(("one-to-one-nullity", worst_pair <= STEERING_EPS,
-                   f"max pairwise G {worst_pair:.3g}"))
-
-    pure = reports[-1]  # eta = 1
-    asym = max(abs(pure.g[a] - pure.g[b]) for a, b in zip(DIRECTIONS[6::2], DIRECTIONS[7::2]))
-    checks.append(("pure-state-symmetry", asym <= 1e-9,
-                   f"max |G(X->Y) - G(Y->X)| at eta=1: {asym:.3g}"))
-
-    worst_res = min(min(p.residuals.residuals.values()) for p in points)
-    checks.append(("monogamy", worst_res >= -1e-10, f"min residual {worst_res:.3g}"))
-
+    worst_pair = g[:, :6].max()  # DIRECTIONS[:6] are the one-to-one directions
+    asym = np.abs(g[-1, 6::2] - g[-1, 7::2]).max()  # eta = 1: G(X->YZ) against G(YZ->X)
+    worst_res = monogamy_stack(g).min()
+    checks = [
+        ("physicality", bool(np.all(nu_min >= floor)),
+         f"min symplectic eigenvalue {nu_min[worst]:.6g} vs floor {floor[worst]:.6g}"),
+        ("one-to-one-nullity", worst_pair <= STEERING_EPS, f"max pairwise G {worst_pair:.3g}"),
+        ("pure-state-symmetry", asym <= 1e-9, f"max |G(X->Y) - G(Y->X)| at eta=1: {asym:.3g}"),
+        ("monogamy", worst_res >= -1e-10, f"min residual {worst_res:.3g}"),
+    ]
     failed = [name for name, ok, _ in checks if not ok]
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")

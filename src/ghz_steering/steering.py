@@ -1,4 +1,4 @@
-"""Gaussian EPR steering: directed quantifiers, monogamy residuals, loss sweeps.
+"""Gaussian EPR steering: directed quantifiers, monogamy residuals, loss thresholds.
 
 The quantifier for a directed bipartition is computed from the symplectic
 spectrum of the steered party's conditional covariance (Schur complement):
@@ -6,16 +6,17 @@ G = max(0, -sum of ln(nu) over conditional symplectic eigenvalues nu < 1).
 G > 0 certifies steering under Gaussian measurements; the direction matters.
 This is the Gaussian steerability of Kogias, Lee, Ragy and Adesso (PRL 114,
 060403, 2015).  :func:`steering_stack` evaluates all 12 directions of a
-three-mode state for a whole stack of states at once.
+three-mode state for a whole stack of states at once, as a (K, 12) array,
+and :func:`monogamy_stack` turns that array into the (K, 6) monogamy
+residuals.  :func:`steering_report` and :func:`monogamy_residuals` give the
+same values for one state as dicts in canonical key order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .network import MODE_NAMES, GhzConfig, build_ghz, build_states, lossy_stack
+from .network import MODE_NAMES, GhzConfig, build_ghz, lossy_stack
 from .symplectic import (
     CovarianceMatrix,
     Partition,
@@ -145,82 +146,38 @@ def steering_stack(states: np.ndarray) -> np.ndarray:
     return _quantifier(nus)[:, _TO_DIRECTIONS]
 
 
-@dataclass(frozen=True)
-class SteeringReport:
-    """All 12 directed steering values of a three-mode state.
-
-    eta records the channel efficiency the state was built with, when known.
-    """
-
-    g: dict[str, float]
-    eta: float | None = None
-
-    def __post_init__(self) -> None:
-        if tuple(self.g.keys()) != DIRECTIONS:
-            raise ValueError("report must contain exactly the 12 canonical directions, in order")
-
-
-@dataclass(frozen=True)
-class MonogamyReport:
-    """The six residuals of the pairwise-vs-collective steering inequalities."""
-
-    residuals: dict[str, float]
-
-    def __post_init__(self) -> None:
-        if tuple(self.residuals.keys()) != RESIDUAL_KEYS:
-            raise ValueError("residuals must contain exactly the six canonical keys, in order")
-
-
-def steering_report(cm: CovarianceMatrix, eta: float | None = None) -> SteeringReport:
-    """Evaluate the quantifier for every directed bipartition of a 3-mode state."""
+def steering_report(cm: CovarianceMatrix) -> dict[str, float]:
+    """G of every directed bipartition of a three-mode state, keyed in DIRECTIONS order."""
     if cm.n_modes != 3:
         raise ValueError("steering report is defined for three-mode states")
-    return SteeringReport(g=dict(zip(DIRECTIONS, steering_stack(cm.matrix[None])[0].tolist())),
-                          eta=eta)
+    return dict(zip(DIRECTIONS, steering_stack(cm.matrix[None])[0].tolist()))
 
 
-def residuals_from_report(report: SteeringReport) -> MonogamyReport:
-    """Monogamy residuals from an existing report; all must be >= 0 for GHZ states."""
-    g = report.g
-    res = {
-        "A_out": g["A->BC"] - g["A->B"] - g["A->C"],
-        "A_in": g["BC->A"] - g["B->A"] - g["C->A"],
-        "B_out": g["B->AC"] - g["B->A"] - g["B->C"],
-        "B_in": g["AC->B"] - g["A->B"] - g["C->B"],
-        "C_out": g["C->AB"] - g["C->A"] - g["C->B"],
-        "C_in": g["AB->C"] - g["A->C"] - g["B->C"],
-    }
-    return MonogamyReport(residuals=res)
+# Row k holds the columns of G(collective), G(pair 1) and G(pair 2) of the
+# residual RESIDUAL_KEYS[k]: for mode m, steering out of m or into m.
+_RESIDUALS = np.array([[DIRECTIONS.index(label) for label in terms] for terms in (
+    ("A->BC", "A->B", "A->C"), ("BC->A", "B->A", "C->A"),
+    ("B->AC", "B->A", "B->C"), ("AC->B", "A->B", "C->B"),
+    ("C->AB", "C->A", "C->B"), ("AB->C", "A->C", "B->C"),
+)])
 
 
-def monogamy_residuals(cm: CovarianceMatrix) -> MonogamyReport:
-    """Monogamy residuals of a three-mode state."""
-    return residuals_from_report(steering_report(cm))
+def monogamy_stack(g: np.ndarray) -> np.ndarray:
+    """Monogamy residuals of steering_stack output: shape (..., 12) -> (..., 6).
 
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One efficiency point of a loss sweep."""
-
-    eta: float
-    report: SteeringReport
-    residuals: MonogamyReport
-
-
-def sweep_eta(config: GhzConfig, etas: list[float] | tuple[float, ...] | np.ndarray) -> list[SweepPoint]:
-    """Steering report and monogamy residuals for each channel efficiency.
-
-    The eta field of config is overridden point by point; the squeezing and
-    the network are held fixed.  All points are one :func:`steering_stack`
-    call.
+    Column k is RESIDUAL_KEYS[k]: G(collective) - G(pair 1) - G(pair 2),
+    e.g. A_out = G(A->BC) - G(A->B) - G(A->C).  All are >= 0 for GHZ states.
     """
-    etas = [float(eta) for eta in etas]
-    g = steering_stack(build_states(config, etas))
-    points = []
-    for eta, row in zip(etas, g.tolist()):
-        report = SteeringReport(g=dict(zip(DIRECTIONS, row)), eta=eta)
-        points.append(SweepPoint(eta=eta, report=report, residuals=residuals_from_report(report)))
-    return points
+    g = np.asarray(g, dtype=float)
+    if g.shape[-1:] != (len(DIRECTIONS),):
+        raise ValueError(f"expected G of the 12 directions on the last axis, got shape {g.shape}")
+    return g[..., _RESIDUALS[:, 0]] - g[..., _RESIDUALS[:, 1]] - g[..., _RESIDUALS[:, 2]]
+
+
+def monogamy_residuals(cm: CovarianceMatrix) -> dict[str, float]:
+    """Monogamy residuals of a three-mode state, keyed in RESIDUAL_KEYS order."""
+    g = list(steering_report(cm).values())
+    return dict(zip(RESIDUAL_KEYS, monogamy_stack(g).tolist()))
 
 
 def find_threshold(config: GhzConfig, direction: str, tol: float = 1e-4) -> float:

@@ -16,7 +16,8 @@ another finishes the last trials.  Each trial keeps its own seeded stream
 and is drawn by one thread at a time, in order, so the results do not
 depend on the number of threads.  Measuring, reconstruction, the rejection
 floor and the steering values then run once over the (K, 6, 6) stack of all
-trials.
+trials, and :class:`TrialStatistics` keeps that stack and the (n_accepted, 12)
+steering values as arrays.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from itertools import combinations
 import numpy as np
 
 from .network import MODE_NAMES, combo_vector
-from .steering import DIRECTIONS, SteeringReport, steering_stack
+from .steering import DIRECTIONS, steering_stack
 from .steering import steering_report  # noqa: F401 -- not called; the benchmark traces this name
 from .symplectic import CovarianceMatrix, symmetric_part, symplectic_eigenvalues
 
@@ -272,19 +273,21 @@ def _covariance_from_variances(var: np.ndarray) -> np.ndarray:
 class TrialStatistics:
     """Aggregated reconstruction trials.
 
-    matrices and min_symplectic_eigenvalues cover every trial in order;
-    accepted lists the indices that passed the physicality floor, and reports
-    aligns with accepted.  mean and std (sample, ddof=1) run over accepted
-    trials only, keyed by steering direction.
+    matrices, the read-only (n_trials, 6, 6) stack of reconstructed
+    covariance matrices, and min_symplectic_eigenvalues cover every trial in
+    order.  accepted lists the indices that passed the physicality floor; g,
+    of shape (len(accepted), 12), holds their steering values in the same
+    order, column k for DIRECTIONS[k].  mean and std (sample, ddof=1) run
+    over accepted trials only, keyed by steering direction.
     """
 
     n_samples: int
     n_trials: int
     seed: int
-    matrices: tuple[CovarianceMatrix, ...]
+    matrices: np.ndarray
     min_symplectic_eigenvalues: tuple[float, ...]
     accepted: tuple[int, ...]
-    reports: tuple[SteeringReport, ...]
+    g: np.ndarray
     mean: dict[str, float]
     std: dict[str, float]
 
@@ -334,8 +337,8 @@ def reconstruct_trials(
         raise ValueError("covariance matrix entries must be finite")
     variances = _variances(symmetric_part(sampled))
     _check_variances(variances)
-    matrices = tuple(CovarianceMatrix(m) for m in _covariance_from_variances(variances))
-    stack = np.array([m.matrix for m in matrices])
+    stack = _covariance_from_variances(variances)
+    stack.flags.writeable = False
 
     nu_min = np.zeros(n_trials)  # stays 0 where a matrix is not positive definite
     definite = np.linalg.eigvalsh(stack).min(axis=-1) > 0
@@ -357,10 +360,10 @@ def reconstruct_trials(
         n_samples=n_samples,
         n_trials=n_trials,
         seed=seed,
-        matrices=matrices,
+        matrices=stack,
         min_symplectic_eigenvalues=tuple(nu_min.tolist()),
         accepted=tuple(accepted.tolist()),
-        reports=tuple(SteeringReport(g=dict(zip(DIRECTIONS, row))) for row in values.tolist()),
+        g=values,
         mean=mean,
         std=std,
     )

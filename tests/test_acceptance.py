@@ -145,7 +145,7 @@ def test_5_monogamy_residuals_stay_non_negative():
     for r in (0.1, R, 0.8):
         for eta in ETA_GRID:
             cfg = GhzConfig(r1=r, r2=r, r3=r, eta=eta)
-            res = monogamy_residuals(build_state(cfg)).residuals
+            res = monogamy_residuals(build_state(cfg))
             bad = {k: v for k, v in res.items() if v < -1e-10}
             if bad:
                 failures.append(f"r={r} eta={eta}: {bad}")
@@ -177,7 +177,7 @@ def test_6_reconstruction_recovers_steering_within_error_bars():
     if stats.accepted != (0, 1, 2):
         failures.append(f"trials rejected unexpectedly: accepted={stats.accepted}")
     for direction in DIRECTIONS:
-        diff = abs(stats.mean[direction] - analytic.g[direction])
+        diff = abs(stats.mean[direction] - analytic[direction])
         spread = stats.std[direction]
         if spread == 0.0:
             if diff > 1e-12:

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from ghz_steering import cli
+from ghz_steering import build_states, cli, network
+from ghz_steering.network import build_ghz
 from ghz_steering.cli import DEFAULT_GRID, SWEEP_COLUMNS, main
 from ghz_steering.symplectic import PHYSICALITY_TOL
 
@@ -264,6 +265,63 @@ class TestOutputResolution:
         rc, _, _ = run(capsys, ["build", "--output", str(target)])
         assert rc == 0
         assert target.exists()
+
+
+class TestUnwritableOutput:
+    COMMANDS = [["build"], ["sweep"], ["tomo", "--samples", "2000"]]
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_a_directory_target_is_a_usage_error(self, capsys, tmp_path, argv):
+        target = tmp_path / "taken"
+        target.mkdir()
+        rc, out, err = run(capsys, [*argv, "--output", str(target)])
+        assert rc == 3
+        assert out == ""
+        assert err == f"ghz-steering: error: cannot write {target}: Is a directory\n"
+        assert target.is_dir() and not any(target.iterdir())
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_a_parent_that_is_a_file_is_a_usage_error(self, capsys, tmp_path, argv):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        target = blocker / "sub" / "out.txt"
+        rc, out, err = run(capsys, [*argv, "--output", str(target)])
+        assert rc == 3
+        assert out == ""
+        assert err.startswith(f"ghz-steering: error: cannot write {target}: ")
+        assert blocker.read_text() == "kept"
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_no_traceback_from_a_fresh_process(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ghz_steering", "build", "--output", str(tmp_path)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == f"ghz-steering: error: cannot write {tmp_path}: Is a directory\n"
+        assert list(tmp_path.parent.glob(tmp_path.name + ".tmp")) == []
+
+
+@pytest.mark.parametrize("argv", [["sweep"], ["sweep", "--format", "json"], ["check"]])
+def test_the_eta_grid_is_built_once(capsys, monkeypatch, argv):
+    calls, lossless = [], []
+
+    def spy(config, etas):
+        calls.append(list(etas))
+        return build_states(config, etas)
+
+    def build_ghz_spy(config):
+        lossless.append(config)
+        return build_ghz(config)
+
+    monkeypatch.setattr(cli, "build_states", spy)
+    # build_states of any module builds the lossless state through this name
+    monkeypatch.setattr(network, "build_ghz", build_ghz_spy)
+    rc, _, _ = run(capsys, argv)
+    assert rc == 0
+    assert calls == [cli._parse_grid(DEFAULT_GRID)]
+    assert len(lossless) == 1
 
 
 @pytest.mark.parametrize("argv", [["sweep", "--r", "8", "--grid", "0.5,1"], ["check", "--r", "8"]])

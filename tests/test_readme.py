@@ -1,4 +1,4 @@
-"""README "Library" stays in step with the package's exports and submodules."""
+"""README "Library" stays in step with the package's exports, submodules and API."""
 
 import importlib
 import re
@@ -38,3 +38,14 @@ def test_every_submodule_name_exists():
         assert backticked(names), module
         missing = [name for name in backticked(names) if not hasattr(mod, name)]
         assert not missing, f"{module} lacks {missing}"
+
+
+def python_blocks():
+    return re.findall(r"^```python\n(.*?)^```$", library_section(), re.MULTILINE | re.DOTALL)
+
+
+def test_the_python_examples_run(capsys):
+    blocks = python_blocks()
+    assert len(blocks) >= 2
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

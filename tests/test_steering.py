@@ -18,9 +18,9 @@ from ghz_steering import (
     build_states,
     find_threshold,
     monogamy_residuals,
+    monogamy_stack,
     steering_report,
     steering_stack,
-    sweep_eta,
 )
 from ghz_steering.steering import STEERING_EPS, gaussian_steering, parse_direction
 from ghz_steering.symplectic import Partition, reduce_modes, symplectic_form
@@ -268,12 +268,7 @@ class TestSteeringStack:
 class TestSteeringReport:
     def test_key_order_matches_directions(self):
         rep = steering_report(build_state(GhzConfig()))
-        assert tuple(rep.g.keys()) == DIRECTIONS
-
-    def test_eta_recorded(self):
-        rep = steering_report(build_state(GhzConfig(eta=0.4)), eta=0.4)
-        assert rep.eta == 0.4
-        assert steering_report(build_state(GhzConfig())).eta is None
+        assert tuple(rep.keys()) == DIRECTIONS
 
     def test_three_modes_required(self):
         with pytest.raises(ValueError):
@@ -282,13 +277,13 @@ class TestSteeringReport:
     def test_pure_state_directional_symmetry(self):
         rep = steering_report(build_state(GhzConfig()))
         for fwd, rev in zip(DIRECTIONS[6::2], DIRECTIONS[7::2]):
-            assert rep.g[fwd] == pytest.approx(rep.g[rev], abs=1e-9)
+            assert rep[fwd] == pytest.approx(rep[rev], abs=1e-9)
 
     def test_swapping_unlossy_modes_relabels_the_report(self):
         state = build_state(GhzConfig(eta=0.6))
         swapped = reduce_modes(state, (0, 2, 1))
-        rep = steering_report(state).g
-        rep_swapped = steering_report(swapped).g
+        rep = steering_report(state)
+        rep_swapped = steering_report(swapped)
         relabel = str.maketrans("BC", "CB")
         for label in DIRECTIONS:
             translated = "->".join(
@@ -299,11 +294,11 @@ class TestSteeringReport:
 class TestMonogamy:
     def test_residual_keys(self):
         res = monogamy_residuals(build_state(GhzConfig()))
-        assert tuple(res.residuals.keys()) == RESIDUAL_KEYS
+        assert tuple(res.keys()) == RESIDUAL_KEYS
 
     def test_lossless_residuals_equal_collective_strength(self):
         # one-to-one terms vanish, so each residual collapses to its 1-to-2 term
-        res = monogamy_residuals(build_state(GhzConfig())).residuals
+        res = monogamy_residuals(build_state(GhzConfig()))
         assert res["A_out"] == pytest.approx(G_ONE_TO_TWO, abs=1e-12)
         assert res["A_in"] == pytest.approx(G_ONE_TO_TWO, abs=1e-12)
 
@@ -311,37 +306,79 @@ class TestMonogamy:
     def test_non_negative_on_transmission_grid(self, r):
         for k in range(21):
             cfg = GhzConfig(r1=r, r2=r, r3=r, eta=k * 0.05)
-            res = monogamy_residuals(build_state(cfg)).residuals
+            res = monogamy_residuals(build_state(cfg))
             assert min(res.values()) >= -1e-10
 
     @given(st.floats(min_value=0.0, max_value=1.2), st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=60, deadline=None)
     def test_non_negative_generically(self, r, eta):
         res = monogamy_residuals(build_state(GhzConfig(r1=r, r2=r, r3=r, eta=eta)))
-        assert min(res.residuals.values()) >= -1e-10
+        assert min(res.values()) >= -1e-10
+
+    def test_stack_matches_the_residual_formulas(self):
+        # each residual written out by label: collective minus both pairs
+        g = steering_stack(random_states(20261019, 300))
+        col = {label: g[:, k] for k, label in enumerate(DIRECTIONS)}
+        expected = np.stack([
+            col["A->BC"] - col["A->B"] - col["A->C"],
+            col["BC->A"] - col["B->A"] - col["C->A"],
+            col["B->AC"] - col["B->A"] - col["B->C"],
+            col["AC->B"] - col["A->B"] - col["C->B"],
+            col["C->AB"] - col["C->A"] - col["C->B"],
+            col["AB->C"] - col["A->C"] - col["B->C"],
+        ], axis=1)
+        res = monogamy_stack(g)
+        assert res.shape == (300, len(RESIDUAL_KEYS))
+        assert np.array_equal(res, expected)
+        assert np.array_equal(monogamy_stack(g[7]), expected[7])
+
+    @pytest.mark.parametrize("shape", [(12,), (3, 12)])
+    def test_stack_accepts_a_row_or_a_stack(self, shape):
+        assert monogamy_stack(np.zeros(shape)).shape == shape[:-1] + (6,)
+
+    @pytest.mark.parametrize("shape", [(11,), (3, 6), (12, 3)])
+    def test_stack_rejects_a_wrong_last_axis(self, shape):
+        with pytest.raises(ValueError, match="12 directions"):
+            monogamy_stack(np.zeros(shape))
 
 
 class TestSweep:
-    def test_points_carry_consistent_reports(self):
-        cfg = GhzConfig()
-        etas = [0.0, 0.5, 1.0]
-        points = sweep_eta(cfg, etas)
-        assert [p.eta for p in points] == etas
-        direct = steering_report(build_state(replace(cfg, eta=0.5)))
-        assert points[1].report.g == direct.g
-        assert points[1].residuals == monogamy_residuals(build_state(replace(cfg, eta=0.5)))
+    @given(st.floats(min_value=0.0, max_value=1.7), st.floats(min_value=0.0, max_value=1.0),
+           st.floats(min_value=0.0, max_value=1.0),
+           st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=9))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_rows_equal_the_single_state_reports(self, r, t1, t2, etas):
+        cfg = GhzConfig(r1=r, r2=r, r3=r, t1=t1, t2=t2)
+        g = steering_stack(build_states(cfg, etas))
+        residuals = monogamy_stack(g)
+        for eta, g_row, res_row in zip(etas, g.tolist(), residuals.tolist()):
+            state = build_state(replace(cfg, eta=eta))
+            assert steering_report(state) == dict(zip(DIRECTIONS, g_row))
+            assert monogamy_residuals(state) == dict(zip(RESIDUAL_KEYS, res_row))
 
     def test_collective_reverse_is_monotone_in_transmission(self):
-        points = sweep_eta(GhzConfig(), [k * 0.05 for k in range(21)])
-        values = [p.report.g["BC->A"] for p in points]
+        g = steering_stack(build_states(GhzConfig(), [k * 0.05 for k in range(21)]))
+        values = g[:, DIRECTIONS.index("BC->A")].tolist()
         assert all(b - a >= -1e-12 for a, b in zip(values, values[1:]))
 
     def test_rejects_out_of_range_eta(self):
         with pytest.raises(ValueError):
-            sweep_eta(GhzConfig(), [0.5, 1.5])
+            build_states(GhzConfig(), [0.5, 1.5])
 
 
 class TestThreshold:
+    @given(st.floats(min_value=0.05, max_value=3.0), st.floats(min_value=0.05, max_value=0.95),
+           st.floats(min_value=0.05, max_value=0.95))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_collective_forward_switches_on_exactly_at_half(self, r, t1, t2):
+        # det sigma_A - det sigma = (2 eta - 1)(a_x a_p - 1) when A is
+        # correlated, so G(A->BC) is 0 for eta <= 1/2 and positive above
+        config = GhzConfig(r1=r, r2=r, r3=r, t1=t1, t2=t2)
+        states = build_states(config, [0.5 - 1e-3, 0.5, 0.5 + 1e-3])
+        below, half, above = steering_stack(states)[:, DIRECTIONS.index("A->BC")]
+        assert below == 0.0 and half == 0.0
+        assert above > 0.0
+
     def test_collective_forward_direction_activates_near_half(self):
         eta_star = find_threshold(GhzConfig(), "A->BC", tol=1e-4)
         assert 0.49 <= eta_star <= 0.51

@@ -228,7 +228,7 @@ def per_trial_reference(cm, n_samples, n_trials, seed):
         nu_mins.append(nu_min)
         if nu_min >= REJECT_NU_FLOOR:
             accepted.append(index)
-            rows.append([steering_report(matrix).g[d] for d in DIRECTIONS])
+            rows.append([steering_report(matrix)[d] for d in DIRECTIONS])
     if len(rows) < 2:  # reconstruct_trials raises
         return matrices, nu_mins, accepted, rows, None, None
     values = np.array(rows)
@@ -238,11 +238,11 @@ def per_trial_reference(cm, n_samples, n_trials, seed):
 def assert_equals_reference(stats, reference):
     """reconstruct_trials output bit-identical to per_trial_reference."""
     matrices, nu_mins, accepted, rows, mean, std = reference
-    assert all(np.array_equal(got.matrix, want) for got, want in zip(stats.matrices, matrices))
+    assert all(np.array_equal(got, want) for got, want in zip(stats.matrices, matrices))
     assert len(stats.matrices) == len(matrices)
     assert np.array_equal(stats.min_symplectic_eigenvalues, nu_mins)
     assert stats.accepted == tuple(accepted)
-    assert [[rep.g[d] for d in DIRECTIONS] for rep in stats.reports] == rows
+    assert stats.g.tolist() == rows
     assert np.array_equal([stats.mean[d] for d in DIRECTIONS], mean)
     assert np.array_equal([stats.std[d] for d in DIRECTIONS], std)
 
@@ -271,7 +271,7 @@ class TestReconstructTrials:
         two = reconstruct_trials(cm, n_samples=20_000, n_trials=3, seed=7)
         assert one.mean == two.mean and one.std == two.std
         for m1, m2 in zip(one.matrices, two.matrices):
-            assert np.array_equal(m1.matrix, m2.matrix)
+            assert np.array_equal(m1, m2)
 
     def test_no_repair_of_reconstructed_matrices(self):
         # trial matrices must be exactly what the pipeline produced for the
@@ -281,7 +281,7 @@ class TestReconstructTrials:
         child = np.random.SeedSequence(7).spawn(3)[1]
         direct = covariance_from_measurements(
             population_measurements(sample_covariance(cm, 20_000, child)))
-        assert np.array_equal(stats.matrices[1].matrix, direct.matrix)
+        assert np.array_equal(stats.matrices[1], direct.matrix)
 
     @pytest.mark.parametrize("n, seed", [(20_000, 7), (20_000, 12345), (1000, 0)])
     def test_matches_the_sample_table_pipeline(self, n, seed):
@@ -293,7 +293,7 @@ class TestReconstructTrials:
         accepted = []
         for index, (got, table) in enumerate(zip(stats.matrices, tables)):
             want = covariance_from_measurements(measure_set(table)).matrix
-            assert relative_error(got.matrix, want) <= 1e-12
+            assert relative_error(got, want) <= 1e-12
             if symplectic_eigenvalues(want).min() >= REJECT_NU_FLOOR:
                 accepted.append(index)
         assert stats.accepted == tuple(accepted)
@@ -314,10 +314,15 @@ class TestReconstructTrials:
         cm = build_state(GhzConfig())
         stats = reconstruct_trials(cm, n_samples=20_000, n_trials=4, seed=1)
         assert stats.n_samples == 20_000 and stats.n_trials == 4 and stats.seed == 1
-        assert len(stats.matrices) == 4
+        assert stats.matrices.shape == (4, 6, 6)
         assert len(stats.min_symplectic_eigenvalues) == 4
-        assert len(stats.reports) == len(stats.accepted)
+        assert stats.g.shape == (len(stats.accepted), len(DIRECTIONS))
         assert set(stats.accepted) | set(stats.rejected) == {0, 1, 2, 3}
+
+    def test_trial_matrices_are_read_only(self):
+        stats = reconstruct_trials(build_state(GhzConfig()), n_samples=20_000, n_trials=3, seed=7)
+        with pytest.raises(ValueError, match="read-only"):
+            stats.matrices[0, 0, 0] = 0.0
 
     def test_small_sample_trials_can_be_rejected(self):
         stats = reconstruct_trials(build_state(GhzConfig()), n_samples=1000, n_trials=3, seed=0)
@@ -336,7 +341,7 @@ class TestReconstructTrials:
     def test_statistics_cover_accepted_trials(self):
         cm = build_state(GhzConfig())
         stats = reconstruct_trials(cm, n_samples=20_000, n_trials=3, seed=2)
-        values = [rep.g["BC->A"] for rep in stats.reports]
+        values = stats.g[:, DIRECTIONS.index("BC->A")]
         assert stats.mean["BC->A"] == pytest.approx(np.mean(values))
         assert stats.std["BC->A"] == pytest.approx(np.std(values, ddof=1))
         assert all(v >= 0 for v in stats.std.values())
