@@ -7,24 +7,19 @@ identities, with within-mode x-p covariances taken as 0.  Multi-trial
 statistics give the mean and error bar of every steering value.
 
 Every measured variance is v^T S v for the 6x6 sample covariance S of the
-record, so a trial never holds its record: its samples are drawn in fixed
-blocks into running sums, and memory does not grow with the number of
-samples.  One streaming sampler serves :func:`sample_covariance` (one seed)
-and :func:`reconstruct_trials` (one seed per trial).  It hands out blocks,
-not whole trials, to up to one thread per usable CPU, so no CPU idles while
-another finishes the last trials.  Each trial keeps its own seeded stream
-and is drawn by one thread at a time, in order, so the results do not
-depend on the number of threads.  Measuring, reconstruction, the rejection
-floor and the steering values then run once over the (K, 6, 6) stack of all
-trials, and :class:`TrialStatistics` keeps that stack and the (n_accepted, 12)
-steering values as arrays.
+record, so a trial needs S, not its record.  S is drawn exactly instead of
+being summed from samples: (n-1) S of n samples is Wishart(n-1, sigma), and
+its Bartlett factor takes 6 chi-squares and 15 normals, whatever n is.  So
+S is equal in distribution to np.cov of the sample_quadratures table, while
+time and memory per trial do not grow with n.  :func:`sample_covariance`
+draws one S from a seed and :func:`reconstruct_trials` one per trial seed.
+Measuring, reconstruction, the rejection floor and the steering values then
+run once over the (K, 6, 6) stack of all trials, and :class:`TrialStatistics`
+keeps that stack and the (n_accepted, 12) steering values as arrays.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -84,12 +79,6 @@ def _check_variances(variances: np.ndarray) -> None:
         raise ValueError("variances must be finite and non-negative")
 
 
-# Rows of standard normals drawn per block by _normal_covariances: 8192 x 6
-# doubles (384 KB) stay in the L2 cache.  Blocks of a default_rng stream
-# concatenate to exactly the one large draw of sample_quadratures.
-_BLOCK_ROWS = 8192
-
-
 def _sampling_root(cm: CovarianceMatrix, n_samples: int) -> np.ndarray:
     """Symmetric square root of cm (eigendecomposition), after the sampling checks."""
     if n_samples < 2:
@@ -121,102 +110,41 @@ def sample_covariance(
     n_samples: int,
     seed: int | np.random.SeedSequence,
 ) -> CovarianceMatrix:
-    """Sample covariance (divisor n-1) of the table sample_quadratures would draw.
+    """Sample covariance (divisor n-1) of n_samples quadrature records, drawn exactly.
 
-    Draws the same standard-normal stream Z in blocks of _BLOCK_ROWS rows and
-    keeps only its column sums and Z^T Z, then returns
-    root^T cov(Z) root = cov(Z @ root).  Equal to np.cov of the table to
-    rounding (1e-12 relative); memory does not grow with n_samples.
+    Returns root^T C root, root the square root of sample_quadratures and C
+    one draw of cov(Z) for n_samples standard-normal rows Z (see
+    _bartlett_covariances).  So the result is equal in distribution to
+    np.cov of the table sample_quadratures draws, though not equal to it for
+    the same seed.  Time and memory do not depend on n_samples, and the same
+    seed always gives the same matrix.
     """
     root = _sampling_root(cm, n_samples)
-    return CovarianceMatrix(root.T @ _normal_covariances(n_samples, root.shape[0], [seed])[0] @ root)
+    cov_z = _bartlett_covariances(n_samples, root.shape[0], [seed])[0]
+    return CovarianceMatrix(root.T @ cov_z @ root)
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
+def _bartlett_covariances(n_samples: int, dim: int, seeds: list) -> np.ndarray:
+    """A (K, dim, dim) stack of draws of cov(Z), Z n_samples standard-normal rows, one per seed.
 
-
-def _normal_covariances(n_samples: int, dim: int, seeds: list) -> np.ndarray:
-    """The (K, dim, dim) stack of cov(Z), Z n_samples standard-normal rows per seed.
-
-    Each seed has its own generator, column sums and Z^T Z.  Up to one thread
-    per usable CPU, the calling thread included, takes the next trial from a
-    shared queue, draws one _BLOCK_ROWS block into its own buffer, adds it to
-    that trial's totals and puts the trial back while rows remain.  numpy
-    releases the GIL while it fills a block, so the threads overlap and end
-    within one block of each other.  A trial is held by one thread at a time
-    and its blocks are added in stream order, so every matrix is
-    bit-identical to one drawn alone, whatever the thread count.
-
-    A failure in trial i stops the scheduling of the trials after i, and the
-    first failure in trial order is re-raised once every thread has ended.
-    An interrupt in the calling thread empties the queue, so the other
-    threads stop after their current block.
+    (n-1) cov(Z) is Wishart(n-1, I), which is R^T R in distribution for the
+    k x dim upper-trapezoidal Bartlett factor R, k = min(n-1, dim): R_ii^2 is
+    chi-square with n-1-i degrees of freedom and every entry right of the
+    diagonal is standard normal (Odell & Feiveson, JASA 61, 199, 1966).  With
+    n <= dim the k rows give R^T R the rank n-1 that cov(Z) has.  Each seed's
+    generator draws the k chi-squares, then the entries right of the
+    diagonal in row order.  The degrees of freedom are floats, so any
+    n_samples works, even one past the int64 range.
     """
-    n_trials = len(seeds)
-    workers = min(n_trials, _usable_cpus())
-    rngs: list[np.random.Generator | None] = [None] * n_trials
-    drawn = [0] * n_trials
-    sums = np.zeros((n_trials, dim))
-    grams = np.zeros((n_trials, dim, dim))
-    waiting = deque(range(n_trials))
-    stop = n_trials  # trials from this index on are no longer scheduled
-    lock = threading.Lock()
-    errors: dict[int, Exception] = {}
-
-    def cancel(first: int) -> None:
-        """Schedule no trial from first on; the caller holds the lock."""
-        nonlocal stop
-        stop = min(stop, first)
-        kept = [index for index in waiting if index < stop]
-        waiting.clear()
-        waiting.extend(kept)
-
-    def run() -> None:
-        rows = min(_BLOCK_ROWS, n_samples)
-        buf = np.empty((rows, dim))  # refilled in place: the same stream as fresh blocks
-        ones = np.ones(rows)  # ones @ block sums columns faster than .sum(0)
-        while True:
-            with lock:
-                if not waiting:
-                    return
-                index = waiting.popleft()
-            try:
-                if rngs[index] is None:
-                    rngs[index] = np.random.default_rng(seeds[index])
-                block = rngs[index].standard_normal(out=buf[:min(rows, n_samples - drawn[index])])
-                sums[index] += ones[:len(block)] @ block
-                grams[index] += block.T @ block
-            except Exception as exc:  # re-raised in the calling thread
-                with lock:
-                    errors[index] = exc
-                    cancel(index)
-                continue
-            drawn[index] += len(block)
-            with lock:
-                if drawn[index] < n_samples and index < stop:
-                    waiting.append(index)
-
-    threads = [threading.Thread(target=run) for _ in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    try:
-        run()
-    except BaseException:  # an interrupt: the other threads end after their current block
-        with lock:
-            cancel(0)
-        raise
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[min(errors)]
-    mean = sums / n_samples
-    return (grams - n_samples * (mean[:, :, None] * mean[:, None, :])) / (n_samples - 1)
+    dof = n_samples - 1
+    k = min(dof, dim)
+    rows, cols = np.triu_indices(k, 1, dim)
+    factors = np.zeros((len(seeds), k, dim))
+    for factor, seed in zip(factors, seeds):
+        rng = np.random.default_rng(seed)
+        factor[range(k), range(k)] = np.sqrt(rng.chisquare(dof - np.arange(k, dtype=float)))
+        factor[rows, cols] = rng.standard_normal(len(rows))
+    return np.swapaxes(factors, -1, -2) @ factors / dof
 
 
 def _variances(cov: np.ndarray) -> np.ndarray:
@@ -269,9 +197,9 @@ def _covariance_from_variances(var: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialStatistics:
-    """Aggregated reconstruction trials.
+    """Aggregated reconstruction trials; instances compare by identity.
 
     matrices, the read-only (n_trials, 6, 6) stack of reconstructed
     covariance matrices, and min_symplectic_eigenvalues cover every trial in
@@ -304,15 +232,14 @@ def reconstruct_trials(
 ) -> TrialStatistics:
     """Repeat sample -> measure -> reconstruct -> steering, then aggregate.
 
-    Only the sampling runs per trial: each trial streams its sample
-    covariance through the same sampler as :func:`sample_covariance`, so no
-    sample table is ever held.  Up to one thread per usable CPU draws the
-    trials block by block from a shared queue, so the threads finish within
-    one block of each other, and the results do not depend on the number of
-    threads.  Measuring the 18
-    variances, the reconstruction, the rejection floor and the steering
-    values then run once over the stack of all trials; every value equals
-    that of the trial computed alone.
+    Each trial's sample covariance is one exact draw, as in
+    :func:`sample_covariance`, so no sample table is ever held and the cost
+    of a trial does not depend on n_samples.  The reconstructed matrices
+    are equal in distribution to those of the table pipeline
+    (sample_quadratures, then measure_set).  Measuring the 18 variances, the
+    reconstruction, the rejection floor and the steering values then run
+    once over the stack of all trials; every value equals that of the trial
+    computed alone.
 
     Each trial uses a child seed spawned deterministically from (seed, trial
     index).  Trials whose reconstructed matrix falls below the physicality
@@ -330,7 +257,7 @@ def reconstruct_trials(
         raise ValueError("need at least 2 trials for a standard deviation")
     root = _sampling_root(cm_true, n_samples)
     children = np.random.SeedSequence(seed).spawn(n_trials)
-    cov_z = _normal_covariances(n_samples, root.shape[0], children)
+    cov_z = _bartlett_covariances(n_samples, root.shape[0], children)
 
     sampled = root.T @ cov_z @ root
     if not np.all(np.isfinite(sampled)):

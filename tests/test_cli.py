@@ -202,7 +202,9 @@ class TestTomo:
         assert a.read_bytes() == b.read_bytes()
 
     def test_all_trials_rejected_exits_2(self, capsys):
-        rc, _, err = run(capsys, ["tomo", "--samples", "1000", "--seed", "4"])
+        # seed found by searching 0..99: the first for which fewer than 2 of
+        # the 3 trials pass the floor
+        rc, _, err = run(capsys, ["tomo", "--samples", "1000", "--seed", "0"])
         assert rc == 2
         assert "floor" in err
 
