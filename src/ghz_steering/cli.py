@@ -10,6 +10,7 @@ variable GHZ_STEERING_OUTDIR is set, relative output paths land inside it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -321,7 +322,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI parser, built once per process; parse_args leaves it unchanged."""
     parser = _Parser(prog="ghz-steering",
                      description="Three-mode GHZ-state Gaussian steering toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -338,7 +341,7 @@ def build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep", help="steering and monogamy across an eta grid")
     _add_state_args(p_sweep)
-    p_sweep.add_argument("--grid", type=_parse_grid, default=_parse_grid(DEFAULT_GRID),
+    p_sweep.add_argument("--grid", type=_parse_grid, default=tuple(_parse_grid(DEFAULT_GRID)),
                          help=f"eta grid, start:stop:step or comma list (default {DEFAULT_GRID})")
     _add_output_args(p_sweep, ("csv", "json"), "csv")
     p_sweep.set_defaults(func=cmd_sweep)

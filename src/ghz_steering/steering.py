@@ -1,32 +1,27 @@
 """Gaussian EPR steering: directed quantifiers, monogamy residuals, loss thresholds.
 
-The quantifier for a directed bipartition is computed from the symplectic
-spectrum of the steered party's conditional covariance (Schur complement):
-G = max(0, -sum of ln(nu) over conditional symplectic eigenvalues nu < 1).
-G > 0 certifies steering under Gaussian measurements; the direction matters.
-This is the Gaussian steerability of Kogias, Lee, Ragy and Adesso (PRL 114,
-060403, 2015).  :func:`steering_stack` evaluates all 12 directions of a
-three-mode state for a whole stack of states at once, as a (K, 12) array,
-and :func:`monogamy_stack` turns that array into the (K, 6) monogamy
-residuals.  :func:`steering_report` and :func:`monogamy_residuals` give the
-same values for one state as dicts in canonical key order.
+The quantifier for a directed bipartition comes from the symplectic spectrum
+of the steered party's conditional covariance: G = max(0, -sum of ln(nu)
+over conditional symplectic eigenvalues nu < 1).  G > 0 certifies steering
+under Gaussian measurements; the direction matters.  This is the Gaussian
+steerability of Kogias, Lee, Ragy and Adesso (PRL 114, 060403, 2015).
+:func:`steering_stack` evaluates all 12 directions of a stack of three-mode
+states as a (K, 12) array, from the Cholesky factors of each state in its
+six mode orderings, and :func:`monogamy_stack` turns that array into the
+(K, 6) monogamy residuals.  :func:`steering_report` and
+:func:`monogamy_residuals` give one state's values as dicts in canonical key order.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .network import MODE_NAMES, GhzConfig, build_ghz, lossy_stack
-from .symplectic import (
-    CovarianceMatrix,
-    Partition,
-    one_mode_spectrum,
-    quadrature_indices,
-    require_invertible,
-    schur_complement,
-    symmetric_part,
-    symplectic_eigenvalues,
-)
+from .symplectic import (CovarianceMatrix, Partition, _cholesky, _factor_spectrum,
+                         quadrature_indices, require_invertible, schur_complement,
+                         symplectic_eigenvalues)
 
 # Conditional symplectic eigenvalues this close to 1 count as exactly 1; keeps
 # states sitting on the steering boundary from flickering into false positives.
@@ -36,7 +31,7 @@ BOUNDARY_CLAMP = 1e-10
 STEERING_EPS = 1e-8
 
 # find_threshold evaluates the midpoints of this many bisection steps ahead
-# in one stacked call: one call of 7 states costs about 1.5 calls of one.
+# in one stacked call: one call of 7 states costs about 1.3 calls of one.
 BISECTION_LOOKAHEAD = 3
 
 # Canonical order of the 12 directed bipartitions of (A, B, C).  "A" always
@@ -83,21 +78,24 @@ def gaussian_steering(cm: CovarianceMatrix, partition: Partition) -> float:
     return float(_quantifier(symplectic_eigenvalues(schur_complement(cm, partition))))
 
 
-# Index tables of the stacked kernel.  For each mode m (A, B, C): _ONE holds
-# the quadratures of m, _REST those of the other two modes in order.  The
-# blocks they cut serve both ways: the 1->2 and 1->1 directions steer with
-# the _ONE block, the 2->1 directions with the _REST block.
-_REST_MODES = tuple(tuple(k for k in range(3) if k != m) for m in range(3))
+# The six mode orderings (a, b, c) of the stacked kernel and the quadrature
+# order of each; every ordering gives a->b, those with a < b also ab->c and
+# those with b < c also a->bc.
+_ORDERINGS = tuple(itertools.permutations(range(3)))
+_ORDERED = np.array([quadrature_indices(order) for order in _ORDERINGS])
+_PAIR_FIRST = [k for k, (a, b, _) in enumerate(_ORDERINGS) if a < b]
+_ONE_FIRST = [k for k, (_, b, c) in enumerate(_ORDERINGS) if b < c]
+# The blocks require_invertible guards: each mode (_ONE) and each pair of modes (_REST).
 _ONE = np.array([quadrature_indices((m,)) for m in range(3)])
-_REST = np.array([quadrature_indices(rest) for rest in _REST_MODES])
+_REST = np.array([quadrature_indices([k for k in range(3) if k != m]) for m in range(3)])
 
 
 def _kernel_labels() -> list[str]:
     """Direction labels in the order the kernel computes them."""
-    rest = ["".join(MODE_NAMES[k] for k in modes) for modes in _REST_MODES]
-    one_to_one = [f"{MODE_NAMES[m]}->{MODE_NAMES[k]}" for m in range(3) for k in _REST_MODES[m]]
-    two_to_one = [f"{rest[m]}->{MODE_NAMES[m]}" for m in range(3)]
-    one_to_two = [f"{MODE_NAMES[m]}->{rest[m]}" for m in range(3)]
+    a, b, c = ([MODE_NAMES[m] for m in order] for order in zip(*_ORDERINGS))
+    one_to_one = [f"{a[k]}->{b[k]}" for k in range(6)]
+    two_to_one = [f"{a[k]}{b[k]}->{c[k]}" for k in _PAIR_FIRST]
+    one_to_two = [f"{a[k]}->{b[k]}{c[k]}" for k in _ONE_FIRST]
     return one_to_one + two_to_one + one_to_two
 
 
@@ -113,36 +111,34 @@ def steering_stack(states: np.ndarray) -> np.ndarray:
     G(DIRECTIONS[k]).  Each value equals :func:`gaussian_steering` of that
     direction to rounding.
 
-    The three directions in which one mode m steers share one conditional,
-    that of the other two modes given m: the 1->2 direction takes its whole
-    spectrum, each 1->1 direction the spectrum of one 2x2 diagonal block.
+    With sigma in the mode order (a, b, c) factored as L L^T (Cholesky),
+    the block of L below and right of a party's quadratures is the Cholesky
+    factor of the conditional of the rest given that party.  So
+    nu(a->b) = L22 L33 and nu(ab->c) = L44 L55 are products of diagonal
+    entries: G is the log-det ratio 1/2 ln(det sigma_X / det sigma_XY) of
+    Kogias et al., with no Schur complement formed or solved.  nu(a->bc) is
+    the spectrum of the trailing 4x4 factor, from the Hermitian step of
+    :func:`symplectic_eigenvalues`.  One batched factorization of all six
+    orderings serves all 12 directions.
 
     Raises
     ------
     NumericalError
-        If a steering-party block is too ill-conditioned to invert, or a
-        conditional covariance is not positive definite.
+        "not invertible" if a steering-party block is too ill-conditioned to
+        invert; otherwise "not a state" exactly when some matrix of the stack
+        is not positive definite.
     """
     sigma = np.asarray(states, dtype=float)
     if sigma.ndim != 3 or sigma.shape[1:] != (6, 6):
         raise ValueError(f"expected a (K, 6, 6) stack of three-mode states, got shape {sigma.shape}")
-    k = sigma.shape[0]
-    one = sigma[:, _ONE[:, :, None], _ONE[:, None, :]]  # (K, 3, 2, 2): mode m
-    rest = sigma[:, _REST[:, :, None], _REST[:, None, :]]  # (K, 3, 4, 4): the other two
-    cross = sigma[:, _ONE[:, :, None], _REST[:, None, :]]  # (K, 3, 2, 4)
-    cross_t = np.swapaxes(cross, -1, -2)
-    require_invertible(one)
-    require_invertible(rest)
-    one_to_two = symmetric_part(rest - cross_t @ np.linalg.solve(one, cross))
-    two_to_one = symmetric_part(one - cross @ np.linalg.solve(rest, cross_t))
-
-    single = np.concatenate([
-        np.stack([one_to_two[..., :2, :2], one_to_two[..., 2:, 2:]], axis=2).reshape(k, 6, 2, 2),
-        two_to_one,
-    ], axis=1)  # (K, 9, 2, 2): the 1->1 then the 2->1 conditionals
-    nus = np.ones((k, 12, 2))  # a one-mode conditional's second entry stays 1: no term
-    nus[:, :9, 0] = one_mode_spectrum(single)
-    nus[:, 9:] = symplectic_eigenvalues(one_to_two)
+    require_invertible(sigma[:, _ONE[:, :, None], _ONE[:, None, :]])
+    require_invertible(sigma[:, _REST[:, :, None], _REST[:, None, :]])
+    low = _cholesky(sigma[:, _ORDERED[:, :, None], _ORDERED[:, None, :]])  # (K, 6, 6, 6)
+    diag = np.diagonal(low, axis1=-2, axis2=-1)  # (K, 6, 6): ordering, quadrature
+    nus = np.ones((sigma.shape[0], 12, 2))  # a one-mode conditional's second entry stays 1: no term
+    nus[:, :6, 0] = diag[..., 2] * diag[..., 3]
+    nus[:, 6:9, 0] = diag[:, _PAIR_FIRST, 4] * diag[:, _PAIR_FIRST, 5]
+    nus[:, 9:] = _factor_spectrum(low[:, _ONE_FIRST, 2:, 2:])
     return _quantifier(nus)[:, _TO_DIRECTIONS]
 
 

@@ -8,6 +8,7 @@ symplectic eigenvalue of its covariance matrix is >= 1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,14 +95,19 @@ def _as_array(cm: CovarianceMatrix | np.ndarray) -> np.ndarray:
     return symmetric_part(np.asarray(cm, dtype=float))
 
 
+@functools.cache
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Canonical symplectic form, the direct sum of [[0, 1], [-1, 0]] per mode."""
+    """Canonical symplectic form, the direct sum of [[0, 1], [-1, 0]] per mode.
+
+    Built once per mode count and shared, so the array is read-only.
+    """
     if n_modes < 1:
         raise ValueError("need at least one mode")
     omega = np.zeros((2 * n_modes, 2 * n_modes))
     for k in range(n_modes):
         omega[2 * k, 2 * k + 1] = 1.0
         omega[2 * k + 1, 2 * k] = -1.0
+    omega.flags.writeable = False
     return omega
 
 
@@ -136,23 +142,6 @@ def require_invertible(blocks: np.ndarray) -> None:
         raise NumericalError("steering party block not invertible")
 
 
-def one_mode_spectrum(m: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalue sqrt(det) of symmetric 2x2 blocks, shape (..., 2, 2) -> (...).
-
-    The one-mode closed form of :func:`symplectic_eigenvalues`, which the
-    steering kernel uses for its nine one-mode conditionals.
-
-    Raises
-    ------
-    NumericalError
-        If any block is not positive definite ("not a state").
-    """
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    if not np.all((m[..., 0, 0] > 0.0) & (det > 0.0)):
-        raise NumericalError(_NOT_A_STATE)
-    return np.sqrt(det)
-
-
 def symplectic_eigenvalues(cm: CovarianceMatrix | np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a positive-definite covariance matrix, ascending.
 
@@ -172,11 +161,20 @@ def symplectic_eigenvalues(cm: CovarianceMatrix | np.ndarray) -> np.ndarray:
     m = _as_array(cm)
     if not np.all(np.isfinite(m)):
         raise NumericalError(_NOT_A_STATE)
+    return _factor_spectrum(_cholesky(m))
+
+
+def _cholesky(m: np.ndarray) -> np.ndarray:
+    """Cholesky factors L of a stack (..., n, n); NumericalError "not a state" if one is not PD."""
     try:
-        low = np.linalg.cholesky(m)
+        return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         raise NumericalError(_NOT_A_STATE) from None
-    n = m.shape[-1] // 2
+
+
+def _factor_spectrum(low: np.ndarray) -> np.ndarray:
+    """Ascending symplectic spectrum of L L^T, from the +-nu eigenvalues of i L^T Omega L."""
+    n = low.shape[-1] // 2
     return _eigvalsh(1j * (np.swapaxes(low, -1, -2) @ symplectic_form(n) @ low))[..., n:]
 
 

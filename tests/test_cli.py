@@ -412,3 +412,41 @@ def test_import_leaves_concurrent_futures_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+class TestSharedParser:
+    # main builds the parser once per process; every call must behave as if
+    # it had a parser of its own
+    INTERLEAVED = (
+        ["build"],
+        ["sweep", "--grid", "0.2,0.7,1"],
+        ["sweep"],
+        ["tomo", "--samples", "2000", "--trials", "3"],
+        ["check"],
+        ["sweep", "--grid", "1:0:0.1"],  # usage error, exit 3
+        ["sweep"],
+    )
+
+    @staticmethod
+    def outcomes(capsys, argvs):
+        results = []
+        for argv in argvs:
+            try:
+                rc = main(list(argv))
+            except SystemExit as exc:  # argparse usage errors
+                rc = exc.code
+            captured = capsys.readouterr()
+            results.append((rc, captured.out, captured.err))
+        return results
+
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_the_default_grid_cannot_be_mutated(self):
+        assert isinstance(cli.build_parser().parse_args(["sweep"]).grid, tuple)
+
+    def test_interleaved_calls_match_fresh_parsers(self, capsys, monkeypatch):
+        shared = self.outcomes(capsys, self.INTERLEAVED)
+        assert [rc for rc, _, _ in shared] == [0, 0, 0, 0, 0, 3, 0]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert self.outcomes(capsys, self.INTERLEAVED) == shared

@@ -22,6 +22,7 @@ from ghz_steering import (
     steering_report,
     steering_stack,
 )
+from ghz_steering import steering
 from ghz_steering.steering import STEERING_EPS, gaussian_steering, parse_direction
 from ghz_steering.symplectic import Partition, reduce_modes, symplectic_form
 
@@ -68,12 +69,12 @@ def closed_form_g(m, label):
     return max(0.0, 0.5 * math.log(det(steering) / det(steering + steered)))
 
 
-def random_states(seed, n):
-    """n states with r1, r2, r3 in [0, 1.7] and t1, t2, eta in [0, 1]."""
+def random_states(seed, n, r_max=1.7):
+    """n states with r1, r2, r3 in [0, r_max] and t1, t2, eta in [0, 1]."""
     rng = np.random.default_rng(seed)
     return np.array([
         build_state(GhzConfig(r1=r1, r2=r2, r3=r3, t1=t1, t2=t2, eta=eta)).matrix
-        for r1, r2, r3, t1, t2, eta in zip(*rng.uniform(0.0, 1.7, (3, n)),
+        for r1, r2, r3, t1, t2, eta in zip(*rng.uniform(0.0, r_max, (3, n)),
                                            *rng.uniform(0.0, 1.0, (3, n)))])
 
 
@@ -264,6 +265,35 @@ class TestSteeringStack:
         with pytest.raises(NumericalError, match="not invertible"):
             steering_stack(states)
 
+    def test_a_matrix_that_is_not_positive_definite_is_not_a_state(self):
+        # the x quadratures of all three modes correlate at -0.6: every mode
+        # and pair block is positive definite and well conditioned, the
+        # whole matrix is not (eigenvalue 1 - 2 * 0.6 < 0)
+        bad = np.eye(6)
+        for i in (0, 2, 4):
+            for j in (0, 2, 4):
+                if i != j:
+                    bad[i, j] = -0.6
+        assert np.linalg.eigvalsh(bad).min() < 0
+        states = np.stack([build_state(GhzConfig()).matrix, bad, np.eye(6)])
+        with pytest.raises(NumericalError, match="not a state"):
+            steering_stack(states)
+
+    def test_rows_are_bit_identical_to_one_state_calls(self):
+        states = random_states(20261019, 300)
+        singles = np.concatenate([steering_stack(states[k:k + 1]) for k in range(300)])
+        for size in (1, 2, 7, 300):
+            assert np.array_equal(steering_stack(states[:size]), singles[:size]), size
+
+    @pytest.mark.parametrize("noise", [0.0, 0.2, 2.0])
+    def test_matches_independent_solve_up_to_r_3(self, noise):
+        # noise * I adds thermal noise to every mode; at 2 shot-noise units
+        # no direction is steerable any more
+        states = random_states(20261020, 150, r_max=3.0) + noise * np.eye(6)
+        g = steering_stack(states)
+        expected = [[independent_g(m, label) for label in DIRECTIONS] for m in states]
+        assert np.abs(g - expected).max() <= 1e-11
+
 
 class TestSteeringReport:
     def test_key_order_matches_directions(self):
@@ -402,6 +432,27 @@ class TestThreshold:
     def test_coarse_tolerance_still_brackets(self):
         eta_star = find_threshold(GhzConfig(), "A->BC", tol=5e-3)
         assert 0.49 <= eta_star <= 0.52
+
+    @pytest.mark.parametrize("lookahead", [1, 2, 4, 5])
+    @pytest.mark.parametrize("direction", ["A->BC", "AB->C", "A->B"])
+    def test_the_lookahead_does_not_change_the_result(self, monkeypatch, lookahead, direction):
+        # BISECTION_LOOKAHEAD only schedules which midpoints share a call
+        configs = [GhzConfig(r1=r, r2=r, r3=r, t1=t1, t2=t2)
+                   for r, t1, t2 in [(R, 1 / 3, 0.5), (0.1, 0.8, 0.3), (1.7, 0.5, 0.9)]]
+
+        def thresholds():
+            found = []
+            for config in configs:
+                for tol in (1e-6, 1e-3):
+                    try:
+                        found.append(find_threshold(config, direction, tol=tol))
+                    except ValueError as exc:
+                        found.append(str(exc))
+            return found
+
+        default = thresholds()
+        monkeypatch.setattr(steering, "BISECTION_LOOKAHEAD", lookahead)
+        assert thresholds() == default
 
     @pytest.mark.parametrize("r, t1, t2", [(R, 1 / 3, 0.5), (0.1, 0.8, 0.3), (1.7, 0.5, 0.9)])
     @pytest.mark.parametrize("tol", [1e-6, 1e-4, 0.3])

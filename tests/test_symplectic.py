@@ -128,6 +128,11 @@ class TestSymplecticForm:
         with pytest.raises(ValueError):
             symplectic_form(0)
 
+    def test_is_built_once_and_read_only(self):
+        assert symplectic_form(2) is symplectic_form(2)
+        with pytest.raises(ValueError, match="read-only"):
+            symplectic_form(2)[0, 1] = 2.0
+
 
 class TestSymplecticEigenvalues:
     def test_vacuum(self):
