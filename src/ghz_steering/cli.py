@@ -44,6 +44,12 @@ OUTDIR_ENV = "GHZ_STEERING_OUTDIR"
 DEFAULT_GRID = "0.0:1.0:0.05"
 DEFAULT_SEED = 12345
 
+# Caps on the argument sizes that allocate per element, checked before anything
+# is built.  At the caps a fresh process peaks at about 76 MB RSS (sweep) and
+# 100 MB (tomo), against 31 and 37 MB at the defaults (numpy 2.4, x86-64 Linux).
+MAX_GRID_POINTS = 10_001
+MAX_TRIALS = 10_000
+
 EXIT_OK = 0
 EXIT_UNPHYSICAL = 2
 EXIT_USAGE = 3
@@ -123,16 +129,24 @@ def _parse_grid(expr: str) -> list[float]:
             if not (0.0 <= start <= stop <= 1.0):
                 raise ValueError("grid must lie within [0, 1] with start <= stop")
             # the slack keeps a last point that round-off puts just short of stop
-            count = math.floor((stop - start) / step + 1e-9) + 1
-            return [min(start + k * step, stop) for k in range(count)]
+            steps = (stop - start) / step + 1e-9
+            _check_grid_size(steps + 1)
+            return [min(start + k * step, stop) for k in range(math.floor(steps) + 1)]
         values = [float(f) for f in expr.split(",") if f.strip() != ""]
         if not values:
             raise ValueError("empty eta grid")
         if any(not 0.0 <= v <= 1.0 for v in values):
             raise ValueError("grid values must lie within [0, 1]")
+        _check_grid_size(len(values))
         return values
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _check_grid_size(points: float) -> None:
+    """ValueError if a grid has more than MAX_GRID_POINTS points (points may be inf)."""
+    if points >= MAX_GRID_POINTS + 1:
+        raise ValueError(f"grid has {points:.0f} points, more than {MAX_GRID_POINTS}")
 
 
 def _finite_float(text: str) -> float:
@@ -146,14 +160,27 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type for seeds: an integer >= 0."""
+def _int(text: str) -> int:
+    """int(text), failing with argparse's own "invalid int value" message."""
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for seeds: an integer >= 0."""
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
+def _trial_count(text: str) -> int:
+    """argparse type for --trials: an integer of at most MAX_TRIALS."""
+    value = _int(text)
+    if value > MAX_TRIALS:
+        raise argparse.ArgumentTypeError(f"{value} trials, more than {MAX_TRIALS}")
     return value
 
 
@@ -352,7 +379,7 @@ def build_parser() -> _Parser:
                         help="channel efficiency on mode A (default 1.0)")
     p_tomo.add_argument("--samples", type=int, default=100_000,
                         help="quadrature samples per trial (default 100000)")
-    p_tomo.add_argument("--trials", type=int, default=3,
+    p_tomo.add_argument("--trials", type=_trial_count, default=3,
                         help="number of reconstruction trials (default 3)")
     p_tomo.add_argument("--seed", type=_non_negative_int, default=DEFAULT_SEED,
                         help=f"master seed; trials derive child seeds (default {DEFAULT_SEED})")

@@ -158,10 +158,14 @@ def symplectic_eigenvalues(cm: CovarianceMatrix | np.ndarray) -> np.ndarray:
         If the input has a non-finite entry or is not positive definite
         (the Cholesky factorization fails): "not a state".
     """
-    m = _as_array(cm)
+    return _factor_spectrum(_cholesky(_require_finite(_as_array(cm))))
+
+
+def _require_finite(m: np.ndarray) -> np.ndarray:
+    """m itself; NumericalError "not a state" if an entry is not finite."""
     if not np.all(np.isfinite(m)):
         raise NumericalError(_NOT_A_STATE)
-    return _factor_spectrum(_cholesky(m))
+    return m
 
 
 def _cholesky(m: np.ndarray) -> np.ndarray:
@@ -214,22 +218,6 @@ def is_physical(cm: CovarianceMatrix | np.ndarray, tol: float | None = None) -> 
         return False
 
 
-def reduce_modes(cm: CovarianceMatrix, modes: tuple[int, ...] | list[int]) -> CovarianceMatrix:
-    """Reduced state over the listed modes (partial trace of the others).
-
-    The listed order is preserved, so this also serves as a mode permutation.
-    """
-    modes = tuple(int(k) for k in modes)
-    if not modes:
-        raise ValueError("must keep at least one mode")
-    if len(set(modes)) != len(modes):
-        raise ValueError("duplicate mode index")
-    if min(modes) < 0 or max(modes) >= cm.n_modes:
-        raise ValueError(f"mode index out of range for a {cm.n_modes}-mode state")
-    idx = quadrature_indices(modes)
-    return CovarianceMatrix(cm.matrix[np.ix_(idx, idx)])
-
-
 def schur_complement(cm: CovarianceMatrix, partition: Partition) -> np.ndarray:
     """Covariance of the steered party conditioned on the steering party.
 
@@ -251,8 +239,14 @@ def schur_complement(cm: CovarianceMatrix, partition: Partition) -> np.ndarray:
 
 
 def purity(cm: CovarianceMatrix | np.ndarray) -> float:
-    """Purity of the Gaussian state, 1/sqrt(det sigma); equals 1 for pure states."""
-    det = np.linalg.det(_as_array(cm))
+    """Purity of the Gaussian state, 1/sqrt(det sigma); equals 1 for pure states.
+
+    Raises NumericalError "not a state", as symplectic_eigenvalues does, unless
+    cm is finite and positive definite and its determinant does not underflow.
+    """
+    m = _require_finite(_as_array(cm))
+    _cholesky(m)
+    det = np.linalg.det(m)
     if det <= 0:
-        raise ValueError(_NOT_A_STATE)
+        raise NumericalError(_NOT_A_STATE)
     return float(1.0 / np.sqrt(det))

@@ -3,8 +3,11 @@
 Mirrors the measurement protocol: 18 variance measurements (6 single
 quadratures, 6 minus-combinations, 6 plus-combinations across the three
 modes) assembled into a 6x6 covariance matrix through the variance-sum
-identities, with within-mode x-p covariances taken as 0.  Multi-trial
-statistics give the mean and error bar of every steering value.
+identities, with within-mode x-p covariances taken as 0.  That link is one
+array path for one matrix or a stack: :func:`population_measurements` maps
+(..., 6, 6) to the (..., 18) variances in MEASUREMENT_LABELS order and
+:func:`covariance_from_measurements` maps them back.  Multi-trial statistics
+give the mean and error bar of every steering value.
 
 Every measured variance is v^T S v for the 6x6 sample covariance S of the
 record, so a trial needs S, not its record.  S is drawn exactly instead of
@@ -28,7 +31,7 @@ import numpy as np
 from .network import MODE_NAMES, combo_vector
 from .steering import DIRECTIONS, steering_stack
 from .steering import steering_report  # noqa: F401 -- not called; the benchmark traces this name
-from .symplectic import CovarianceMatrix, symmetric_part, symplectic_eigenvalues
+from .symplectic import CovarianceMatrix, _as_array, symplectic_eigenvalues
 
 # A reconstructed trial is kept when its minimum symplectic eigenvalue is at
 # least this floor.  The floor sits well below 1 on purpose: a pure state
@@ -57,26 +60,6 @@ _COMBO_MATRIX = np.array([combo_vector(label) for label in MEASUREMENT_LABELS])
 # which fixes Cov(q_a, q_b) = s_a s_b (Var(row) - Var(q_a) - Var(q_b)) / 2.
 _SLOT_A, _SLOT_B = np.array([np.flatnonzero(row) for row in _COMBO_MATRIX[6:]]).T
 _SLOT_SIGN = np.array([np.prod(row[row != 0]) for row in _COMBO_MATRIX[6:]])
-
-
-@dataclass(frozen=True)
-class MeasurementSet:
-    """The 18 variances of one reconstruction run, keyed by combination label."""
-
-    variances: dict[str, float]
-
-    def __post_init__(self) -> None:
-        if tuple(self.variances.keys()) != MEASUREMENT_LABELS:
-            raise ValueError("need exactly the 18 canonical measurement labels, in order")
-        _check_variances(self.as_array())
-
-    def as_array(self) -> np.ndarray:
-        return np.array(list(self.variances.values()))
-
-
-def _check_variances(variances: np.ndarray) -> None:
-    if not np.all(np.isfinite(variances)) or np.any(variances < 0):
-        raise ValueError("variances must be finite and non-negative")
 
 
 def _sampling_root(cm: CovarianceMatrix, n_samples: int) -> np.ndarray:
@@ -147,49 +130,47 @@ def _bartlett_covariances(n_samples: int, dim: int, seeds: list) -> np.ndarray:
     return np.swapaxes(factors, -1, -2) @ factors / dof
 
 
-def _variances(cov: np.ndarray) -> np.ndarray:
-    """The 18 variances diag(C cov C^T), C = _COMBO_MATRIX, of a 6x6 covariance or a stack."""
-    return ((_COMBO_MATRIX @ cov) * _COMBO_MATRIX).sum(axis=-1)
+def population_measurements(cov: CovarianceMatrix | np.ndarray) -> np.ndarray:
+    """The (..., 18) variances v^T sigma v of a CovarianceMatrix or a (..., 6, 6) array.
+
+    Arrays are symmetrized on ingest, as in symplectic_eigenvalues.  Noise-free
+    for a state; for a sample covariance, the sample variances.
+    """
+    if np.shape(cov.matrix if isinstance(cov, CovarianceMatrix) else cov)[-2:] != (6, 6):
+        raise ValueError("expected a three-mode state")
+    m = _as_array(cov)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("covariance matrix entries must be finite")
+    return ((_COMBO_MATRIX @ m) * _COMBO_MATRIX).sum(axis=-1)
 
 
-def _measurements(cov: np.ndarray) -> MeasurementSet:
-    return MeasurementSet(variances=dict(zip(MEASUREMENT_LABELS, _variances(cov).tolist())))
-
-
-def measure_set(samples: np.ndarray) -> MeasurementSet:
-    """Unbiased sample variances (divisor n-1) of the 18 combinations."""
+def measure_set(samples: np.ndarray) -> np.ndarray:
+    """Unbiased sample variances (divisor n-1) of the 18 combinations, an (18,) array."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != 6:
         raise ValueError("expected an (n_samples, 6) table for a three-mode state")
     if samples.shape[0] < 2:
         raise ValueError("need at least 2 samples")
-    return _measurements(np.cov(samples, rowvar=False))
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("sample entries must be finite")
+    return population_measurements(np.cov(samples, rowvar=False))
 
 
-def population_measurements(cm: CovarianceMatrix) -> MeasurementSet:
-    """The 18 variances v^T sigma v read off a covariance matrix.
+def covariance_from_measurements(var: np.ndarray) -> np.ndarray:
+    """Assemble covariance matrices from variances: (..., 18) -> (..., 6, 6).
 
-    Noise-free for a state; for a sample covariance, the sample variances.
-    """
-    if cm.n_modes != 3:
-        raise ValueError("expected a three-mode state")
-    return _measurements(cm.matrix)
-
-
-def covariance_from_measurements(ms: MeasurementSet) -> CovarianceMatrix:
-    """Assemble the 6x6 covariance matrix from the 18 variances.
-
-    Diagonal from the singles; each cross-mode covariance from the one
+    The last axis holds the 18 variances in MEASUREMENT_LABELS order.  The
+    diagonal comes from the singles; each cross-mode covariance from the one
     combination that measures its slot, through the minus identity Cov =
     -1/2 [Var(u - v) - Var(u) - Var(v)] or the plus identity Cov = +1/2
     [Var(u + v) - Var(u) - Var(v)].  Within-mode x-p covariances are not
     measured and are set to 0.
     """
-    return CovarianceMatrix(_covariance_from_variances(ms.as_array()))
-
-
-def _covariance_from_variances(var: np.ndarray) -> np.ndarray:
-    """The variance -> covariance map on the last axis: (..., 18) -> (..., 6, 6)."""
+    var = np.asarray(var, dtype=float)
+    if var.shape[-1:] != (18,):
+        raise ValueError(f"expected 18 variances on the last axis, got shape {var.shape}")
+    if not np.all(np.isfinite(var)) or np.any(var < 0):
+        raise ValueError("variances must be finite and non-negative")
     out = np.zeros(var.shape[:-1] + (6, 6))
     out[..., range(6), range(6)] = var[..., :6]
     cov = _SLOT_SIGN * 0.5 * (var[..., 6:] - var[..., _SLOT_A] - var[..., _SLOT_B])
@@ -259,12 +240,7 @@ def reconstruct_trials(
     children = np.random.SeedSequence(seed).spawn(n_trials)
     cov_z = _bartlett_covariances(n_samples, root.shape[0], children)
 
-    sampled = root.T @ cov_z @ root
-    if not np.all(np.isfinite(sampled)):
-        raise ValueError("covariance matrix entries must be finite")
-    variances = _variances(symmetric_part(sampled))
-    _check_variances(variances)
-    stack = _covariance_from_variances(variances)
+    stack = covariance_from_measurements(population_measurements(root.T @ cov_z @ root))
     stack.flags.writeable = False
 
     nu_min = np.zeros(n_trials)  # stays 0 where a matrix is not positive definite

@@ -167,7 +167,7 @@ def test_6_reconstruction_recovers_steering_within_error_bars():
     for eta in (1.0, 0.37):
         state = build_state(GhzConfig(eta=eta))
         rebuilt = covariance_from_measurements(population_measurements(state))
-        dev = float(np.max(np.abs(rebuilt.matrix - state.matrix)))
+        dev = float(np.max(np.abs(rebuilt - state.matrix)))
         if dev > 1e-12:
             failures.append(f"population round trip at eta={eta} off by {dev!r}")
 

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,51 @@ class TestTomo:
             main(["tomo", "--seed", "-1"])
         assert exc.value.code == 3
         assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("called after a size cap should have fired")
+
+
+class TestSizeCaps:
+    """Grid points and trials are capped at parse time, before anything is built."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--grid", "0:1:1e-12"],
+         "argument --grid: grid has 1000000000001 points, more than 10001"),
+        # a subnormal step: the point count overflows to inf
+        (["sweep", "--grid", "0:1:5e-324"], "argument --grid: grid has inf points, more than 10001"),
+        (["tomo", "--trials", "1000000000"], "argument --trials: 1000000000 trials, more than 10000"),
+    ])
+    def test_fires_before_anything_is_allocated(self, capsys, monkeypatch, argv, message):
+        for name in ("build_state", "build_states", "reconstruct_trials"):
+            monkeypatch.setattr(cli, name, _never_called)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == 3
+        assert message in capsys.readouterr().err
+        assert peak < 2**20
+
+    def test_the_finest_range_grid_is_the_cap(self):
+        assert len(cli._parse_grid("0:1:0.0001")) == cli.MAX_GRID_POINTS
+
+    def test_the_caps_are_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 5)
+        monkeypatch.setattr(cli, "MAX_TRIALS", 4)
+        for argv in (["sweep", "--grid", "0:1:0.25"], ["sweep", "--grid", "0.1,0.2,0.3,0.4,0.5"],
+                     ["tomo", "--samples", "20000", "--trials", "4"]):
+            assert run(capsys, argv)[0] == 0
+        for argv in (["sweep", "--grid", "0:1:0.2"], ["sweep", "--grid", "0.1,0.2,0.3,0.4,0.5,0.6"],
+                     ["tomo", "--trials", "5"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 3
+            assert "more than" in capsys.readouterr().err
 
 
 class TestCheck:

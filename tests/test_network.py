@@ -19,7 +19,7 @@ from ghz_steering.network import (
     r_to_squeezing_db,
     squeezing_db_to_r,
 )
-from ghz_steering.symplectic import is_physical, purity, reduce_modes, symplectic_form
+from ghz_steering.symplectic import is_physical, purity, symplectic_form
 
 R = 0.339
 
@@ -137,11 +137,14 @@ class TestBuildGhz:
         cm = build_ghz(GhzConfig(r1=r, r2=r, r3=r))
         assert purity(cm) == pytest.approx(1.0, abs=1e-8)
 
-    def test_reduced_modes_are_identical(self):
+    def test_reduced_modes_are_the_closed_form(self):
+        # each mode alone: Var(x) = (e^{2r} + 2e^{-2r})/3, Var(p) = (2e^{2r} + e^{-2r})/3
+        a, b = math.exp(2 * R), math.exp(-2 * R)
+        expected = np.diag([(a + 2 * b) / 3, (2 * a + b) / 3])
         cm = build_ghz(GhzConfig())
-        first = reduce_modes(cm, (0,)).matrix
-        for mode in (1, 2):
-            assert np.allclose(reduce_modes(cm, (mode,)).matrix, first, atol=1e-12)
+        for mode in range(3):
+            block = cm.matrix[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2]
+            assert np.allclose(block, expected, atol=1e-12)
 
 
 class TestLossyChannel:

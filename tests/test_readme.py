@@ -1,18 +1,24 @@
-"""README "Library" stays in step with the package's exports, submodules and API."""
+"""README "Library" and "Command line" stay in step with the package's exports, API and CLI."""
 
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import ghz_steering
+from ghz_steering import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def library_section():
+def section(heading):
     text = README.read_text()
-    start = text.index("## Library")
+    start = text.index(f"## {heading}\n")
     return text[start:text.index("\n## ", start + 1)]
+
+
+def library_section():
+    return section("Library")
 
 
 def backticked(text):
@@ -20,8 +26,8 @@ def backticked(text):
 
 
 def test_package_exports_are_the_listed_names():
-    section = library_section()
-    listed = section[section.index("The package exports"):section.index("The lower-level pieces")]
+    text = library_section()
+    listed = text[text.index("The package exports"):text.index("The lower-level pieces")]
     assert sorted(ghz_steering.__all__) == sorted(backticked(listed))
     assert len(ghz_steering.__all__) == len(set(ghz_steering.__all__))
 
@@ -49,3 +55,20 @@ def test_the_python_examples_run(capsys):
     assert len(blocks) >= 2
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def cli_lines():
+    """The ghz-steering command lines of the first sh block under "Command line"."""
+    block = re.search(r"^```sh\n(.*?)^```$", section("Command line"), re.MULTILINE | re.DOTALL)
+    return [line for line in block.group(1).splitlines() if line.startswith("ghz-steering ")]
+
+
+def test_the_command_line_examples_run(capsys, monkeypatch, tmp_path):
+    lines = cli_lines()
+    assert len(lines) >= 7
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        assert cli.main(argv) == 0, line
+    assert (tmp_path / "sweep.csv").is_file()

@@ -24,7 +24,7 @@ from ghz_steering import (
 )
 from ghz_steering import steering
 from ghz_steering.steering import STEERING_EPS, gaussian_steering, parse_direction
-from ghz_steering.symplectic import Partition, reduce_modes, symplectic_form
+from ghz_steering.symplectic import Partition, quadrature_indices, symplectic_form
 
 R = 0.339
 A_CONST = math.exp(2 * R)
@@ -311,7 +311,8 @@ class TestSteeringReport:
 
     def test_swapping_unlossy_modes_relabels_the_report(self):
         state = build_state(GhzConfig(eta=0.6))
-        swapped = reduce_modes(state, (0, 2, 1))
+        idx = quadrature_indices((0, 2, 1))
+        swapped = CovarianceMatrix(state.matrix[np.ix_(idx, idx)])
         rep = steering_report(state)
         rep_swapped = steering_report(swapped)
         relabel = str.maketrans("BC", "CB")

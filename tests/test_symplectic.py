@@ -17,7 +17,6 @@ from ghz_steering.symplectic import (
     physicality_floor,
     purity,
     quadrature_indices,
-    reduce_modes,
     require_invertible,
     schur_complement,
     symplectic_eigenvalues,
@@ -187,8 +186,9 @@ class TestSymplecticEigenvalues:
         n = len(modes)
         omega = np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]])
         for state in random_lossy_states(seed=n, count=40):
-            reduced = reduce_modes(state, modes)
-            expected = np.sort(np.abs(np.linalg.eigvals(omega @ reduced.matrix).imag))[::2]
+            idx = quadrature_indices(modes)
+            reduced = state.matrix[np.ix_(idx, idx)]
+            expected = np.sort(np.abs(np.linalg.eigvals(omega @ reduced).imag))[::2]
             assert symplectic_eigenvalues(reduced) == pytest.approx(expected, rel=0, abs=1e-12)
 
     def test_higher_rank_stack_matches_rows_bit_for_bit(self):
@@ -298,31 +298,6 @@ class TestIsPhysical:
         assert is_physical(slightly_off, tol=1e-3)
 
 
-class TestReduceModes:
-    def test_ghz_single_mode_closed_form(self):
-        a, b = math.exp(2 * R), math.exp(-2 * R)
-        expected = np.diag([(a + 2 * b) / 3, (2 * a + b) / 3])
-        for mode in range(3):
-            red = reduce_modes(build_ghz(GhzConfig()), (mode,))
-            assert np.allclose(red.matrix, expected, atol=1e-12)
-
-    def test_pair_keeps_blocks_bit_for_bit(self):
-        ghz = build_ghz(GhzConfig())
-        red = reduce_modes(ghz, (1, 2))
-        assert np.array_equal(red.matrix, ghz.matrix[2:6, 2:6])
-
-    def test_listed_order_is_preserved(self):
-        ghz = build_state(GhzConfig(eta=0.4))
-        swapped = reduce_modes(ghz, (2, 1, 0))
-        assert swapped.matrix[4, 4] == ghz.matrix[0, 0]
-        assert swapped.matrix[0, 0] == ghz.matrix[4, 4]
-
-    @pytest.mark.parametrize("modes", [(), (0, 0), (3,), (-1,)])
-    def test_invalid_modes(self, modes):
-        with pytest.raises(ValueError):
-            reduce_modes(build_ghz(GhzConfig()), modes)
-
-
 class TestSchurComplement:
     def test_product_state_returns_steered_block_exactly(self):
         cm = CovarianceMatrix(np.diag([2.0, 2.0, 3.0, 3.0]))
@@ -378,6 +353,20 @@ class TestPurity:
     def test_rejects_non_positive_definite(self):
         with pytest.raises(ValueError, match="not a state"):
             purity(CovarianceMatrix(np.diag([1.0, -1.0])))
+
+    def test_rejects_a_negative_definite_matrix(self):
+        # det(-I6) = +1, so the determinant alone would pass it
+        with pytest.raises(NumericalError, match="not a state"):
+            purity(CovarianceMatrix(-np.eye(6)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(NumericalError, match="not a state"):
+            purity(np.full((6, 6), bad))
+
+    def test_value_is_the_determinant_formula(self):
+        state = build_state(GhzConfig(eta=0.4))
+        assert purity(state) == float(1.0 / np.sqrt(np.linalg.det(state.matrix)))
 
 
 @given(

@@ -20,11 +20,10 @@ from ghz_steering import (
     steering_stack,
 )
 from ghz_steering.network import correlation_variance
-from ghz_steering.symplectic import symplectic_eigenvalues
+from ghz_steering.symplectic import symmetric_part, symplectic_eigenvalues
 from ghz_steering.tomography import (
     MEASUREMENT_LABELS,
     REJECT_NU_FLOOR,
-    MeasurementSet,
     covariance_from_measurements,
     measure_set,
     population_measurements,
@@ -43,29 +42,9 @@ def test_measurement_labels_are_a_frozen_contract():
     )
 
 
-class TestMeasurementSet:
-    def test_as_array_follows_label_order(self):
-        ms = population_measurements(build_state(GhzConfig()))
-        arr = ms.as_array()
-        assert arr.tolist() == [ms.variances[lab] for lab in MEASUREMENT_LABELS]
-
-    def test_rejects_wrong_keys(self):
-        good = population_measurements(build_state(GhzConfig())).variances
-        reordered = dict(reversed(list(good.items())))
-        with pytest.raises(ValueError):
-            MeasurementSet(variances=reordered)
-
-    def test_rejects_missing_key(self):
-        good = dict(population_measurements(build_state(GhzConfig())).variances)
-        good.pop("pB+xC")
-        with pytest.raises(ValueError):
-            MeasurementSet(variances=good)
-
-    def test_rejects_negative_variance(self):
-        good = dict(population_measurements(build_state(GhzConfig())).variances)
-        good["xA"] = -1.0
-        with pytest.raises(ValueError):
-            MeasurementSet(variances=good)
+def var_of(variances, label):
+    """The variance of one labelled combination from an (..., 18) array."""
+    return variances[..., MEASUREMENT_LABELS.index(label)]
 
 
 class TestSampleQuadratures:
@@ -139,9 +118,10 @@ class TestMeasureSet:
         samples = np.zeros((3, 6))
         samples[:, 0] = [0.0, 1.0, 2.0]
         samples[:, 2] = [0.0, 1.0, 2.0]
-        ms = measure_set(samples)
-        assert ms.variances["xA"] == pytest.approx(1.0)
-        assert ms.variances["xA-xB"] == pytest.approx(0.0)
+        var = measure_set(samples)
+        assert var.shape == (18,)
+        assert var_of(var, "xA") == pytest.approx(1.0)
+        assert var_of(var, "xA-xB") == pytest.approx(0.0)
 
     def test_rejects_wrong_width(self):
         with pytest.raises(ValueError):
@@ -151,26 +131,89 @@ class TestMeasureSet:
         with pytest.raises(ValueError):
             measure_set(np.zeros((1, 6)))
 
+    def test_is_population_measurements_of_the_sample_covariance(self):
+        samples = sample_quadratures(build_state(GhzConfig(eta=0.7)), 500, seed=4)
+        want = population_measurements(np.cov(samples, rowvar=False))
+        assert np.array_equal(measure_set(samples), want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_non_finite_table(self, bad):
+        samples = np.ones((5, 6))
+        samples[2, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            measure_set(samples)
+
 
 class TestPopulationMeasurements:
     def test_matches_correlation_variance(self):
         cm = build_state(GhzConfig(eta=0.6))
-        ms = population_measurements(cm)
-        assert ms.variances["xA-xB"] == correlation_variance(cm, "xA-xB")
+        var = population_measurements(cm)
+        assert var_of(var, "xA-xB") == correlation_variance(cm, "xA-xB")
 
     def test_lossless_pair_value(self):
-        ms = population_measurements(build_state(GhzConfig()))
-        assert ms.variances["xA-xB"] == pytest.approx(2 * math.exp(-2 * R), abs=1e-10)
+        var = population_measurements(build_state(GhzConfig()))
+        assert var_of(var, "xA-xB") == pytest.approx(2 * math.exp(-2 * R), abs=1e-10)
 
-    def test_three_modes_required(self):
-        with pytest.raises(ValueError):
-            population_measurements(CovarianceMatrix(np.eye(4)))
+    @pytest.mark.parametrize("cov", [CovarianceMatrix(np.eye(4)), np.eye(4), np.ones((6, 4)),
+                                     np.ones((3, 8, 8)), np.ones((6, 6, 4))])
+    def test_three_modes_required(self, cov):
+        with pytest.raises(ValueError, match="expected a three-mode state"):
+            population_measurements(cov)
+
+    def test_rejects_a_vector(self):
+        with pytest.raises(ValueError, match="expected a three-mode state"):
+            population_measurements(np.ones(36))
+
+    def test_stack_rows_equal_one_matrix_calls(self):
+        states = np.array([build_state(GhzConfig(eta=eta)).matrix for eta in (0.2, 0.5, 1.0)])
+        stack = np.stack([states, 2.0 * states])  # (2, 3, 6, 6)
+        got = population_measurements(stack)
+        assert got.shape == (2, 3, 18)
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(got[index], population_measurements(stack[index]))
+        assert np.array_equal(got[0, 1], population_measurements(CovarianceMatrix(states[1])))
+
+    def test_arrays_are_symmetrized_on_ingest(self):
+        state = build_state(GhzConfig(eta=0.6)).matrix
+        skewed = state + np.triu(np.full((6, 6), 0.25), 1) - np.tril(np.full((6, 6), 0.25), -1)
+        got = population_measurements(skewed)
+        assert np.array_equal(got, population_measurements(symmetric_part(skewed)))
+        assert np.allclose(got, population_measurements(state), rtol=0, atol=1e-15)
+
+    def test_rejects_non_finite_entries(self):
+        state = np.array(build_state(GhzConfig()).matrix)
+        state[1, 4] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            population_measurements(state)
 
 
 class TestCovarianceFromMeasurements:
     def test_vacuum(self):
         out = covariance_from_measurements(population_measurements(CovarianceMatrix(np.eye(6))))
-        assert np.allclose(out.matrix, np.eye(6), atol=1e-12)
+        assert type(out) is np.ndarray
+        assert np.allclose(out, np.eye(6), atol=1e-12)
+
+    def test_maps_the_last_axis(self):
+        var = population_measurements(build_state(GhzConfig(eta=0.4)))
+        stack = np.stack([[var, 2.0 * var, var + 1.0]] * 2)  # (2, 3, 18)
+        out = covariance_from_measurements(stack)
+        assert out.shape == (2, 3, 6, 6)
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(out[index], covariance_from_measurements(stack[index]))
+
+    @pytest.mark.parametrize("shape", [(17,), (19,), (18, 2), ()])
+    def test_rejects_a_last_axis_other_than_18(self, shape):
+        with pytest.raises(ValueError, match="18 variances"):
+            covariance_from_measurements(np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_rejects_a_bad_variance(self, bad):
+        var = np.array(population_measurements(build_state(GhzConfig())))
+        var[MEASUREMENT_LABELS.index("xA")] = bad
+        with pytest.raises(ValueError, match="variances must be finite and non-negative"):
+            covariance_from_measurements(var)
+        with pytest.raises(ValueError, match="variances must be finite and non-negative"):
+            covariance_from_measurements(np.stack([var] * 3))
 
     @given(
         st.floats(min_value=0.0, max_value=1.2),
@@ -180,16 +223,17 @@ class TestCovarianceFromMeasurements:
     def test_population_round_trip_is_exact(self, r, eta):
         cm = build_state(GhzConfig(r1=r, r2=r, r3=r, eta=eta))
         out = covariance_from_measurements(population_measurements(cm))
-        assert np.max(np.abs(out.matrix - cm.matrix)) <= 1e-12
+        assert np.max(np.abs(out - cm.matrix)) <= 1e-12
 
     def test_plus_and_minus_identities_agree(self):
         # Cov(xA, xB) extracted from Var(xA - xB) must equal the value
         # extracted from Var(xA + xB), which is not part of the protocol
         cm = build_state(GhzConfig(eta=0.7))
-        ms = population_measurements(cm).variances
+        var = population_measurements(cm)
         plus = correlation_variance(cm, "xA+xB")
-        from_minus = -0.5 * (ms["xA-xB"] - ms["xA"] - ms["xB"])
-        from_plus = 0.5 * (plus - ms["xA"] - ms["xB"])
+        singles = var_of(var, "xA") + var_of(var, "xB")
+        from_minus = -0.5 * (var_of(var, "xA-xB") - singles)
+        from_plus = 0.5 * (plus - singles)
         assert from_minus == pytest.approx(from_plus, abs=1e-12)
 
     def test_within_mode_cross_terms_are_not_measured(self):
@@ -203,10 +247,10 @@ class TestCovarianceFromMeasurements:
         rotated = CovarianceMatrix(rot @ state @ rot.T)
         out = covariance_from_measurements(population_measurements(rotated))
         assert abs(rotated.matrix[0, 1]) > 0.1
-        assert out.matrix[0, 1] == 0.0
+        assert out[0, 1] == 0.0
         mask = np.ones((6, 6), dtype=bool)
         mask[0, 1] = mask[1, 0] = False
-        assert np.max(np.abs((out.matrix - rotated.matrix)[mask])) <= 1e-12
+        assert np.max(np.abs((out - rotated.matrix)[mask])) <= 1e-12
 
 
 def per_trial_reference(cm, n_samples, n_trials, seed):
@@ -215,15 +259,15 @@ def per_trial_reference(cm, n_samples, n_trials, seed):
     for index, child in enumerate(np.random.SeedSequence(seed).spawn(n_trials)):
         sampled = sample_covariance(cm, n_samples, child)
         matrix = covariance_from_measurements(population_measurements(sampled))
-        matrices.append(matrix.matrix)
+        matrices.append(matrix)
         try:
-            nu_min = float(symplectic_eigenvalues(matrix.matrix).min())
+            nu_min = float(symplectic_eigenvalues(matrix).min())
         except NumericalError:  # not positive definite
             nu_min = 0.0
         nu_mins.append(nu_min)
         if nu_min >= REJECT_NU_FLOOR:
             accepted.append(index)
-            rows.append([steering_report(matrix)[d] for d in DIRECTIONS])
+            rows.append([steering_report(CovarianceMatrix(matrix))[d] for d in DIRECTIONS])
     if len(rows) < 2:  # reconstruct_trials raises
         return matrices, nu_mins, accepted, rows, None, None
     values = np.array(rows)
@@ -276,7 +320,7 @@ class TestReconstructTrials:
         child = np.random.SeedSequence(7).spawn(3)[1]
         direct = covariance_from_measurements(
             population_measurements(sample_covariance(cm, 20_000, child)))
-        assert np.array_equal(stats.matrices[1], direct.matrix)
+        assert np.array_equal(stats.matrices[1], direct)
 
     def test_memory_does_not_grow_with_samples(self):
         # a 1M-sample table alone is 48 MB; the exact draws hold no samples
@@ -407,7 +451,7 @@ def pipeline_draws(n, pipeline):
         measured = [measure_set(sample_quadratures(cm, n, child)) for child in children]
     else:
         measured = [population_measurements(sample_covariance(cm, n, child)) for child in children]
-    matrices = np.array([covariance_from_measurements(ms).matrix for ms in measured])
+    matrices = covariance_from_measurements(np.array(measured))
     nu_min = np.zeros(len(matrices))
     definite = np.linalg.eigvalsh(matrices).min(axis=-1) > 0
     if definite.any():
@@ -452,6 +496,6 @@ def test_reconstruction_error_shrinks_with_sample_size():
         for seed in range(10):
             samples = sample_quadratures(cm, n, seed=seed)
             rec = covariance_from_measurements(measure_set(samples))
-            dists.append(np.linalg.norm(rec.matrix - cm.matrix))
+            dists.append(np.linalg.norm(rec - cm.matrix))
         errors[n] = np.mean(dists)
     assert errors[1000] > errors[10_000] > errors[100_000]
