@@ -252,14 +252,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     states = build_states(config, args.grid)
     nu_min, floor = _physicality(states)
     unphysical = np.flatnonzero(~(nu_min >= floor))
-    # Rows fail in grid order: the rows before the first unphysical eta are
-    # evaluated first, so a numerical failure among them is the error reported.
-    stop = unphysical[0] if unphysical.size else len(args.grid)
-    g = steering_stack(states[:stop])
     if unphysical.size:
-        print(f"error: state at eta={args.grid[stop]} violates the uncertainty relation",
+        print(f"error: state at eta={args.grid[unphysical[0]]} violates the uncertainty relation",
               file=sys.stderr)
         return EXIT_UNPHYSICAL
+    g = steering_stack(states)
     rows = list(zip(args.grid, g.tolist(), monogamy_stack(g).tolist()))
 
     if args.format == "csv":
@@ -327,7 +324,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     grid = _parse_grid(DEFAULT_GRID)
     states = build_states(config, grid)
-    g = steering_stack(states)  # before physicality: its numerical failures come first
+    g = steering_stack(states)
     nu_min, floor = _physicality(states, args.nu_floor)
     worst = np.argmin(nu_min - floor)  # the row with the least margin
     worst_pair = g[:, :6].max()  # DIRECTIONS[:6] are the one-to-one directions

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +19,10 @@ from .symplectic import CovarianceMatrix, symmetric_part
 
 MODE_NAMES = "ABC"
 
-# Largest squeezing parameter whose anti-squeezed variance e^{2r} is a finite float.
-MAX_SQUEEZING_R = math.log(sys.float_info.max) / 2.0
+# The declared squeezing domain is r in [0, MAX_SQUEEZING_R], up to 26.06 dB: well
+# past the 15 dB record (Vahlbruch et al., PRL 117, 110801, 2016).  On it every
+# built state is far from singular, so no conditioning guard is needed.
+MAX_SQUEEZING_R = 3.0
 
 # A combination label: terms [+-]?[xp]<mode>, every term after the first signed.
 _COMBO_LABEL = re.compile(r"[+-]?[xp]\w(?:[+-][xp]\w)*")
@@ -42,8 +43,9 @@ def squeezing_db_to_r(db: float) -> float:
 class GhzConfig:
     """Experiment description: squeezing strengths, network transmittances, loss.
 
-    r1, r3 squeeze x; r2 squeezes p.  t1 and t2 are the power transmittances
-    of the two beam splitters.  eta is the channel efficiency on mode A.
+    r1, r3 squeeze x; r2 squeezes p; each lies in [0, MAX_SQUEEZING_R].  t1 and
+    t2 are the power transmittances of the two beam splitters.  eta is the
+    channel efficiency on mode A.
     """
 
     r1: float = 0.339
@@ -56,10 +58,10 @@ class GhzConfig:
     def __post_init__(self) -> None:
         for name in ("r1", "r2", "r3"):
             val = getattr(self, name)
-            if val < 0:
-                raise ValueError(f"{name} must be non-negative")
-            if not val <= MAX_SQUEEZING_R:  # nan, inf, or e^{2r} overflows
-                raise ValueError(f"{name} must be finite and at most {MAX_SQUEEZING_R:.6g}")
+            if not 0.0 <= val <= MAX_SQUEEZING_R:  # also nan
+                db = r_to_squeezing_db
+                raise ValueError(f"{name} = {float(val)!r} ({db(val):.4g} dB) is outside the squeezing "
+                                 f"domain [0, {MAX_SQUEEZING_R:g}] (0 to {db(MAX_SQUEEZING_R):.4g} dB)")
         for name in ("t1", "t2", "eta"):
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:

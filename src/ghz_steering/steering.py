@@ -20,7 +20,7 @@ import numpy as np
 
 from .network import MODE_NAMES, GhzConfig, build_ghz, lossy_stack
 from .symplectic import (CovarianceMatrix, Partition, _cholesky, _factor_spectrum,
-                         quadrature_indices, require_invertible, schur_complement,
+                         _require_finite, quadrature_indices, schur_complement,
                          symplectic_eigenvalues)
 
 # Conditional symplectic eigenvalues this close to 1 count as exactly 1; keeps
@@ -85,9 +85,6 @@ _ORDERINGS = tuple(itertools.permutations(range(3)))
 _ORDERED = np.array([quadrature_indices(order) for order in _ORDERINGS])
 _PAIR_FIRST = [k for k, (a, b, _) in enumerate(_ORDERINGS) if a < b]
 _ONE_FIRST = [k for k, (_, b, c) in enumerate(_ORDERINGS) if b < c]
-# The blocks require_invertible guards: each mode (_ONE) and each pair of modes (_REST).
-_ONE = np.array([quadrature_indices((m,)) for m in range(3)])
-_REST = np.array([quadrature_indices([k for k in range(3) if k != m]) for m in range(3)])
 
 
 def _kernel_labels() -> list[str]:
@@ -124,15 +121,13 @@ def steering_stack(states: np.ndarray) -> np.ndarray:
     Raises
     ------
     NumericalError
-        "not invertible" if a steering-party block is too ill-conditioned to
-        invert; otherwise "not a state" exactly when some matrix of the stack
-        is not positive definite.
+        "not a state" exactly when some matrix of the stack has a non-finite
+        entry or is not positive definite.
     """
     sigma = np.asarray(states, dtype=float)
     if sigma.ndim != 3 or sigma.shape[1:] != (6, 6):
         raise ValueError(f"expected a (K, 6, 6) stack of three-mode states, got shape {sigma.shape}")
-    require_invertible(sigma[:, _ONE[:, :, None], _ONE[:, None, :]])
-    require_invertible(sigma[:, _REST[:, :, None], _REST[:, None, :]])
+    _require_finite(sigma)
     low = _cholesky(sigma[:, _ORDERED[:, :, None], _ORDERED[:, None, :]])  # (K, 6, 6, 6)
     diag = np.diagonal(low, axis1=-2, axis2=-1)  # (K, 6, 6): ordering, quadrature
     nus = np.ones((sigma.shape[0], 12, 2))  # a one-mode conditional's second entry stays 1: no term

@@ -17,18 +17,13 @@ import numpy as np
 # widened by the conditioning of the matrix (see physicality_floor).
 PHYSICALITY_TOL = 1e-9
 
-# Condition-number guard on the steering-party block of a Schur complement.
-# No configuration in scope comes anywhere near this; exceeding it means the
-# inversion would be numerically meaningless, so fail loudly instead.
-CONDITION_LIMIT = 1e12
-
 _NOT_A_STATE = "not a state: covariance matrix is not positive definite"
 
 
 class NumericalError(ValueError):
-    """A numerical guard failed: a block too ill-conditioned to invert, a
-    matrix that should be a covariance matrix is not positive definite, or
-    its entries are too large for the eigensolver."""
+    """A numerical guard failed: a matrix that should be a covariance matrix
+    is not finite or not positive definite, or its entries are too large for
+    the eigensolver."""
 
 
 def symmetric_part(m: np.ndarray) -> np.ndarray:
@@ -124,24 +119,6 @@ def _eigvalsh(m: np.ndarray) -> np.ndarray:
         raise NumericalError("eigenvalue solver failed: matrix entries out of range") from None
 
 
-def require_invertible(blocks: np.ndarray) -> None:
-    """Guard before inverting symmetric blocks, one block or a stack (..., n, n).
-
-    The 2-norm condition number of a symmetric block is the ratio of its
-    largest to its smallest eigenvalue modulus.
-
-    Raises
-    ------
-    NumericalError
-        If any block is singular or its condition number exceeds CONDITION_LIMIT.
-    """
-    moduli = np.abs(_eigvalsh(blocks))
-    smallest, largest = moduli.min(axis=-1), moduli.max(axis=-1)
-    # written so that a nan modulus fails the test too, and huge moduli do not overflow
-    if not np.all((smallest > 0.0) & (largest / CONDITION_LIMIT <= smallest)):
-        raise NumericalError("steering party block not invertible")
-
-
 def symplectic_eigenvalues(cm: CovarianceMatrix | np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a positive-definite covariance matrix, ascending.
 
@@ -223,7 +200,8 @@ def schur_complement(cm: CovarianceMatrix, partition: Partition) -> np.ndarray:
 
     Returns B - C^T A^{-1} C where A is the steering-party block, B the
     steered-party block, and C the cross block, in the interleaved ordering of
-    the partition's own mode lists.
+    the partition's own mode lists.  NumericalError "not a state" unless A is
+    positive definite.
     """
     needed = max(partition.steering + partition.steered)
     if needed >= cm.n_modes:
@@ -234,7 +212,7 @@ def schur_complement(cm: CovarianceMatrix, partition: Partition) -> np.ndarray:
     blk_a = m[np.ix_(ia, ia)]
     blk_b = m[np.ix_(ib, ib)]
     cross = m[np.ix_(ia, ib)]
-    require_invertible(blk_a)
+    _cholesky(blk_a)
     return symmetric_part(blk_b - cross.T @ np.linalg.solve(blk_a, cross))
 
 

@@ -202,7 +202,8 @@ class TrialStatistics:
 
     @property
     def rejected(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n_trials) if i not in self.accepted)
+        kept = set(self.accepted)
+        return tuple(i for i in range(self.n_trials) if i not in kept)
 
 
 def reconstruct_trials(

@@ -12,7 +12,7 @@ import pytest
 from ghz_steering import build_states, cli, network
 from ghz_steering.network import build_ghz
 from ghz_steering.cli import DEFAULT_GRID, SWEEP_COLUMNS, main
-from ghz_steering.symplectic import PHYSICALITY_TOL
+from ghz_steering.symplectic import PHYSICALITY_TOL, NumericalError
 
 R = 0.339
 
@@ -280,9 +280,12 @@ class TestCheck:
         names = {line.split()[1].rstrip(":") for line in out.splitlines()}
         assert names == {"physicality", "one-to-one-nullity", "pure-state-symmetry", "monogamy"}
 
-    def test_exact_pure_state_at_r_5_passes_physicality(self, capsys):
-        _, out, _ = run(capsys, ["check", "--r", "5"])
-        assert out.splitlines()[0] == "PASS physicality: min symplectic eigenvalue 1 vs floor 1"
+    @pytest.mark.parametrize("r", ["0", "1.5", "3"])
+    def test_passes_across_the_squeezing_domain(self, capsys, r):
+        rc, out, err = run(capsys, ["check", "--r", r])
+        assert rc == 0
+        assert [line.split()[0] for line in out.splitlines()] == ["PASS"] * 4
+        assert err == ""
 
     def test_unreachable_floor_fails(self, capsys):
         rc, out, err = run(capsys, ["check", "--nu-floor", "1.5"])
@@ -372,66 +375,65 @@ def test_the_eta_grid_is_built_once(capsys, monkeypatch, argv):
     assert len(lossless) == 1
 
 
-@pytest.mark.parametrize("argv", [["sweep", "--r", "8", "--grid", "0.5,1"], ["check", "--r", "8"]])
-def test_numerical_failure_exits_2(capsys, argv):
-    # at r = 8 the two-mode steering blocks have condition number ~1e14
+@pytest.mark.parametrize("argv", [["sweep", "--grid", "0.5,1"], ["check"]])
+def test_numerical_failure_exits_2(capsys, monkeypatch, argv):
+    def fail(states):
+        raise NumericalError("not a state: covariance matrix is not positive definite")
+
+    monkeypatch.setattr(cli, "steering_stack", fail)
     rc, out, err = run(capsys, argv)
     assert rc == 2
     assert out == ""
-    assert "steering party block not invertible" in err
+    assert err == "error: not a state: covariance matrix is not positive definite\n"
 
 
-def test_unphysical_row_before_a_numerical_failure_is_reported(capsys, monkeypatch):
-    # rows fail in grid order: here the pure state at eta = 1 comes first.
-    # Built states pass the condition-aware floor, so the fixed floor stands
-    # in for it; under that floor round-off makes the r = 8 row unphysical.
+def test_the_first_unphysical_row_is_reported_before_any_steering(capsys, monkeypatch):
+    def no_steering(states):
+        raise AssertionError("steering evaluated")
+
+    monkeypatch.setattr(cli, "steering_stack", no_steering)
     monkeypatch.setattr(cli, "physicality_floor",
-                        lambda states, nu_min: np.full_like(nu_min, 1 - PHYSICALITY_TOL))
-    rc, _, err = run(capsys, ["sweep", "--r", "8", "--grid", "1,0.5"])
+                        lambda states, nu_min: np.array([1 - PHYSICALITY_TOL, 2.0, 2.0]))
+    rc, out, err = run(capsys, ["sweep", "--grid", "1,0.5,0.2"])
     assert rc == 2
-    assert "state at eta=1.0 violates the uncertainty relation" in err
+    assert out == ""
+    assert err == "error: state at eta=0.5 violates the uncertainty relation\n"
 
 
-@pytest.mark.parametrize("argv", [["build", "--r", "6"], ["sweep", "--r", "6"]])
-def test_exact_pure_states_at_large_squeezing_are_physical(capsys, argv):
-    # min nu - 1 = -1.9e-7 from round-off, within eps * kappa = 5.9e-6
-    rc, out, err = run(capsys, argv)
-    assert rc == 0
-    assert out and err == ""
-
-
-def test_an_explicit_tolerance_still_rejects_round_off(capsys):
-    rc, _, err = run(capsys, ["build", "--r", "6", "--tol-phys", "1e-9"])
-    assert rc == 2
-    assert "uncertainty" in err
-
-
-@pytest.mark.parametrize("argv", [
-    ["build", "--r", "400"],
-    ["sweep", "--r", "400"],
-    ["build", "--r", "nan"],
-    ["build", "--r", "inf"],
-    ["check", "--r", "nan"],
+@pytest.mark.parametrize("argv, shown", [
+    (["check", "--r", "4.5"], "4.5 (39.09 dB)"),
+    (["check", "--r", "5"], "5.0 (43.43 dB)"),
+    (["check", "--r", "8"], "8.0 (69.49 dB)"),
+    (["sweep", "--r", "8", "--grid", "0.5,1"], "8.0 (69.49 dB)"),
+    (["sweep", "--r", "8", "--grid", "1,0.5"], "8.0 (69.49 dB)"),
+    (["build", "--r", "6"], "6.0 (52.12 dB)"),
+    (["sweep", "--r", "6"], "6.0 (52.12 dB)"),
+    (["build", "--r", "6", "--tol-phys", "1e-9"], "6.0 (52.12 dB)"),
+    (["build", "--r", "354.8913"], "354.8913 (3083 dB)"),
+    (["sweep", "--r", "354.8913"], "354.8913 (3083 dB)"),
+    (["build", "--r", "400"], "400.0 (3474 dB)"),
+    (["sweep", "--r", "400"], "400.0 (3474 dB)"),
+    (["tomo", "--r", "3.5"], "3.5 (30.4 dB)"),
+    (["build", "--r", "3.0000000001"], "3.0000000001 (26.06 dB)"),
+    (["build", "--squeezing-db", "26.1"], "3.00487354635723 (26.1 dB)"),
+    (["build", "--r", "-0.1"], "-0.1 (-0.8686 dB)"),
+    (["build", "--r", "nan"], "nan (nan dB)"),
+    (["build", "--r", "inf"], "inf (inf dB)"),
+    (["check", "--r", "nan"], "nan (nan dB)"),
 ])
-def test_squeezing_out_of_range_is_a_usage_error(capsys, argv):
-    # r = 400 overflows e^{2r}; nan and inf are no squeezing strength at all
+def test_squeezing_out_of_range_is_a_usage_error(capsys, argv, shown):
     rc, out, err = run(capsys, argv)
     assert rc == 3
     assert out == ""
-    assert "error: r1 must be finite and at most 354.891" in err
+    assert err == (f"ghz-steering: error: r1 = {shown} is outside the squeezing domain "
+                   "[0, 3] (0 to 26.06 dB)\n")
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["build", "--r", "354.8913"], "error: constructed state violates the uncertainty relation"),
-    (["sweep", "--r", "354.8913"], "error: not a state"),
-])
-def test_squeezing_near_the_float_limit_is_a_numerical_failure(capsys, argv, message):
-    # entries near the largest float: symmetrizing must not overflow them to
-    # inf, and the state fails physicality (exit 2), not argument parsing (3)
+@pytest.mark.parametrize("argv", [["build", "--r", "3"], ["build", "--squeezing-db", "26.05"]])
+def test_the_largest_squeezing_is_accepted(capsys, argv):
     rc, out, err = run(capsys, argv)
-    assert rc == 2
-    assert out == ""
-    assert err.startswith(message)
+    assert rc == 0
+    assert out and err == ""
 
 
 def test_no_arguments_is_a_usage_error():

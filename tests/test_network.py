@@ -56,8 +56,14 @@ class TestGhzConfig:
             GhzConfig(**kwargs)
 
     def test_largest_squeezing_is_accepted(self):
-        assert GhzConfig(r1=MAX_SQUEEZING_R).r1 == MAX_SQUEEZING_R
-        assert math.isfinite(math.exp(2.0 * MAX_SQUEEZING_R))
+        cfg = GhzConfig(r1=MAX_SQUEEZING_R, r2=MAX_SQUEEZING_R, r3=MAX_SQUEEZING_R)
+        assert cfg.r1 == cfg.r2 == cfg.r3 == MAX_SQUEEZING_R == 3.0
+
+    def test_the_error_names_the_field_and_its_db_value(self):
+        with pytest.raises(ValueError) as exc:
+            GhzConfig(r3=3.5)
+        assert str(exc.value) == ("r3 = 3.5 (30.4 dB) is outside the squeezing domain "
+                                  "[0, 3] (0 to 26.06 dB)")
 
 
 class TestNetworkModeMatrix:

@@ -1,6 +1,7 @@
 """Steering quantifier, the twelve directions, monogamy, thresholds."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -23,8 +24,10 @@ from ghz_steering import (
     steering_stack,
 )
 from ghz_steering import steering
+from ghz_steering.network import MAX_SQUEEZING_R
 from ghz_steering.steering import STEERING_EPS, gaussian_steering, parse_direction
-from ghz_steering.symplectic import Partition, quadrature_indices, symplectic_form
+from ghz_steering.symplectic import (PHYSICALITY_TOL, Partition, is_physical, quadrature_indices,
+                                     symplectic_eigenvalues, symplectic_form)
 
 R = 0.339
 A_CONST = math.exp(2 * R)
@@ -259,11 +262,29 @@ class TestSteeringStack:
         with pytest.raises(ValueError, match="stack"):
             steering_stack(np.ones(shape))
 
-    def test_ill_conditioned_block_is_a_numerical_error(self):
-        # at r = 8 the two-mode steering blocks have condition number ~1e14
-        states = build_states(GhzConfig(r1=8.0, r2=8.0, r3=8.0), [0.5])
-        with pytest.raises(NumericalError, match="not invertible"):
-            steering_stack(states)
+    @pytest.mark.parametrize("where, bad", [
+        (..., np.nan), (..., np.inf), ((3, 3), np.nan), ((1, 4), np.inf),
+    ])
+    def test_non_finite_input_is_not_a_state(self, where, bad):
+        states = build_states(GhzConfig(), [1.0])
+        states[0][where] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="not a state"):
+                steering_stack(states)
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=MAX_SQUEEZING_R), min_size=3, max_size=3),
+           st.integers(min_value=0, max_value=2), st.floats(min_value=0.0, max_value=1.0),
+           st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_states_on_the_squeezing_domain_edge(self, rs, edge, t1, t2, eta):
+        # one r at the largest squeezing: the fixed floor holds, no kappa needed
+        rs[edge] = MAX_SQUEEZING_R
+        state = build_state(GhzConfig(*rs, t1=t1, t2=t2, eta=eta))
+        assert is_physical(state)
+        assert symplectic_eigenvalues(state).min() >= 1.0 - PHYSICALITY_TOL
+        g = steering_stack(state.matrix[None])
+        assert np.all(np.isfinite(g)) and np.all(g >= 0.0)
 
     def test_a_matrix_that_is_not_positive_definite_is_not_a_state(self):
         # the x quadratures of all three modes correlate at -0.6: every mode
