@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import asdict
 from pathlib import Path
 
@@ -32,7 +33,6 @@ from .steering import (DIRECTIONS, RESIDUAL_KEYS, STEERING_EPS, monogamy_stack,
                        steering_report, steering_stack)
 from .symplectic import (
     NumericalError,
-    is_physical,
     physicality_floor,
     purity,
     symplectic_eigenvalues,
@@ -149,17 +149,6 @@ def _check_grid_size(points: float) -> None:
         raise ValueError(f"grid has {points:.0f} points, more than {MAX_GRID_POINTS}")
 
 
-def _finite_float(text: str) -> float:
-    """argparse type for tolerances and floors: a float that is neither nan nor infinite."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
-
-
 def _int(text: str) -> int:
     """int(text), failing with argparse's own "invalid int value" message."""
     try:
@@ -204,14 +193,25 @@ def _add_output_args(parser: argparse.ArgumentParser, formats: tuple[str, ...], 
                              f"${OUTDIR_ENV} when set")
 
 
+def _physicality(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending symplectic spectra of a (K, 6, 6) stack and each state's physicality floor."""
+    nus = symplectic_eigenvalues(states)
+    return nus, physicality_floor(states, nus[:, 0])
+
+
+def _require_physical(states: np.ndarray, etas: Sequence[float]) -> np.ndarray:
+    """The spectra of the states at etas; NumericalError at the first state below its floor."""
+    nus, floor = _physicality(states)
+    below = np.flatnonzero(~(nus[:, 0] >= floor))
+    if below.size:
+        raise NumericalError(f"state at eta={etas[below[0]]} violates the uncertainty relation")
+    return nus
+
+
 def cmd_build(args: argparse.Namespace) -> int:
     config = _config_from_args(args, eta=args.eta)
     state = build_state(config)
-    if not is_physical(state, args.tol_phys):
-        print("error: constructed state violates the uncertainty relation", file=sys.stderr)
-        return EXIT_UNPHYSICAL
-
-    nus = symplectic_eigenvalues(state)
+    nus = _require_physical(state.matrix[None], [config.eta])[0]
     variances = {lab: correlation_variance(state, lab) for lab in BUILD_COMBOS}
 
     if args.format == "json":
@@ -239,23 +239,10 @@ def cmd_build(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _physicality(states: np.ndarray, nu_floor: float | None = None):
-    """Each state's smallest symplectic eigenvalue and physicality floor (nu_floor if given)."""
-    nu_min = symplectic_eigenvalues(states).min(axis=1)
-    floor = (physicality_floor(states, nu_min) if nu_floor is None
-             else np.full_like(nu_min, nu_floor))
-    return nu_min, floor
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     states = build_states(config, args.grid)
-    nu_min, floor = _physicality(states)
-    unphysical = np.flatnonzero(~(nu_min >= floor))
-    if unphysical.size:
-        print(f"error: state at eta={args.grid[unphysical[0]]} violates the uncertainty relation",
-              file=sys.stderr)
-        return EXIT_UNPHYSICAL
+    _require_physical(states, args.grid)
     g = steering_stack(states)
     rows = list(zip(args.grid, g.tolist(), monogamy_stack(g).tolist()))
 
@@ -282,9 +269,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_tomo(args: argparse.Namespace) -> int:
     config = _config_from_args(args, eta=args.eta)
     state = build_state(config)
-    if not is_physical(state):
-        print("error: constructed state violates the uncertainty relation", file=sys.stderr)
-        return EXIT_UNPHYSICAL
+    _require_physical(state.matrix[None], [config.eta])
     analytic = steering_report(state)
     try:
         stats = reconstruct_trials(state, n_samples=args.samples, n_trials=args.trials,
@@ -325,7 +310,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     grid = _parse_grid(DEFAULT_GRID)
     states = build_states(config, grid)
     g = steering_stack(states)
-    nu_min, floor = _physicality(states, args.nu_floor)
+    nus, floor = _physicality(states)
+    nu_min = nus[:, 0]
     worst = np.argmin(nu_min - floor)  # the row with the least margin
     worst_pair = g[:, :6].max()  # DIRECTIONS[:6] are the one-to-one directions
     asym = np.abs(g[-1, 6::2] - g[-1, 7::2]).max()  # eta = 1: G(X->YZ) against G(YZ->X)
@@ -357,9 +343,6 @@ def build_parser() -> _Parser:
     _add_state_args(p_build)
     p_build.add_argument("--eta", type=float, default=1.0,
                          help="channel efficiency on mode A (default 1.0)")
-    p_build.add_argument("--tol-phys", type=_finite_float, default=None,
-                         help="physicality tolerance on the symplectic spectrum "
-                              "(default max(1e-9, eps * condition number))")
     _add_output_args(p_build, ("json", "csv"), "json")
     p_build.set_defaults(func=cmd_build)
 
@@ -385,9 +368,6 @@ def build_parser() -> _Parser:
 
     p_check = sub.add_parser("check", help="run the invariant suite")
     _add_state_args(p_check)
-    p_check.add_argument("--nu-floor", type=_finite_float, default=None,
-                         help="override the physicality floor "
-                              "(default 1 - max(1e-9, eps * condition number))")
     p_check.set_defaults(func=cmd_check)
 
     return parser

@@ -182,14 +182,18 @@ def find_threshold(config: GhzConfig, direction: str, tol: float = 1e-4) -> floa
     Raises
     ------
     ValueError
-        If tol is not positive (bisection would never stop), or both bracket
-        ends are on the same side ("no threshold in range"), e.g. directions
-        steerable at any nonzero efficiency.
+        If direction is none of the 12 DIRECTIONS, tol is not positive
+        (bisection would never stop), or both bracket ends are on the same
+        side ("no threshold in range"), e.g. directions steerable at any
+        nonzero efficiency.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    parse_direction(direction)  # validates the label
-    column = DIRECTIONS.index("->".join("".join(sorted(p)) for p in direction.split("->")))
+    label = "->".join("".join(sorted(party)) for party in direction.split("->"))
+    if label not in DIRECTIONS:
+        raise ValueError(f"unknown direction {direction!r}, "
+                         f"expected one of {', '.join(DIRECTIONS)}")
+    column = DIRECTIONS.index(label)
     lossless = build_ghz(config)
 
     def steerable(etas: list[float]) -> list[bool]:

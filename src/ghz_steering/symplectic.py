@@ -179,18 +179,14 @@ def physicality_floor(m: np.ndarray, nu_min: np.ndarray) -> np.ndarray:
     return floor
 
 
-def is_physical(cm: CovarianceMatrix | np.ndarray, tol: float | None = None) -> bool:
-    """True when cm satisfies the uncertainty relation, within round-off.
-
-    The min symplectic eigenvalue must reach 1 - tol, or, without tol, the
-    condition-aware :func:`physicality_floor`.
-    """
+def is_physical(cm: CovarianceMatrix | np.ndarray) -> bool:
+    """True when the min symplectic eigenvalue of cm reaches its :func:`physicality_floor`."""
     m = _as_array(cm)
     if m.shape[0] % 2 or m.shape[0] == 0:
         return False
     try:
         nu_min = symplectic_eigenvalues(m).min()
-        return bool(nu_min >= (1.0 - tol if tol is not None else physicality_floor(m, nu_min)))
+        return bool(nu_min >= physicality_floor(m, nu_min))
     except NumericalError:  # not positive definite
         return False
 

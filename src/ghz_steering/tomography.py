@@ -31,7 +31,7 @@ import numpy as np
 from .network import MODE_NAMES, combo_vector
 from .steering import DIRECTIONS, steering_stack
 from .steering import steering_report  # noqa: F401 -- not called; the benchmark traces this name
-from .symplectic import CovarianceMatrix, _as_array, symplectic_eigenvalues
+from .symplectic import CovarianceMatrix, NumericalError, _as_array, symplectic_eigenvalues
 
 # A reconstructed trial is kept when its minimum symplectic eigenvalue is at
 # least this floor.  The floor sits well below 1 on purpose: a pure state
@@ -40,6 +40,12 @@ from .symplectic import CovarianceMatrix, _as_array, symplectic_eigenvalues
 # not a broken reconstruction.  Only far-out garbage is rejected; no
 # projection or repair is ever applied.
 REJECT_NU_FLOOR = 0.95
+
+# Largest admissible entry of a sample covariance.  The 18 variances are at
+# most 4 times its largest entry and the symplectic spectra of the
+# reconstruction at most 12 times, so all of them stay finite below it.
+_SAMPLE_LIMIT = np.finfo(float).max / 16
+_OUT_OF_RANGE = "sample covariance out of range: covariance matrix entries too large"
 
 # Mode pairs in canonical order: AB, AC, BC.
 _PAIRS = tuple(combinations(MODE_NAMES, 2))
@@ -67,6 +73,8 @@ def _sampling_root(cm: CovarianceMatrix, n_samples: int) -> np.ndarray:
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     w, vecs = np.linalg.eigh(cm.matrix)
+    if not np.all(np.isfinite(w)):  # an eigenvalue past the largest float
+        raise NumericalError(_OUT_OF_RANGE)
     if w.min() < -1e-9 * max(1.0, abs(w.max())):
         raise ValueError("covariance matrix is not positive semidefinite")
     return (vecs * np.sqrt(np.clip(w, 0.0, None))) @ vecs.T
@@ -103,8 +111,17 @@ def sample_covariance(
     seed always gives the same matrix.
     """
     root = _sampling_root(cm, n_samples)
-    cov_z = _bartlett_covariances(n_samples, root.shape[0], [seed])[0]
-    return CovarianceMatrix(root.T @ cov_z @ root)
+    cov_z = _bartlett_covariances(n_samples, root.shape[0], [seed])
+    return CovarianceMatrix(_sample_covariances(root, cov_z)[0])
+
+
+def _sample_covariances(root: np.ndarray, cov_z: np.ndarray) -> np.ndarray:
+    """root^T cov_z root over a stack; NumericalError, not an overflow, past _SAMPLE_LIMIT."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an entry out of range raises below
+        sampled = root.T @ cov_z @ root
+    if not np.abs(sampled).max() <= _SAMPLE_LIMIT:
+        raise NumericalError(_OUT_OF_RANGE)
+    return sampled
 
 
 def _bartlett_covariances(n_samples: int, dim: int, seeds: list) -> np.ndarray:
@@ -241,7 +258,7 @@ def reconstruct_trials(
     children = np.random.SeedSequence(seed).spawn(n_trials)
     cov_z = _bartlett_covariances(n_samples, root.shape[0], children)
 
-    stack = covariance_from_measurements(population_measurements(root.T @ cov_z @ root))
+    stack = covariance_from_measurements(population_measurements(_sample_covariances(root, cov_z)))
     stack.flags.writeable = False
 
     nu_min = np.zeros(n_trials)  # stays 0 where a matrix is not positive definite

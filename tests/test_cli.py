@@ -75,19 +75,6 @@ class TestBuild:
         assert rc == 3
         assert "error" in err
 
-    def test_impossible_tolerance_reports_unphysical(self, capsys):
-        # a negative tolerance makes the vacuum limit itself fail the gate
-        rc, _, err = run(capsys, ["build", "--tol-phys", "-1"])
-        assert rc == 2
-        assert "uncertainty" in err
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_tolerance_is_a_usage_error(self, capsys, value):
-        with pytest.raises(SystemExit) as exc:
-            main(["build", f"--tol-phys={value}"])
-        assert exc.value.code == 3
-        assert "argument --tol-phys: must be a finite number" in capsys.readouterr().err
-
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "state.json"
         rc, out, _ = run(capsys, ["build", "--output", str(target)])
@@ -287,18 +274,13 @@ class TestCheck:
         assert [line.split()[0] for line in out.splitlines()] == ["PASS"] * 4
         assert err == ""
 
-    def test_unreachable_floor_fails(self, capsys):
-        rc, out, err = run(capsys, ["check", "--nu-floor", "1.5"])
+    def test_unreachable_floor_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "physicality_floor",
+                            lambda states, nu_min: np.full_like(nu_min, 1.5))
+        rc, out, err = run(capsys, ["check"])
         assert rc == 4
-        assert any(line.startswith("FAIL physicality") for line in out.splitlines())
-        assert "check failed: physicality" in err
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_floor_is_a_usage_error(self, capsys, value):
-        with pytest.raises(SystemExit) as exc:
-            main(["check", f"--nu-floor={value}"])
-        assert exc.value.code == 3
-        assert "argument --nu-floor: must be a finite number" in capsys.readouterr().err
+        assert "FAIL physicality: min symplectic eigenvalue 1 vs floor 1.5" in out.splitlines()
+        assert err == "check failed: physicality\n"
 
 
 class TestOutputResolution:
@@ -400,6 +382,21 @@ def test_the_first_unphysical_row_is_reported_before_any_steering(capsys, monkey
     assert err == "error: state at eta=0.5 violates the uncertainty relation\n"
 
 
+@pytest.mark.parametrize("argv", [["build", "--eta", "0.5"], ["sweep", "--grid", "0.5,1"],
+                                  ["tomo", "--eta", "0.5", "--samples", "2000"]])
+def test_build_sweep_and_tomo_share_one_physicality_gate(capsys, monkeypatch, argv):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("evaluated past the gate")
+
+    for name in ("steering_stack", "steering_report", "reconstruct_trials", "correlation_variance"):
+        monkeypatch.setattr(cli, name, not_reached)
+    monkeypatch.setattr(cli, "physicality_floor", lambda states, nu_min: np.full_like(nu_min, 2.0))
+    rc, out, err = run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: state at eta=0.5 violates the uncertainty relation\n"
+
+
 @pytest.mark.parametrize("argv, shown", [
     (["check", "--r", "4.5"], "4.5 (39.09 dB)"),
     (["check", "--r", "5"], "5.0 (43.43 dB)"),
@@ -408,7 +405,7 @@ def test_the_first_unphysical_row_is_reported_before_any_steering(capsys, monkey
     (["sweep", "--r", "8", "--grid", "1,0.5"], "8.0 (69.49 dB)"),
     (["build", "--r", "6"], "6.0 (52.12 dB)"),
     (["sweep", "--r", "6"], "6.0 (52.12 dB)"),
-    (["build", "--r", "6", "--tol-phys", "1e-9"], "6.0 (52.12 dB)"),
+    (["tomo", "--r", "6"], "6.0 (52.12 dB)"),
     (["build", "--r", "354.8913"], "354.8913 (3083 dB)"),
     (["sweep", "--r", "354.8913"], "354.8913 (3083 dB)"),
     (["build", "--r", "400"], "400.0 (3474 dB)"),

@@ -192,7 +192,7 @@ class TestLossyChannel:
     @settings(max_examples=50)
     def test_preserves_physicality(self, r, eta):
         cm = lossy_channel(build_ghz(GhzConfig(r1=r, r2=r, r3=r)), 0, eta)
-        assert is_physical(cm, 1e-8)
+        assert is_physical(cm)
 
     def test_mode_out_of_range(self):
         with pytest.raises(ValueError):

@@ -445,6 +445,14 @@ class TestThreshold:
         with pytest.raises(ValueError, match="no threshold in range"):
             find_threshold(GhzConfig(), direction)
 
+    @pytest.mark.parametrize("direction", ["A->", "A-B", "D->A", "A->A", "AA->B"])
+    def test_rejects_a_label_outside_the_12_directions(self, monkeypatch, direction):
+        monkeypatch.setattr(steering, "parse_direction", None)  # the label is checked without it
+        with pytest.raises(ValueError) as exc:
+            find_threshold(GhzConfig(), direction)
+        assert str(exc.value) == (f"unknown direction {direction!r}, expected one of "
+                                  + ", ".join(DIRECTIONS))
+
     @pytest.mark.parametrize("tol", [0.0, -1e-4, float("nan")])
     def test_rejects_a_tolerance_that_is_not_positive(self, tol):
         # bisection to tol <= 0 never stops; nan would end it at once

@@ -249,7 +249,7 @@ class TestIsPhysical:
 
     def test_lossy_ghz(self):
         state = build_state(GhzConfig(eta=0.3))
-        assert is_physical(state, 1e-9)
+        assert is_physical(state)
 
     def test_non_positive_definite(self):
         assert not is_physical(CovarianceMatrix(np.diag([1.0, -1.0])))
@@ -277,11 +277,6 @@ class TestIsPhysical:
             r = 4 + k / 20
             assert is_physical(exact_state(r, r, r)), r
 
-    def test_an_explicit_tolerance_overrides_the_condition_aware_floor(self):
-        state = exact_state(6, 6, 6)
-        assert is_physical(state)
-        assert not is_physical(state, tol=PHYSICALITY_TOL)
-
     def test_a_well_conditioned_state_below_the_fixed_floor_is_unphysical(self):
         # at r = 0.339 kappa is about 4, so the floor stays 1 - PHYSICALITY_TOL
         state = CovarianceMatrix((1 - 1e-6) * build_state(GhzConfig(r1=R, r2=R, r3=R)).matrix)
@@ -299,11 +294,6 @@ class TestIsPhysical:
         monkeypatch.setattr(symplectic, "_eigvalsh", no_eigvalsh)
         assert np.array_equal(physicality_floor(states, nu_min),
                               np.full(21, 1 - PHYSICALITY_TOL))
-
-    def test_tolerance_is_respected(self):
-        slightly_off = CovarianceMatrix((1 - 1e-6) * np.eye(2))
-        assert not is_physical(slightly_off, tol=1e-9)
-        assert is_physical(slightly_off, tol=1e-3)
 
 
 class TestSchurComplement:

@@ -386,6 +386,17 @@ class TestReconstructTrials:
         with pytest.raises(ValueError):
             reconstruct_trials(build_state(GhzConfig()), n_samples=1000, n_trials=1, seed=0)
 
+    @pytest.mark.parametrize("matrix", [
+        1.5e308 * np.eye(6),  # root^T C root overflows
+        np.full((6, 6), 1e308) + 1e307 * np.eye(6),  # an eigenvalue past the largest float
+    ])
+    def test_entries_near_the_largest_float_raise_without_an_overflow(self, matrix):
+        cm = CovarianceMatrix(matrix)
+        with pytest.raises(NumericalError, match="sample covariance out of range"):
+            reconstruct_trials(cm, n_samples=10, n_trials=7, seed=0)
+        with pytest.raises(NumericalError, match="sample covariance out of range"):
+            sample_covariance(cm, 10, 0)
+
     def test_statistics_cover_accepted_trials(self):
         cm = build_state(GhzConfig())
         stats = reconstruct_trials(cm, n_samples=20_000, n_trials=3, seed=2)
