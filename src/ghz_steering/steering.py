@@ -10,6 +10,7 @@ states as a (K, 12) array, from the Cholesky factors of each state in its
 six mode orderings, and :func:`monogamy_stack` turns that array into the
 (K, 6) monogamy residuals.  :func:`steering_report` and
 :func:`monogamy_residuals` give one state's values as dicts in canonical key order.
+:func:`find_threshold` reads exact loss thresholds off the same factors.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import itertools
 
 import numpy as np
 
-from .network import MODE_NAMES, GhzConfig, build_ghz, lossy_stack
+from .network import MODE_NAMES, GhzConfig, build_states
 from .symplectic import (CovarianceMatrix, Partition, _cholesky, _factor_spectrum,
                          _require_finite, quadrature_indices, schur_complement,
                          symplectic_eigenvalues)
@@ -27,12 +28,8 @@ from .symplectic import (CovarianceMatrix, Partition, _cholesky, _factor_spectru
 # states sitting on the steering boundary from flickering into false positives.
 BOUNDARY_CLAMP = 1e-10
 
-# G above this threshold counts as steerable (used by threshold searches).
+# G above this counts as steerable in `check`'s nullity test.
 STEERING_EPS = 1e-8
-
-# find_threshold evaluates the midpoints of this many bisection steps ahead
-# in one stacked call: one call of 7 states costs about 1.3 calls of one.
-BISECTION_LOOKAHEAD = 3
 
 # Canonical order of the 12 directed bipartitions of (A, B, C).  "A" always
 # denotes the mode that went through the lossy channel.
@@ -59,13 +56,14 @@ def parse_direction(label: str) -> Partition:
     return Partition(steering=steering, steered=steered)
 
 
-def _quantifier(nus: np.ndarray) -> np.ndarray:
-    """G over the last axis of conditional symplectic eigenvalues.
+def _clamp(nus: np.ndarray) -> np.ndarray:
+    """Conditional symplectic eigenvalues, those within BOUNDARY_CLAMP of 1 set to exactly 1."""
+    return np.where(np.abs(nus - 1.0) <= BOUNDARY_CLAMP, 1.0, nus)
 
-    Eigenvalues within BOUNDARY_CLAMP of 1 count as exactly 1, so G is a hard
-    0 unless some eigenvalue is clearly below 1.
-    """
-    nus = np.where(np.abs(nus - 1.0) <= BOUNDARY_CLAMP, 1.0, nus)
+
+def _quantifier(nus: np.ndarray) -> np.ndarray:
+    """G over the last axis of conditional nu: 0 unless a nu is below 1 after :func:`_clamp`."""
+    nus = _clamp(nus)
     return np.maximum(0.0, np.where(nus < 1.0, -np.log(nus), 0.0).sum(axis=-1))
 
 
@@ -99,6 +97,25 @@ def _kernel_labels() -> list[str]:
 # Column k of steering_stack's output is kernel column _TO_DIRECTIONS[k].
 _TO_DIRECTIONS = np.array([_kernel_labels().index(label) for label in DIRECTIONS])
 
+# Kernel column k's mode ordering, led by _STEERING_WIDTH[k] steering quadratures.
+_KERNEL_ORDERING = [*range(6), *_PAIR_FIRST, *_ONE_FIRST]
+_STEERING_WIDTH = [2] * 6 + [4] * 3 + [2] * 3
+
+
+def _conditionals(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional nu (K, 12, 2) in kernel order and Cholesky diagonals (K, ordering, quadrature)."""
+    sigma = np.asarray(states, dtype=float)
+    if sigma.ndim != 3 or sigma.shape[1:] != (6, 6):
+        raise ValueError(f"expected a (K, 6, 6) stack of three-mode states, got shape {sigma.shape}")
+    _require_finite(sigma)
+    low = _cholesky(sigma[:, _ORDERED[:, :, None], _ORDERED[:, None, :]])  # (K, 6, 6, 6)
+    diag = np.diagonal(low, axis1=-2, axis2=-1)
+    nus = np.ones((sigma.shape[0], 12, 2))  # a one-mode conditional's second entry stays 1: no term
+    nus[:, :6, 0] = diag[..., 2] * diag[..., 3]
+    nus[:, 6:9, 0] = diag[:, _PAIR_FIRST, 4] * diag[:, _PAIR_FIRST, 5]
+    nus[:, 9:] = _factor_spectrum(low[:, _ONE_FIRST, 2:, 2:])
+    return nus, diag
+
 
 def steering_stack(states: np.ndarray) -> np.ndarray:
     """G of all 12 directions for a stack of three-mode covariance matrices.
@@ -124,17 +141,7 @@ def steering_stack(states: np.ndarray) -> np.ndarray:
         "not a state" exactly when some matrix of the stack has a non-finite
         entry or is not positive definite.
     """
-    sigma = np.asarray(states, dtype=float)
-    if sigma.ndim != 3 or sigma.shape[1:] != (6, 6):
-        raise ValueError(f"expected a (K, 6, 6) stack of three-mode states, got shape {sigma.shape}")
-    _require_finite(sigma)
-    low = _cholesky(sigma[:, _ORDERED[:, :, None], _ORDERED[:, None, :]])  # (K, 6, 6, 6)
-    diag = np.diagonal(low, axis1=-2, axis2=-1)  # (K, 6, 6): ordering, quadrature
-    nus = np.ones((sigma.shape[0], 12, 2))  # a one-mode conditional's second entry stays 1: no term
-    nus[:, :6, 0] = diag[..., 2] * diag[..., 3]
-    nus[:, 6:9, 0] = diag[:, _PAIR_FIRST, 4] * diag[:, _PAIR_FIRST, 5]
-    nus[:, 9:] = _factor_spectrum(low[:, _ONE_FIRST, 2:, 2:])
-    return _quantifier(nus)[:, _TO_DIRECTIONS]
+    return _quantifier(_conditionals(states)[0])[:, _TO_DIRECTIONS]
 
 
 def steering_report(cm: CovarianceMatrix) -> dict[str, float]:
@@ -172,20 +179,18 @@ def monogamy_residuals(cm: CovarianceMatrix) -> dict[str, float]:
 
 
 def find_threshold(config: GhzConfig, direction: str, tol: float = 1e-4) -> float:
-    """Efficiency at which a direction switches between unsteerable and steerable.
+    """Exact efficiency in (0, 1) at which a direction switches on or off.
 
-    Bisects G(eta) - STEERING_EPS on the bracket [1e-6, 1].  Assumes G is
-    monotone in eta across the bracket for the given direction (checked on a
-    grid by the test suite, not enforced here).  The order of modes within a
-    party does not matter: "CB->A" is "BC->A".
-
-    Raises
-    ------
-    ValueError
-        If direction is none of the 12 DIRECTIONS, tol is not positive
-        (bisection would never stop), or both bracket ends are on the same
-        side ("no threshold in range"), e.g. directions steerable at any
-        nonzero efficiency.
+    G changes sign where q(eta) = det sigma_X - det sigma_XY = det sigma_X *
+    (1 - prod nu^2) does, nu the steered party's conditional spectrum, clamped
+    as in G.  Every minor of sigma(eta) is quadratic in eta, so one kernel call
+    at eta = 0, 1/2, 1 fixes q.  B->AC and C->AB take det sigma_X *
+    prod(1 - nu^2), 0 at both ends (A is vacuum at 0, the state pure at 1):
+    they never switch inside.  "CB->A" is "BC->A".  tol > 0 is an accuracy
+    bound the exact root always meets.  ValueError for a direction outside
+    DIRECTIONS, for tol <= 0, and "no threshold in range" unless G changes
+    sign exactly once inside (0, 1): q == 0 (r = 0) raises, and so does an
+    onset at eta = 0, where G grows like eta.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -193,33 +198,25 @@ def find_threshold(config: GhzConfig, direction: str, tol: float = 1e-4) -> floa
     if label not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}, "
                          f"expected one of {', '.join(DIRECTIONS)}")
-    column = DIRECTIONS.index(label)
-    lossless = build_ghz(config)
-
-    def steerable(etas: list[float]) -> list[bool]:
-        g = steering_stack(lossy_stack(lossless, 0, etas))[:, column]
-        return (g - STEERING_EPS > 0).tolist()
-
-    lo, hi = 1e-6, 1.0
-    s_lo, s_hi = steerable([lo, hi])
-    if s_lo == s_hi:
+    column = _TO_DIRECTIONS[DIRECTIONS.index(label)]
+    nus, diag = _conditionals(build_states(config, [0.0, 0.5, 1.0]))
+    nus = _clamp(nus[:, column])
+    det_x = np.prod(diag[:, _KERNEL_ORDERING[column], :_STEERING_WIDTH[column]], axis=-1) ** 2
+    product_form = label in ("B->AC", "C->AB")
+    q = det_x * (np.prod(1.0 - nus**2, axis=-1) if product_form else 1.0 - np.prod(nus**2, axis=-1))
+    eta = _sign_change(*q.tolist())
+    if eta is None:
         raise ValueError(f"no threshold in range for direction {direction!r}")
-    known: dict[float, bool] = {}
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid not in known:
-            ahead = _midpoints(lo, hi, BISECTION_LOOKAHEAD)
-            known.update(zip(ahead, steerable(ahead)))
-        if known[mid] == s_hi:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return eta
 
 
-def _midpoints(lo: float, hi: float, depth: int) -> list[float]:
-    """Every midpoint bisection can visit in its next `depth` steps from [lo, hi]."""
-    if depth == 0:
-        return []
-    mid = 0.5 * (lo + hi)
-    return [mid, *_midpoints(lo, mid, depth - 1), *_midpoints(mid, hi, depth - 1)]
+def _sign_change(q0: float, qh: float, q1: float) -> float | None:
+    """The one simple root in (0, 1) of the quadratic through (0, q0), (1/2, qh), (1, q1), or None.
+
+    In t = eta / (1 - eta) it is (1 - eta)^2 (q1 t^2 + (4 qh - q0 - q1) t + q0), so a
+    root at eta = 0 is t = 0 exactly and one at eta = 1 lowers the degree.  Two
+    roots inside, or a double one that round-off splits or makes complex, give None.
+    """
+    t = np.roots([q1, 4.0 * qh - q0 - q1, q0])
+    t = t.real[(t.imag == 0.0) & (t.real > 0.0)]
+    return float(t[0] / (1.0 + t[0])) if t.size == 1 else None

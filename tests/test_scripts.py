@@ -18,7 +18,7 @@ def test_loss_sweep(tmp_path):
     output = tmp_path / "sweep.csv"
     lines = run_script("loss_sweep.py", "--steps", "5", "--output", str(output))
     assert lines[0] == "r = 0.339 (2.945 dB)"
-    assert lines[1].startswith("A->BC activates at eta = 0.49")
+    assert lines[1] == "A->BC activates at eta = 0.500000"
     assert lines[-1] == f"wrote {output} (5 rows)"
     assert len(output.read_text().splitlines()) == 6
 

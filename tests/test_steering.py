@@ -29,6 +29,8 @@ from ghz_steering.steering import STEERING_EPS, gaussian_steering, parse_directi
 from ghz_steering.symplectic import (PHYSICALITY_TOL, Partition, is_physical, quadrature_indices,
                                      symplectic_eigenvalues, symplectic_form)
 
+SIGN_CHANGE = steering._sign_change  # the root picker itself, where a test spies on its calls
+
 R = 0.339
 A_CONST = math.exp(2 * R)
 B_CONST = math.exp(-2 * R)
@@ -240,7 +242,7 @@ class TestSteeringStack:
     @pytest.mark.parametrize("r", [0.1, R, 1.0, 1.7])
     @pytest.mark.parametrize("t1, t2", [(0.1, 0.9), (1 / 3, 0.5), (0.8, 0.2)])
     def test_collective_forward_is_monotone_in_transmission(self, r, t1, t2):
-        # find_threshold's bisection rests on this
+        # one switch, at 1/2: the one root that find_threshold reports
         states = build_states(GhzConfig(r1=r, r2=r, r3=r, t1=t1, t2=t2), np.linspace(0, 1, 201))
         g = steering_stack(states)[:, DIRECTIONS.index("A->BC")]
         assert np.all(np.diff(g) >= -1e-12)
@@ -455,7 +457,7 @@ class TestThreshold:
 
     @pytest.mark.parametrize("tol", [0.0, -1e-4, float("nan")])
     def test_rejects_a_tolerance_that_is_not_positive(self, tol):
-        # bisection to tol <= 0 never stops; nan would end it at once
+        # tol is an accuracy bound: none that is not positive can be met
         with pytest.raises(ValueError, match="tol must be positive"):
             find_threshold(GhzConfig(), "A->BC", tol=tol)
 
@@ -463,41 +465,77 @@ class TestThreshold:
         eta_star = find_threshold(GhzConfig(), "A->BC", tol=5e-3)
         assert 0.49 <= eta_star <= 0.52
 
-    @pytest.mark.parametrize("lookahead", [1, 2, 4, 5])
-    @pytest.mark.parametrize("direction", ["A->BC", "AB->C", "A->B"])
-    def test_the_lookahead_does_not_change_the_result(self, monkeypatch, lookahead, direction):
-        # BISECTION_LOOKAHEAD only schedules which midpoints share a call
-        configs = [GhzConfig(r1=r, r2=r, r3=r, t1=t1, t2=t2)
-                   for r, t1, t2 in [(R, 1 / 3, 0.5), (0.1, 0.8, 0.3), (1.7, 0.5, 0.9)]]
+    @pytest.mark.parametrize("r", [0.01, 0.1, R, 1.7, MAX_SQUEEZING_R])
+    def test_collective_forward_threshold_is_exactly_half(self, r):
+        # exact, with no detection-floor offset: at r = 0.01 G is only 3.6e-9
+        # at eta = 1/2 + 1e-5, far below STEERING_EPS
+        eta_star = find_threshold(GhzConfig(r1=r, r2=r, r3=r), "A->BC", tol=1e-6)
+        assert abs(eta_star - 0.5) <= 1e-12
 
-        def thresholds():
-            found = []
-            for config in configs:
-                for tol in (1e-6, 1e-3):
-                    try:
-                        found.append(find_threshold(config, direction, tol=tol))
-                    except ValueError as exc:
-                        found.append(str(exc))
-            return found
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_no_squeezing_has_no_threshold(self, direction):
+        with pytest.raises(ValueError, match="no threshold in range"):
+            find_threshold(GhzConfig(r1=0.0, r2=0.0, r3=0.0), direction)
 
-        default = thresholds()
-        monkeypatch.setattr(steering, "BISECTION_LOOKAHEAD", lookahead)
-        assert thresholds() == default
+    @pytest.mark.parametrize("r1, r2, r3, t1, t2", [
+        (R, R, R, 1 / 3, 0.5), (1.2, 0.4, 2.5, 0.3, 0.8), (0.01, 2.9, 0.7, 0.9, 0.1)])
+    def test_the_second_root_of_the_collective_forward_quadratic_is_not_reported(
+            self, monkeypatch, r1, r2, r3, t1, t2):
+        # q = det sigma_A - det sigma = (2 eta - 1)(a_x a_p - 1); in t = eta / (1 - eta)
+        # its quadratic has roots t = 1 (eta = 1/2) and t = -1 (eta at infinity)
+        seen = []
+        monkeypatch.setattr(steering, "_sign_change", lambda *q: seen.append(q) or SIGN_CHANGE(*q))
+        eta_star = find_threshold(GhzConfig(r1=r1, r2=r2, r3=r3, t1=t1, t2=t2), "A->BC")
+        (q0, qh, q1), = seen
+        t = np.sort(np.roots([q1, 4 * qh - q0 - q1, q0]))
+        assert np.isreal(t).all() and len(t) == 2
+        assert abs(t[0] + 1) <= 1e-9 and abs(t[1] - 1) <= 1e-12
+        assert abs(eta_star - 0.5) <= 1e-12
 
-    @pytest.mark.parametrize("r, t1, t2", [(R, 1 / 3, 0.5), (0.1, 0.8, 0.3), (1.7, 0.5, 0.9)])
-    @pytest.mark.parametrize("tol", [1e-6, 1e-4, 0.3])
-    def test_same_result_as_plain_bisection(self, r, t1, t2, tol):
-        config = GhzConfig(r1=r, r2=r, r3=r, t1=t1, t2=t2)
+    @pytest.mark.parametrize("direction", ["B->AC", "C->AB"])
+    @pytest.mark.parametrize("r", [0.01, R, 1.7, MAX_SQUEEZING_R])
+    def test_two_mode_steered_directions_never_report_the_pure_end(self, monkeypatch, direction, r):
+        # the state is pure at eta = 1 and A is vacuum at eta = 0: both make
+        # one conditional nu exactly 1, so q is 0 at both ends, not just small
+        seen = []
+        monkeypatch.setattr(steering, "_sign_change", lambda *q: seen.append(q) or SIGN_CHANGE(*q))
+        for t1, t2 in [(1 / 3, 0.5), (0.9, 0.2), (0.2, 0.99)]:
+            with pytest.raises(ValueError, match="no threshold in range"):
+                find_threshold(GhzConfig(r1=r, r2=r, r3=r, t1=t1, t2=t2), direction)
+        assert all(q0 == 0.0 and q1 == 0.0 and qh != 0.0 for q0, qh, q1 in seen)
 
-        def steerable(eta):
-            state = build_state(replace(config, eta=eta))
-            return gaussian_steering(state, parse_direction("A->BC")) > STEERING_EPS
+    @pytest.mark.parametrize("direction, config", [
+        ("B->AC", (0.999205, 0.061531, 0.16442, 0.766453, 0.995169)),
+        ("B->A", (0.054741, 0.430546, 0.934478, 0.322164, 0.334708)),
+        ("C->A", (0.117715, 0.086599, 0.214096, 0.524395, 0.575767)),
+        ("BC->A", (0.131927, 0.065544, 0.348219, 0.330984, 0.722535)),
+    ])
+    def test_an_onset_at_zero_is_not_a_threshold(self, direction, config):
+        # G grows like eta from 0, so every eta > 0 is steerable: no switch
+        # inside (0, 1), however slowly G rises
+        g = steering_stack(build_states(GhzConfig(*config), [0.0, 1e-3, 0.5, 1.0]))
+        g = g[:, DIRECTIONS.index(direction)]
+        assert g[0] == 0.0 and np.all(g[1:] > 0.0)
+        with pytest.raises(ValueError, match="no threshold in range"):
+            find_threshold(GhzConfig(*config), direction, tol=1e-6)
 
-        lo, hi = 1e-6, 1.0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if steerable(mid):
-                hi = mid
-            else:
-                lo = mid
-        assert find_threshold(config, "A->BC", tol=tol) == 0.5 * (lo + hi)
+    @pytest.mark.parametrize("q, eta", [
+        ((1.0, 0.0, -1.0), 0.5),        # one simple root inside
+        ((0.0, -0.5, -3.0), 0.25),      # roots 0 and 1/4: the end is no threshold
+        ((2.0, -1.0, 0.0), 0.25),       # roots 1/4 and 1
+        ((-0.1, 0.075, 0.75), 0.4),     # roots 0.4 and -0.25
+        ((0.6, -0.1, -0.3), 0.4),       # roots 0.4 and 1.5
+        ((0.0, 1.0, 0.0), None),        # roots 0 and 1 only
+        ((1.0, -0.5, 1.0), None),       # two roots inside: the ends agree
+        ((1.0, 0.0, 1.0), None),        # a double root at 1/2
+        ((1.0, -1e-9, 1.0), None),      # a double root split in two
+        ((1.0, 1e-9, 1.0), None),       # a double root pushed to a complex pair
+        ((0.0, 0.0, 0.0), None),        # q == 0, as at r = 0
+        ((1.0, 1.0, 1.0), None),        # no root
+    ])
+    def test_sign_change_picks_the_one_root_inside(self, q, eta):
+        got = SIGN_CHANGE(*q)
+        if eta is None:
+            assert got is None
+        else:
+            assert abs(got - eta) <= 1e-15
