@@ -43,6 +43,7 @@ SCHEMA_VERSION = 1
 OUTDIR_ENV = "GHZ_STEERING_OUTDIR"
 DEFAULT_GRID = "0.0:1.0:0.05"
 DEFAULT_SEED = 12345
+CSV_NUMBER = ".12g"  # the CSV number contract: 12 significant digits
 
 # Caps on the argument sizes that allocate per element, checked before anything
 # is built.  At the caps a fresh process peaks at about 76 MB RSS (sweep) and
@@ -55,12 +56,13 @@ EXIT_UNPHYSICAL = 2
 EXIT_USAGE = 3
 EXIT_CHECK_FAILED = 4
 
-# Fixed column contract of the sweep CSV.
+# Fixed column contract of the sweep CSV, and one row of it as a %-format.
 SWEEP_COLUMNS: tuple[str, ...] = (
     "eta",
     *[f"G_{label.replace('->', 'to')}" for label in DIRECTIONS],
     *[f"res_{key}" for key in RESIDUAL_KEYS],
 )
+_SWEEP_ROW = ",".join(["%" + CSV_NUMBER] * len(SWEEP_COLUMNS))
 
 # The headline second-moment combinations reported by `build`.
 BUILD_COMBOS: tuple[str, ...] = ("xA-xB", "xA-xC", "xB-xC", "pA+pB+pC")
@@ -76,7 +78,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(value: float) -> str:
     """12 significant digits, the CSV number contract."""
-    return format(float(value), ".12g")
+    return format(float(value), CSV_NUMBER)
 
 
 def _resolve_output(path_arg: str | None) -> Path | None:
@@ -248,7 +250,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.format == "csv":
         lines = [",".join(SWEEP_COLUMNS)]
-        lines += [",".join(_fmt(v) for v in (eta, *g_row, *res)) for eta, g_row, res in rows]
+        lines += [_SWEEP_ROW % (eta, *g_row, *res) for eta, g_row, res in rows]
         text = "\n".join(lines) + "\n"
     else:
         doc = {

@@ -133,17 +133,20 @@ def _bartlett_covariances(n_samples: int, dim: int, seeds: list) -> np.ndarray:
     diagonal is standard normal (Odell & Feiveson, JASA 61, 199, 1966).  With
     n <= dim the k rows give R^T R the rank n-1 that cov(Z) has.  Each seed's
     generator draws the k chi-squares, then the entries right of the
-    diagonal in row order.  The degrees of freedom are floats, so any
-    n_samples works, even one past the int64 range.
+    diagonal in row order, into its row of one table, and one scatter builds
+    every factor.  Float degrees of freedom let n_samples pass the int64 range.
     """
     dof = n_samples - 1
     k = min(dof, dim)
-    rows, cols = np.triu_indices(k, 1, dim)
+    rows, cols = (np.r_[:k, i] for i in np.triu_indices(k, 1, dim))  # the diagonal first
+    dofs = (dof - np.arange(k, dtype=float)).tolist()  # scalar chisquare skips the array checks
+    draws = np.empty((len(seeds), len(rows)))
+    for draw, rng in zip(draws, map(np.random.default_rng, seeds)):
+        draw[:k] = [rng.chisquare(d) for d in dofs]
+        rng.standard_normal(out=draw[k:])
+    np.sqrt(draws[:, :k], out=draws[:, :k])
     factors = np.zeros((len(seeds), k, dim))
-    for factor, seed in zip(factors, seeds):
-        rng = np.random.default_rng(seed)
-        factor[range(k), range(k)] = np.sqrt(rng.chisquare(dof - np.arange(k, dtype=float)))
-        factor[rows, cols] = rng.standard_normal(len(rows))
+    factors[:, rows, cols] = draws
     return np.swapaxes(factors, -1, -2) @ factors / dof
 
 

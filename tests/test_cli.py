@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ghz_steering import build_states, cli, network
 from ghz_steering.network import build_ghz
@@ -163,6 +165,17 @@ class TestSweep:
         run(capsys, ["sweep", "--output", str(a)])
         run(capsys, ["sweep", "--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=-1e-300, max_value=1e-300),  # subnormals included
+        st.integers(-10**15, 10**15).map(float),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         1e300, -1e300, 1e-300, -1e-300, 1.0, -3.0, 1e12, 1e13]),
+    ), min_size=len(SWEEP_COLUMNS), max_size=len(SWEEP_COLUMNS)))
+    @example([-0.0] * len(SWEEP_COLUMNS))
+    def test_the_row_format_is_the_number_contract(self, values):
+        assert cli._SWEEP_ROW % tuple(values) == ",".join(cli._fmt(v) for v in values)
 
 
 class TestTomo:

@@ -20,12 +20,14 @@ from ghz_steering import (
     steering_report,
     steering_stack,
 )
+from ghz_steering.cli import DEFAULT_SEED
 from ghz_steering.network import correlation_variance
 from ghz_steering.symplectic import symmetric_part, symplectic_eigenvalues
 from ghz_steering.tomography import (
     MEASUREMENT_LABELS,
     REJECT_NU_FLOOR,
     TrialStatistics,
+    _bartlett_covariances,
     covariance_from_measurements,
     measure_set,
     population_measurements,
@@ -111,6 +113,30 @@ class TestSampleCovariance:
         with pytest.raises(ValueError) as cov_error:
             sample_covariance(cm, n, seed=0)
         assert str(cov_error.value) == str(table_error.value)
+
+
+def per_seed_bartlett_reference(n_samples, dim, seeds):
+    """_bartlett_covariances as one factor per seed, filled where it is drawn."""
+    dof = n_samples - 1
+    k = min(dof, dim)
+    rows, cols = np.triu_indices(k, 1, dim)
+    factors = np.zeros((len(seeds), k, dim))
+    for factor, seed in zip(factors, seeds):
+        rng = np.random.default_rng(seed)
+        factor[range(k), range(k)] = np.sqrt(rng.chisquare(dof - np.arange(k, dtype=float)))
+        factor[rows, cols] = rng.standard_normal(len(rows))
+    return np.swapaxes(factors, -1, -2) @ factors / dof
+
+
+class TestBartlettCovariances:
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 2000, 2**70])
+    @pytest.mark.parametrize("trials", [1, 2, 50])
+    def test_draws_the_stream_of_the_per_seed_loop(self, n, trials):
+        # the stream is the seeded contract: per seed the chi-squares, then
+        # the normals right of the diagonal in row order
+        seeds = np.random.SeedSequence(n % 1009 + trials).spawn(trials)
+        got = _bartlett_covariances(n, 6, seeds)
+        assert np.array_equal(got, per_seed_bartlett_reference(n, 6, seeds))
 
 
 class TestMeasureSet:
@@ -300,6 +326,17 @@ class TestReconstructTrials:
     def test_equals_the_per_trial_loop(self, cm, n, trials, seed):
         stats = reconstruct_trials(cm, n_samples=n, n_trials=trials, seed=seed)
         assert_equals_reference(stats, per_trial_reference(cm, n, trials, seed))
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, DEFAULT_SEED])
+    def test_a_trial_does_not_depend_on_the_trial_count(self, seed):
+        # each trial draws from its own child seed of (seed, trial index);
+        # at eta = 0.7 these seeds keep at least 2 of the first 3 trials
+        cm = build_state(GhzConfig(eta=0.7))
+        many = reconstruct_trials(cm, 2000, 50, seed)
+        few = reconstruct_trials(cm, 2000, 3, seed)
+        assert np.array_equal(many.matrices[:3], few.matrices)
+        assert many.min_symplectic_eigenvalues[:3] == few.min_symplectic_eigenvalues
+        assert tuple(i for i in many.accepted if i < 3) == few.accepted
 
     def test_a_trial_that_is_not_positive_definite_reads_zero(self):
         stats = reconstruct_trials(CovarianceMatrix(3.0 * np.eye(6)), 10, 3, seed=37)
