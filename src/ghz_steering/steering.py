@@ -7,8 +7,8 @@ under Gaussian measurements; the direction matters.  This is the Gaussian
 steerability of Kogias, Lee, Ragy and Adesso (PRL 114, 060403, 2015).
 :func:`steering_stack` evaluates all 12 directions of a stack of three-mode
 states as a (K, 12) array, from the Cholesky factors of each state in its
-six mode orderings, and :func:`monogamy_stack` turns that array into the
-(K, 6) monogamy residuals.  :func:`steering_report` and
+six mode orderings and with no eigensolver, and :func:`monogamy_stack`
+turns that array into the (K, 6) monogamy residuals.  :func:`steering_report` and
 :func:`monogamy_residuals` give one state's values as dicts in canonical key order.
 :func:`find_threshold` reads exact loss thresholds off the same factors.
 """
@@ -131,9 +131,11 @@ def steering_stack(states: np.ndarray) -> np.ndarray:
     nu(a->b) = L22 L33 and nu(ab->c) = L44 L55 are products of diagonal
     entries: G is the log-det ratio 1/2 ln(det sigma_X / det sigma_XY) of
     Kogias et al., with no Schur complement formed or solved.  nu(a->bc) is
-    the spectrum of the trailing 4x4 factor, from the Hermitian step of
-    :func:`symplectic_eigenvalues`.  One batched factorization of all six
-    orderings serves all 12 directions.
+    the spectrum of the trailing 4x4 factor, by the two-mode closed form of
+    :func:`symplectic_eigenvalues`: the norms of the self-dual and
+    anti-self-dual parts of L^T Omega L, and det L.  One batched
+    factorization of all six orderings serves all 12 directions, and no
+    direction needs an eigensolver.
 
     Raises
     ------

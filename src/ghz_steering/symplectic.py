@@ -123,11 +123,12 @@ def symplectic_eigenvalues(cm: CovarianceMatrix | np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a positive-definite covariance matrix, ascending.
 
     Takes one matrix, shape (2N, 2N), or a stack of them with any leading
-    shape (..., 2N, 2N), and returns shape (..., N).  Every N takes the same
-    route: with sigma = L L^T (Cholesky), i L^T Omega L is Hermitian and
-    similar to i Omega sigma, so its eigenvalues are +-nu.  A Hermitian
-    eigensolver is backward stable: each nu comes back to about machine
-    epsilon times the largest one, also when two of them nearly coincide.
+    shape (..., 2N, 2N), and returns shape (..., N).  With sigma = L L^T
+    (Cholesky), M = L^T Omega L is similar to Omega sigma, so its
+    eigenvalues are +-i nu.  One and two modes take a closed form in L and
+    M, each nu to a few eps relative, also when two coincide; from three
+    modes on, a backward-stable eigensolver on the Hermitian i M gives each
+    nu to about eps times the largest.
 
     Raises
     ------
@@ -153,10 +154,42 @@ def _cholesky(m: np.ndarray) -> np.ndarray:
         raise NumericalError(_NOT_A_STATE) from None
 
 
+# Maps the flattened 4x4 M = L^T Omega L to half its self-dual part
+# a = (m01 + m23, m02 - m13, m03 + m12), then half its anti-self-dual part
+# b = (m01 - m23, m02 + m13, m03 - m12): row (i, j) holds the weights of m_ij.
+_HALF_DUAL_PARTS = np.zeros((4, 4, 2, 3))
+_HALF_DUAL_PARTS[[0, 0, 0], [1, 2, 3], :, range(3)] = 0.5
+_HALF_DUAL_PARTS[[2, 1, 1], [3, 3, 2], :, range(3)] = [[0.5, -0.5], [-0.5, 0.5], [0.5, -0.5]]
+_HALF_DUAL_PARTS = _HALF_DUAL_PARTS.reshape(16, 6)
+_HALF_DUAL_PARTS.flags.writeable = False
+
+# (|a|/2, |b|/2) @ _BOTH_SUMS puts nu+ = |a|/2 + |b|/2 in both columns.
+_BOTH_SUMS = np.ones((2, 2))
+_BOTH_SUMS.flags.writeable = False
+
+
 def _factor_spectrum(low: np.ndarray) -> np.ndarray:
-    """Ascending symplectic spectrum of L L^T, from the +-nu eigenvalues of i L^T Omega L."""
+    """Ascending symplectic spectrum of L L^T from its Cholesky factors L, shape (..., 2N, 2N).
+
+    One mode: nu = det L.  Two modes (Serafini, Illuminati and De Siena,
+    J. Phys. B 37, L21, 2004): nu+ = (|a| + |b|) / 2 over the self-dual part
+    a and the anti-self-dual part b of M = L^T Omega L, and nu- = det L / nu+
+    (det L = Pf M), both to a few eps relative, also where nu+ = nu-.  From
+    three modes on, the upper half of the eigenvalues of the Hermitian i M.
+    """
     n = low.shape[-1] // 2
-    return _eigvalsh(1j * (np.swapaxes(low, -1, -2) @ symplectic_form(n) @ low))[..., n:]
+    if n > 2:
+        return _eigvalsh(1j * (np.swapaxes(low, -1, -2) @ symplectic_form(n) @ low))[..., n:]
+    if n == 1:
+        return (low[..., 0, 0] * low[..., 1, 1])[..., None]
+    m = np.swapaxes(low, -1, -2) @ symplectic_form(2) @ low
+    half_parts = (m.reshape(-1, 16) @ _HALF_DUAL_PARTS).reshape(-1, 2, 3)
+    nus = np.hypot.reduce(half_parts, axis=-1) @ _BOTH_SUMS
+    diag = np.diagonal(low, axis1=-2, axis2=-1).reshape(-1, 4)
+    # det L / nu+ in an order that overflows only where nu does; min() keeps the pair ascending
+    np.minimum(diag[:, 0] * diag[:, 1] / nus[:, 1] * (diag[:, 2] * diag[:, 3]), nus[:, 1],
+               out=nus[:, 0])
+    return nus.reshape(low.shape[:-2] + (2,))
 
 
 def physicality_floor(m: np.ndarray, nu_min: np.ndarray) -> np.ndarray:

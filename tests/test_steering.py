@@ -20,10 +20,11 @@ from ghz_steering import (
     find_threshold,
     monogamy_residuals,
     monogamy_stack,
+    reconstruct_trials,
     steering_report,
     steering_stack,
 )
-from ghz_steering import steering
+from ghz_steering import steering, symplectic
 from ghz_steering.network import MAX_SQUEEZING_R
 from ghz_steering.steering import STEERING_EPS, gaussian_steering, parse_direction
 from ghz_steering.symplectic import (PHYSICALITY_TOL, Partition, is_physical, quadrature_indices,
@@ -81,6 +82,23 @@ def random_states(seed, n, r_max=1.7):
         build_state(GhzConfig(r1=r1, r2=r2, r3=r3, t1=t1, t2=t2, eta=eta)).matrix
         for r1, r2, r3, t1, t2, eta in zip(*rng.uniform(0.0, r_max, (3, n)),
                                            *rng.uniform(0.0, 1.0, (3, n)))])
+
+
+def hermitian_spectrum(low):
+    """The symplectic spectrum of L L^T by the Hermitian route, for any number of modes:
+    the upper half of the eigenvalues of i L^T Omega L, which come in pairs +-nu."""
+    n = low.shape[-1] // 2
+    return np.linalg.eigvalsh(1j * (np.swapaxes(low, -1, -2) @ symplectic_form(n) @ low))[..., n:]
+
+
+@pytest.fixture
+def no_eigensolver(monkeypatch):
+    """Make every eigenvalue solver the package could reach raise."""
+    def refuse(m):
+        raise AssertionError("eigenvalue solver called")
+
+    monkeypatch.setattr(symplectic, "_eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
 
 
 def quartic_g(m, label):
@@ -308,6 +326,22 @@ class TestSteeringStack:
         for size in (1, 2, 7, 300):
             assert np.array_equal(steering_stack(states[:size]), singles[:size]), size
 
+    def test_matches_the_hermitian_route_up_to_r_3(self, monkeypatch):
+        # the two-mode conditionals of a->bc, by their closed form and by
+        # eigvalsh; reconstructed trials add states whose x and p correlate
+        stats = reconstruct_trials(build_state(GhzConfig(eta=0.7)), n_samples=2000, n_trials=200,
+                                   seed=20261021)
+        states = np.concatenate([random_states(20261021, 2000, r_max=3.0),
+                                 stats.matrices[list(stats.accepted)]])
+        g = steering_stack(states)
+        monkeypatch.setattr(steering, "_factor_spectrum", hermitian_spectrum)
+        assert np.abs(g - steering_stack(states)).max() <= 1e-13
+
+    def test_calls_no_eigensolver(self, no_eigensolver):
+        for seed, size in [(1, 1), (2, 3), (3, 56)]:
+            states = random_states(seed, size, r_max=3.0)
+            assert steering_stack(states).shape == (size, 12)
+
     @pytest.mark.parametrize("noise", [0.0, 0.2, 2.0])
     def test_matches_independent_solve_up_to_r_3(self, noise):
         # noise * I adds thermal noise to every mode; at 2 shot-noise units
@@ -518,6 +552,20 @@ class TestThreshold:
         assert g[0] == 0.0 and np.all(g[1:] > 0.0)
         with pytest.raises(ValueError, match="no threshold in range"):
             find_threshold(GhzConfig(*config), direction, tol=1e-6)
+
+    def test_calls_no_eigensolver(self, no_eigensolver):
+        # every direction that has a threshold at one of these configs, found without one
+        rng = np.random.default_rng(20261022)
+        found = set()
+        for r1, r2, r3, t1, t2 in zip(*rng.uniform(0.05, 3.0, (3, 20)),
+                                      *rng.uniform(0.05, 0.95, (2, 20))):
+            for direction in DIRECTIONS:
+                try:
+                    assert 0.0 < find_threshold(GhzConfig(r1, r2, r3, t1, t2), direction) < 1.0
+                    found.add(direction)
+                except ValueError as exc:
+                    assert "no threshold in range" in str(exc)
+        assert found == {"A->B", "B->A", "A->C", "C->A", "A->BC", "BC->A", "AC->B", "AB->C"}
 
     @pytest.mark.parametrize("q, eta", [
         ((1.0, 0.0, -1.0), 0.5),        # one simple root inside

@@ -39,6 +39,20 @@ def transform(cm, s):
     return CovarianceMatrix(s @ cm.matrix @ s.T)
 
 
+def squeezers(r1, r2):
+    """Quadrature map of single-mode squeezers r1 on mode 0 and r2 on mode 1."""
+    return np.diag([math.exp(-r1), math.exp(r1), math.exp(-r2), math.exp(r2)])
+
+
+def phase_shifts(theta1, theta2):
+    """Quadrature map of phase rotations by theta1 on mode 0 and theta2 on mode 1."""
+    s = np.zeros((4, 4))
+    for k, theta in enumerate((theta1, theta2)):
+        c, d = math.cos(theta), math.sin(theta)
+        s[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[c, d], [-d, c]]
+    return s
+
+
 def random_lossy_states(seed, count):
     """States with r1, r2, r3 in [0, 1.7] and t1, t2 in [0, 1], eta in [0.05, 0.95]."""
     rng = np.random.default_rng(seed)
@@ -154,8 +168,15 @@ class TestSymplecticEigenvalues:
         assert nus == pytest.approx([3.0])
 
     def test_two_mode_squeezed_is_pure(self):
-        # the Hermitian route keeps degenerate eigenvalues at 1 to machine accuracy
+        # the closed form keeps the degenerate pair at 1 to a few eps relative
         nus = symplectic_eigenvalues(two_mode_squeezed(R))
+        assert nus == pytest.approx([1.0, 1.0], abs=1e-14)
+
+    @pytest.mark.parametrize("r", [0.25, 0.3, 0.55, 1.05])
+    def test_a_degenerate_pair_stays_ascending(self, r):
+        # at these r, rounding puts det L / nu+ an ulp above nu+
+        nus = symplectic_eigenvalues(two_mode_squeezed(r))
+        assert nus[0] <= nus[1]
         assert nus == pytest.approx([1.0, 1.0], abs=1e-14)
 
     def test_two_mode_thermal_product(self):
@@ -196,6 +217,33 @@ class TestSymplecticEigenvalues:
             reduced = state.matrix[np.ix_(idx, idx)]
             expected = np.sort(np.abs(np.linalg.eigvals(omega @ reduced).imag))[::2]
             assert symplectic_eigenvalues(reduced) == pytest.approx(expected, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.7, 3.0])
+    @pytest.mark.parametrize("nus", [(1.0, 1.0), (1.0, 1.0 + 1e-9), (1.5, 1.5), (1.0, 40.0)])
+    def test_williamson_states(self, nus, r):
+        # sigma = S diag(nu1, nu1, nu2, nu2) S^T, S = beam splitter, phase shifts,
+        # squeezers, beam splitter; the phase shifts correlate x with p.
+        # Rounding sigma moves each nu by about eps times the condition
+        # number of its Cholesky factor, e^(2r) nu2 / nu1; the textbook
+        # nu^2 = (Delta -+ sqrt(Delta^2 - 4 det)) / 2 loses half the digits
+        # where nu1 ~ nu2 and misses 1 + 1e-9 by far more
+        bound = 16 * np.finfo(float).eps * math.exp(2 * r) * nus[1] / nus[0]
+        for t1, t2, ratio, thetas in [(0.3, 0.8, 0.4, (0.4, 1.3)), (0.5, 0.5, 1.0, (0.0, 0.0)),
+                                      (0.9, 0.1, -0.7, (-0.9, 2.2))]:
+            state = CovarianceMatrix(np.diag([nus[0], nus[0], nus[1], nus[1]]))
+            for s in (beam_splitter(2, 0, 1, t1), phase_shifts(*thetas), squeezers(r, ratio * r),
+                      beam_splitter(2, 0, 1, t2)):
+                state = transform(state, s)
+            got = symplectic_eigenvalues(state)
+            assert got[0] <= got[1]
+            assert np.all(np.abs(got - nus) <= bound * np.array(nus)), (t1, t2, ratio)
+
+    def test_three_modes_take_the_hermitian_route(self):
+        # from N = 3 on, the upper half of the eigenvalues of i L^T Omega L, bit for bit
+        states = np.array([s.matrix for s in random_lossy_states(seed=6, count=50)])
+        low = np.linalg.cholesky(states)
+        hermitian = np.linalg.eigvalsh(1j * (np.swapaxes(low, -1, -2) @ symplectic_form(3) @ low))
+        assert np.array_equal(symplectic_eigenvalues(states), hermitian[:, 3:])
 
     def test_higher_rank_stack_matches_rows_bit_for_bit(self):
         # (K, 3, 4, 4): the two-mode reductions of each state, as the steering kernel stacks them
