@@ -39,7 +39,7 @@ from .symplectic import (
 )
 from .tomography import REJECT_NU_FLOOR, reconstruct_trials
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 OUTDIR_ENV = "GHZ_STEERING_OUTDIR"
 DEFAULT_GRID = "0.0:1.0:0.05"
 DEFAULT_SEED = 12345
@@ -364,7 +364,8 @@ def build_parser() -> _Parser:
     p_tomo.add_argument("--trials", type=_trial_count, default=3,
                         help="number of reconstruction trials (default 3)")
     p_tomo.add_argument("--seed", type=_non_negative_int, default=DEFAULT_SEED,
-                        help=f"master seed; trials derive child seeds (default {DEFAULT_SEED})")
+                        help=f"master seed; trial i draws the same at any --trials "
+                             f"(default {DEFAULT_SEED})")
     _add_output_args(p_tomo, ("json",), "json")
     p_tomo.set_defaults(func=cmd_tomo)
 

@@ -14,11 +14,12 @@ record, so a trial needs S, not its record.  S is drawn exactly instead of
 being summed from samples: (n-1) S of n samples is Wishart(n-1, sigma), and
 its Bartlett factor takes 6 chi-squares and 15 normals, whatever n is.  So
 S is equal in distribution to np.cov of the sample_quadratures table, while
-time and memory per trial do not grow with n.  :func:`sample_covariance`
-draws one S from a seed and :func:`reconstruct_trials` one per trial seed.
-Measuring, reconstruction, the rejection floor and the steering values then
-run once over the (K, 6, 6) stack of all trials, and :class:`TrialStatistics`
-keeps that stack and the (n_accepted, 12) steering values as arrays.
+time and memory per trial do not grow with n.  :func:`reconstruct_trials`
+draws trial i of K from the i-th segments of two seeded streams, whatever K
+is, and :func:`sample_covariance` draws trial 0.  Measuring, reconstruction,
+the rejection floor and the steering values then run once over the (K, 6, 6)
+stack, and :class:`TrialStatistics` keeps it and the (n_accepted, 12)
+steering values as arrays.
 """
 
 from __future__ import annotations
@@ -107,11 +108,12 @@ def sample_covariance(
     one draw of cov(Z) for n_samples standard-normal rows Z (see
     _bartlett_covariances).  So the result is equal in distribution to
     np.cov of the table sample_quadratures draws, though not equal to it for
-    the same seed.  Time and memory do not depend on n_samples, and the same
-    seed always gives the same matrix.
+    the same seed; it is trial 0 of reconstruct_trials.  Time and memory do
+    not depend on n_samples, and one seed, an int or a SeedSequence, always
+    gives the same matrix.
     """
     root = _sampling_root(cm, n_samples)
-    cov_z = _bartlett_covariances(n_samples, root.shape[0], [seed])
+    cov_z = _bartlett_covariances(n_samples, root.shape[0], 1, seed)
     return CovarianceMatrix(_sample_covariances(root, cov_z)[0])
 
 
@@ -124,28 +126,35 @@ def _sample_covariances(root: np.ndarray, cov_z: np.ndarray) -> np.ndarray:
     return sampled
 
 
-def _bartlett_covariances(n_samples: int, dim: int, seeds: list) -> np.ndarray:
-    """A (K, dim, dim) stack of draws of cov(Z), Z n_samples standard-normal rows, one per seed.
+def _bartlett_covariances(n_samples: int, dim: int, n_trials: int,
+                          seed: int | np.random.SeedSequence) -> np.ndarray:
+    """A (n_trials, dim, dim) stack of draws of cov(Z), Z n_samples standard-normal rows.
 
     (n-1) cov(Z) is Wishart(n-1, I), which is R^T R in distribution for the
     k x dim upper-trapezoidal Bartlett factor R, k = min(n-1, dim): R_ii^2 is
     chi-square with n-1-i degrees of freedom and every entry right of the
     diagonal is standard normal (Odell & Feiveson, JASA 61, 199, 1966).  With
-    n <= dim the k rows give R^T R the rank n-1 that cov(Z) has.  Each seed's
-    generator draws the k chi-squares, then the entries right of the
-    diagonal in row order, into its row of one table, and one scatter builds
-    every factor.  Float degrees of freedom let n_samples pass the int64 range.
+    n <= dim the k rows give R^T R the rank n-1 that cov(Z) has.  The seed
+    spawns two generators, as SeedSequence(seed).spawn(2) does: one call of
+    the first draws every chi-square and one of the second every entry right
+    of the diagonal in row order, both trial by trial, so trial i is the i-th
+    segment of each stream whatever n_trials is.  (One shared stream would
+    not do: a chi-square takes a variable number of raw draws.)  One scatter
+    builds every factor.  Float degrees of freedom let n_samples pass the
+    int64 range.
     """
+    # a fresh SeedSequence: spawning advances one, and the caller's must give the same draw again
+    seq = (np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size)
+           if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed))
+    chi_rng, normal_rng = map(np.random.default_rng, seq.spawn(2))
     dof = n_samples - 1
     k = min(dof, dim)
     rows, cols = (np.r_[:k, i] for i in np.triu_indices(k, 1, dim))  # the diagonal first
-    dofs = (dof - np.arange(k, dtype=float)).tolist()  # scalar chisquare skips the array checks
-    draws = np.empty((len(seeds), len(rows)))
-    for draw, rng in zip(draws, map(np.random.default_rng, seeds)):
-        draw[:k] = [rng.chisquare(d) for d in dofs]
-        rng.standard_normal(out=draw[k:])
-    np.sqrt(draws[:, :k], out=draws[:, :k])
-    factors = np.zeros((len(seeds), k, dim))
+    draws = np.concatenate([
+        np.sqrt(chi_rng.chisquare(dof - np.arange(k, dtype=float), size=(n_trials, k))),
+        normal_rng.standard_normal((n_trials, len(rows) - k)),
+    ], axis=1)
+    factors = np.zeros((n_trials, k, dim))
     factors[:, rows, cols] = draws
     return np.swapaxes(factors, -1, -2) @ factors / dof
 
@@ -243,11 +252,12 @@ def reconstruct_trials(
     once over the stack of all trials; every value equals that of the trial
     computed alone.
 
-    Each trial uses a child seed spawned deterministically from (seed, trial
-    index).  Trials whose reconstructed matrix falls below the physicality
-    floor (min symplectic eigenvalue < REJECT_NU_FLOOR, or 0 when the matrix
-    is not positive definite) are recorded and excluded from the
-    statistics; nothing is repaired or projected.
+    Trial i is the i-th segment of the seed's two streams (see
+    _bartlett_covariances) whatever n_trials is; trial 0 is what
+    sample_covariance draws.  Trials whose reconstructed matrix falls below
+    the physicality floor (min symplectic eigenvalue < REJECT_NU_FLOOR, or 0
+    when its Cholesky factorization fails) are recorded and excluded from
+    the statistics; nothing is repaired or projected.
 
     Raises
     ------
@@ -258,16 +268,20 @@ def reconstruct_trials(
     if n_trials < 2:
         raise ValueError("need at least 2 trials for a standard deviation")
     root = _sampling_root(cm_true, n_samples)
-    children = np.random.SeedSequence(seed).spawn(n_trials)
-    cov_z = _bartlett_covariances(n_samples, root.shape[0], children)
+    cov_z = _bartlett_covariances(n_samples, root.shape[0], n_trials, seed)
 
     stack = covariance_from_measurements(population_measurements(_sample_covariances(root, cov_z)))
     stack.flags.writeable = False
 
     nu_min = np.zeros(n_trials)  # stays 0 where a matrix is not positive definite
-    definite = np.linalg.eigvalsh(stack).min(axis=-1) > 0
-    if definite.any():
-        nu_min[definite] = symplectic_eigenvalues(stack[definite]).min(axis=-1)
+    try:
+        nu_min[:] = symplectic_eigenvalues(stack).min(axis=-1)
+    except NumericalError:  # some matrix is not a state: find it row by row
+        for index, matrix in enumerate(stack):
+            try:
+                nu_min[index] = symplectic_eigenvalues(matrix).min()
+            except NumericalError:
+                pass
     accepted = np.flatnonzero(nu_min >= REJECT_NU_FLOOR)
     values = np.ascontiguousarray(steering_stack(stack[accepted]))
 

@@ -36,7 +36,7 @@ class TestBuild:
         rc, out, _ = run(capsys, ["build"])
         assert rc == 0
         doc = json.loads(out)
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["command"] == "build"
         assert doc["config"]["r1"] == R
         matrix = np.array(doc["covariance_matrix"])
@@ -201,6 +201,13 @@ class TestTomo:
         run(capsys, ["tomo", "--samples", "20000", "--seed", "3", "--output", str(a)])
         run(capsys, ["tomo", "--samples", "20000", "--seed", "3", "--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_a_trial_does_not_depend_on_the_trial_count(self, capsys):
+        # the promise of the --seed help text, at the document level
+        rc_many, many, _ = run(capsys, ["tomo", "--samples", "2000", "--trials", "50"])
+        rc_few, few, _ = run(capsys, ["tomo", "--samples", "2000", "--trials", "3"])
+        assert rc_many == rc_few == 0
+        assert json.loads(many)["trials"][:3] == json.loads(few)["trials"]
 
     def test_all_trials_rejected_exits_2(self, capsys):
         # seed found by searching 0..99: the first for which fewer than 2 of
