@@ -19,8 +19,17 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=12345)
     ap.add_argument("--sizes", type=int, nargs="+", default=[2000, 20_000, 200_000])
     args = ap.parse_args()
+    if args.trials < 2:
+        ap.error(f"--trials must be at least 2 for a standard deviation, got {args.trials}")
+    if args.seed < 0:
+        ap.error(f"--seed must be non-negative, got {args.seed}")
+    if min(args.sizes) < 2:
+        ap.error(f"every --sizes value must be at least 2, got {min(args.sizes)}")
+    try:
+        state = build_state(GhzConfig(eta=args.eta))
+    except ValueError as exc:
+        ap.error(str(exc))
 
-    state = build_state(GhzConfig(eta=args.eta))
     analytic = steering_report(state)
     print("direction  " + "".join(f"{f'n={n}':>22}" for n in args.sizes) + f"{'analytic':>14}")
 

@@ -7,7 +7,8 @@ under Gaussian measurements; the direction matters.  This is the Gaussian
 steerability of Kogias, Lee, Ragy and Adesso (PRL 114, 060403, 2015).
 :func:`steering_stack` evaluates all 12 directions of a stack of three-mode
 states as a (K, 12) array, from the Cholesky factors of each state in its
-six mode orderings and with no eigensolver, and :func:`monogamy_stack`
+six mode orderings and with no eigensolver; each direction is read in the
+ordering that lists its steering party first.  :func:`monogamy_stack`
 turns that array into the (K, 6) monogamy residuals.  :func:`steering_report` and
 :func:`monogamy_residuals` give one state's values as dicts in canonical key order.
 :func:`find_threshold` reads exact loss thresholds off the same factors.
@@ -76,34 +77,23 @@ def gaussian_steering(cm: CovarianceMatrix, partition: Partition) -> float:
     return float(_quantifier(symplectic_eigenvalues(schur_complement(cm, partition))))
 
 
-# The six mode orderings (a, b, c) of the stacked kernel and the quadrature
-# order of each; every ordering gives a->b, those with a < b also ab->c and
-# those with b < c also a->bc.
+# The six mode orderings of the stacked kernel and the quadrature order of each.
 _ORDERINGS = tuple(itertools.permutations(range(3)))
 _ORDERED = np.array([quadrature_indices(order) for order in _ORDERINGS])
-_PAIR_FIRST = [k for k, (a, b, _) in enumerate(_ORDERINGS) if a < b]
-_ONE_FIRST = [k for k, (_, b, c) in enumerate(_ORDERINGS) if b < c]
 
-
-def _kernel_labels() -> list[str]:
-    """Direction labels in the order the kernel computes them."""
-    a, b, c = ([MODE_NAMES[m] for m in order] for order in zip(*_ORDERINGS))
-    one_to_one = [f"{a[k]}->{b[k]}" for k in range(6)]
-    two_to_one = [f"{a[k]}{b[k]}->{c[k]}" for k in _PAIR_FIRST]
-    one_to_two = [f"{a[k]}->{b[k]}{c[k]}" for k in _ONE_FIRST]
-    return one_to_one + two_to_one + one_to_two
-
-
-# Column k of steering_stack's output is kernel column _TO_DIRECTIONS[k].
-_TO_DIRECTIONS = np.array([_kernel_labels().index(label) for label in DIRECTIONS])
-
-# Kernel column k's mode ordering, led by _STEERING_WIDTH[k] steering quadratures.
-_KERNEL_ORDERING = [*range(6), *_PAIR_FIRST, *_ONE_FIRST]
-_STEERING_WIDTH = [2] * 6 + [4] * 3 + [2] * 3
+# Direction k is read in ordering _ORDER[k], which lists its steering party and
+# then its steered party, so its _WIDTH[k] leading quadratures are the steering ones.
+_PARTITIONS = [parse_direction(label) for label in DIRECTIONS]
+_ORDER = np.array([next(k for k, order in enumerate(_ORDERINGS) if order[:len(lead)] == lead)
+                   for lead in (p.steering + p.steered for p in _PARTITIONS)])
+_WIDTH = np.array([2 * len(p.steering) for p in _PARTITIONS])
+_ONE = np.array([k for k, p in enumerate(_PARTITIONS) if len(p.steered) == 1])
+_TWO = np.array([k for k, p in enumerate(_PARTITIONS) if len(p.steered) == 2])
+_ONE_ORDER, _ONE_WIDTH = _ORDER[_ONE], _WIDTH[_ONE]
 
 
 def _conditionals(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional nu (K, 12, 2) in kernel order and Cholesky diagonals (K, ordering, quadrature)."""
+    """Conditional nu (K, 12, 2) in DIRECTIONS order and Cholesky diagonals (K, ordering, quadrature)."""
     sigma = np.asarray(states, dtype=float)
     if sigma.ndim != 3 or sigma.shape[1:] != (6, 6):
         raise ValueError(f"expected a (K, 6, 6) stack of three-mode states, got shape {sigma.shape}")
@@ -111,9 +101,8 @@ def _conditionals(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     low = _cholesky(sigma[:, _ORDERED[:, :, None], _ORDERED[:, None, :]])  # (K, 6, 6, 6)
     diag = np.diagonal(low, axis1=-2, axis2=-1)
     nus = np.ones((sigma.shape[0], 12, 2))  # a one-mode conditional's second entry stays 1: no term
-    nus[:, :6, 0] = diag[..., 2] * diag[..., 3]
-    nus[:, 6:9, 0] = diag[:, _PAIR_FIRST, 4] * diag[:, _PAIR_FIRST, 5]
-    nus[:, 9:] = _factor_spectrum(low[:, _ONE_FIRST, 2:, 2:])
+    nus[:, _ONE, 0] = diag[:, _ONE_ORDER, _ONE_WIDTH] * diag[:, _ONE_ORDER, _ONE_WIDTH + 1]
+    nus[:, _TWO] = _factor_spectrum(low[:, _ORDER[_TWO], 2:, 2:])
     return nus, diag
 
 
@@ -143,7 +132,7 @@ def steering_stack(states: np.ndarray) -> np.ndarray:
         "not a state" exactly when some matrix of the stack has a non-finite
         entry or is not positive definite.
     """
-    return _quantifier(_conditionals(states)[0])[:, _TO_DIRECTIONS]
+    return _quantifier(_conditionals(states)[0])
 
 
 def steering_report(cm: CovarianceMatrix) -> dict[str, float]:
@@ -200,10 +189,10 @@ def find_threshold(config: GhzConfig, direction: str, tol: float = 1e-4) -> floa
     if label not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}, "
                          f"expected one of {', '.join(DIRECTIONS)}")
-    column = _TO_DIRECTIONS[DIRECTIONS.index(label)]
+    k = DIRECTIONS.index(label)
     nus, diag = _conditionals(build_states(config, [0.0, 0.5, 1.0]))
-    nus = _clamp(nus[:, column])
-    det_x = np.prod(diag[:, _KERNEL_ORDERING[column], :_STEERING_WIDTH[column]], axis=-1) ** 2
+    nus = _clamp(nus[:, k])
+    det_x = np.prod(diag[:, _ORDER[k], :_WIDTH[k]], axis=-1) ** 2
     product_form = label in ("B->AC", "C->AB")
     q = det_x * (np.prod(1.0 - nus**2, axis=-1) if product_form else 1.0 - np.prod(nus**2, axis=-1))
     eta = _sign_change(*q.tolist())

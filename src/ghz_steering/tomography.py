@@ -283,7 +283,7 @@ def reconstruct_trials(
             except NumericalError:
                 pass
     accepted = np.flatnonzero(nu_min >= REJECT_NU_FLOOR)
-    values = np.ascontiguousarray(steering_stack(stack[accepted]))
+    values = steering_stack(stack[accepted])
 
     if len(accepted) < 2:
         detail = ", ".join(f"trial {i}: nu_min={nu:.4f}" for i, nu in enumerate(nu_min))

@@ -239,6 +239,8 @@ class TestSteeringStack:
     def test_rows_match_single_state_calls(self, r, t1, t2, etas):
         states = build_states(GhzConfig(r1=r, r2=r, r3=r, t1=t1, t2=t2), etas)
         stacked = steering_stack(states)
+        trials = reconstruct_trials(build_state(GhzConfig()), n_samples=2000, n_trials=3, seed=1)
+        assert stacked.flags.c_contiguous and trials.g.flags.c_contiguous
         for k in range(len(etas)):
             assert np.abs(stacked[k] - steering_stack(states[k:k + 1])[0]).max() <= 1e-14
 
