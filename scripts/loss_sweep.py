@@ -27,9 +27,11 @@ def main() -> None:
     etas = [k / (args.steps - 1) for k in range(args.steps)]
     g = steering_stack(build_states(cfg, etas)).tolist()  # row k: G of DIRECTIONS at etas[k]
 
-    eta_star = find_threshold(cfg, "A->BC", tol=1e-5)
     print(f"r = {args.r} ({r_to_squeezing_db(args.r):.3f} dB)")
-    print(f"A->BC activates at eta = {eta_star:.6f}")
+    try:
+        print(f"A->BC activates at eta = {find_threshold(cfg, 'A->BC', tol=1e-5):.6f}")
+    except ValueError:  # G(A->BC) is 0 at every eta: q vanishes, or stays inside the clamp
+        print(f"A->BC never activates {'without' if args.r == 0 else 'at this'} squeezing")
     fwd, rev = DIRECTIONS.index("A->BC"), DIRECTIONS.index("BC->A")
     window = [eta for eta, row in zip(etas, g) if row[fwd] == 0 and row[rev] > 0]
     if window:

@@ -29,14 +29,8 @@ from .network import (
     correlation_variance,
     squeezing_db_to_r,
 )
-from .steering import (DIRECTIONS, RESIDUAL_KEYS, STEERING_EPS, monogamy_stack,
-                       steering_report, steering_stack)
-from .symplectic import (
-    NumericalError,
-    physicality_floor,
-    purity,
-    symplectic_eigenvalues,
-)
+from .steering import DIRECTIONS, RESIDUAL_KEYS, STEERING_EPS, _stack_and_spectra, monogamy_stack
+from .symplectic import NumericalError, physicality_floor, purity
 from .tomography import REJECT_NU_FLOOR, reconstruct_trials
 
 SCHEMA_VERSION = 2
@@ -195,25 +189,28 @@ def _add_output_args(parser: argparse.ArgumentParser, formats: tuple[str, ...], 
                              f"${OUTDIR_ENV} when set")
 
 
-def _physicality(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending symplectic spectra of a (K, 6, 6) stack and each state's physicality floor."""
-    nus = symplectic_eigenvalues(states)
-    return nus, physicality_floor(states, nus[:, 0])
+def _physicality(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G (K, 12), the ascending symplectic spectra and the physicality floors of a (K, 6, 6) stack.
+
+    One steering-kernel call gives both G and the spectra.
+    """
+    g, nus = _stack_and_spectra(states)
+    return g, nus, physicality_floor(states, nus[:, 0])
 
 
-def _require_physical(states: np.ndarray, etas: Sequence[float]) -> np.ndarray:
-    """The spectra of the states at etas; NumericalError at the first state below its floor."""
-    nus, floor = _physicality(states)
+def _require_physical(states: np.ndarray, etas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """G and the spectra of the states at etas; NumericalError at the first state below its floor."""
+    g, nus, floor = _physicality(states)
     below = np.flatnonzero(~(nus[:, 0] >= floor))
     if below.size:
         raise NumericalError(f"state at eta={etas[below[0]]} violates the uncertainty relation")
-    return nus
+    return g, nus
 
 
 def cmd_build(args: argparse.Namespace) -> int:
     config = _config_from_args(args, eta=args.eta)
     state = build_state(config)
-    nus = _require_physical(state.matrix[None], [config.eta])[0]
+    nus = _require_physical(state.matrix[None], [config.eta])[1][0]
     variances = {lab: correlation_variance(state, lab) for lab in BUILD_COMBOS}
 
     if args.format == "json":
@@ -243,9 +240,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    states = build_states(config, args.grid)
-    _require_physical(states, args.grid)
-    g = steering_stack(states)
+    g = _require_physical(build_states(config, args.grid), args.grid)[0]
     rows = list(zip(args.grid, g.tolist(), monogamy_stack(g).tolist()))
 
     if args.format == "csv":
@@ -271,8 +266,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_tomo(args: argparse.Namespace) -> int:
     config = _config_from_args(args, eta=args.eta)
     state = build_state(config)
-    _require_physical(state.matrix[None], [config.eta])
-    analytic = steering_report(state)
+    g = _require_physical(state.matrix[None], [config.eta])[0]
+    analytic = dict(zip(DIRECTIONS, g[0].tolist()))  # steering_report(state), from the gate's call
     try:
         stats = reconstruct_trials(state, n_samples=args.samples, n_trials=args.trials,
                                    seed=args.seed)
@@ -310,9 +305,7 @@ def cmd_tomo(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     grid = _parse_grid(DEFAULT_GRID)
-    states = build_states(config, grid)
-    g = steering_stack(states)
-    nus, floor = _physicality(states)
+    g, nus, floor = _physicality(build_states(config, grid))
     nu_min = nus[:, 0]
     worst = np.argmin(nu_min - floor)  # the row with the least margin
     worst_pair = g[:, :6].max()  # DIRECTIONS[:6] are the one-to-one directions

@@ -6,9 +6,9 @@ over conditional symplectic eigenvalues nu < 1).  G > 0 certifies steering
 under Gaussian measurements; the direction matters.  This is the Gaussian
 steerability of Kogias, Lee, Ragy and Adesso (PRL 114, 060403, 2015).
 :func:`steering_stack` evaluates all 12 directions of a stack of three-mode
-states as a (K, 12) array, from the Cholesky factors of each state in its
-six mode orderings and with no eigensolver; each direction is read in the
-ordering that lists its steering party first.  :func:`monogamy_stack`
+states as a (K, 12) array, with no eigensolver, from the Cholesky factors of
+each state in the three cyclic mode orderings (A, B, C), (B, C, A) and
+(C, A, B) and the table of principal minors they give.  :func:`monogamy_stack`
 turns that array into the (K, 6) monogamy residuals.  :func:`steering_report` and
 :func:`monogamy_residuals` give one state's values as dicts in canonical key order.
 :func:`find_threshold` reads exact loss thresholds off the same factors.
@@ -16,7 +16,7 @@ turns that array into the (K, 6) monogamy residuals.  :func:`steering_report` an
 
 from __future__ import annotations
 
-import itertools
+import math
 
 import numpy as np
 
@@ -64,8 +64,7 @@ def _clamp(nus: np.ndarray) -> np.ndarray:
 
 def _quantifier(nus: np.ndarray) -> np.ndarray:
     """G over the last axis of conditional nu: 0 unless a nu is below 1 after :func:`_clamp`."""
-    nus = _clamp(nus)
-    return np.maximum(0.0, np.where(nus < 1.0, -np.log(nus), 0.0).sum(axis=-1))
+    return 0.0 - np.log(np.minimum(_clamp(nus), 1.0)).sum(axis=-1)  # not -sum: G = 0 is +0.0
 
 
 def gaussian_steering(cm: CovarianceMatrix, partition: Partition) -> float:
@@ -77,33 +76,51 @@ def gaussian_steering(cm: CovarianceMatrix, partition: Partition) -> float:
     return float(_quantifier(symplectic_eigenvalues(schur_complement(cm, partition))))
 
 
-# The six mode orderings of the stacked kernel and the quadrature order of each.
-_ORDERINGS = tuple(itertools.permutations(range(3)))
-_ORDERED = np.array([quadrature_indices(order) for order in _ORDERINGS])
-
-# Direction k is read in ordering _ORDER[k], which lists its steering party and
-# then its steered party, so its _WIDTH[k] leading quadratures are the steering ones.
-_PARTITIONS = [parse_direction(label) for label in DIRECTIONS]
-_ORDER = np.array([next(k for k, order in enumerate(_ORDERINGS) if order[:len(lead)] == lead)
-                   for lead in (p.steering + p.steered for p in _PARTITIONS)])
-_WIDTH = np.array([2 * len(p.steering) for p in _PARTITIONS])
-_ONE = np.array([k for k, p in enumerate(_PARTITIONS) if len(p.steered) == 1])
-_TWO = np.array([k for k, p in enumerate(_PARTITIONS) if len(p.steered) == 2])
-_ONE_ORDER, _ONE_WIDTH = _ORDER[_ONE], _WIDTH[_ONE]
+# The three cyclic mode orderings of the stacked kernel and the quadrature order
+# of each.  Ordering o lists mode o first and leads with the single (o) and the
+# pair (o, o + 1), so every mode and every pair of modes leads exactly one.
+_ORDERINGS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+_QUADRATURES = np.array([quadrature_indices(order) for order in _ORDERINGS])
+_ORDERED = 6 * _QUADRATURES[:, :, None] + _QUADRATURES[:, None, :]  # in a flattened 6x6 state
+_NEXT = [1, 2, 0]  # ordering o + 1 leads with the second mode of ordering o
 
 
-def _conditionals(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional nu (K, 12, 2) in DIRECTIONS order and Cholesky diagonals (K, ordering, quadrature)."""
+def _column(steering: str, steered: str) -> int:
+    """Column of DIRECTIONS of a direction given by its parties' mode names, in any order."""
+    return DIRECTIONS.index("".join(sorted(steering)) + "->" + "".join(sorted(steered)))
+
+
+# Ordering o = (a, b, c) reads row o: a->b, ab->c, b->a and a->bc.
+_READ = np.array([[_column(a, b), _column(a + b, c), _column(b, a), _column(a, b + c)]
+                  for a, b, c in ([MODE_NAMES[m] for m in order] for order in _ORDERINGS)])
+# P(X) of each direction's steering party X is minor [:, _X_ORDERING, _X_LAST]:
+# (o, 0) for a->b and a->bc, (o, 1) for ab->c, and P(b) at (o + 1, 0) for b->a.
+_X_ORDERING, _X_LAST = np.zeros((2, len(DIRECTIONS)), dtype=int)
+_X_ORDERING[_READ] = [[o, o, _NEXT[o], o] for o in range(3)]
+_X_LAST[_READ] = [0, 1, 0, 0]
+
+
+def _conditionals(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Conditional nu (K, 12, 2) in DIRECTIONS order, the principal minors (K, 3, 3) and
+    the Cholesky factors (K, 3, 6, 6) of each state in the three cyclic orderings.
+
+    Minor [:, o, j] is P(S) = sqrt(det sigma_S) for the first j + 1 modes S of
+    ordering o.  Ordering 0 is the state's own mode order, so factor [:, 0]
+    is the Cholesky factor of each state.
+    """
     sigma = np.asarray(states, dtype=float)
     if sigma.ndim != 3 or sigma.shape[1:] != (6, 6):
         raise ValueError(f"expected a (K, 6, 6) stack of three-mode states, got shape {sigma.shape}")
     _require_finite(sigma)
-    low = _cholesky(sigma[:, _ORDERED[:, :, None], _ORDERED[:, None, :]])  # (K, 6, 6, 6)
+    low = _cholesky(np.take(sigma.reshape(-1, 36), _ORDERED, axis=1))
     diag = np.diagonal(low, axis1=-2, axis2=-1)
+    pairs = diag[..., 0::2] * diag[..., 1::2]  # the diagonal product of each mode's pair
+    minors = np.multiply.accumulate(pairs, axis=-1)
     nus = np.ones((sigma.shape[0], 12, 2))  # a one-mode conditional's second entry stays 1: no term
-    nus[:, _ONE, 0] = diag[:, _ONE_ORDER, _ONE_WIDTH] * diag[:, _ONE_ORDER, _ONE_WIDTH + 1]
-    nus[:, _TWO] = _factor_spectrum(low[:, _ORDER[_TWO], 2:, 2:])
-    return nus, diag
+    nus[:, _READ[:, :2], 0] = pairs[:, :, 1:]
+    nus[:, _READ[:, 2], 0] = minors[:, :, 1] / minors[:, _NEXT, 0]
+    nus[:, _READ[:, 3]] = _factor_spectrum(low[:, :, 2:, 2:])
+    return nus, minors, low
 
 
 def steering_stack(states: np.ndarray) -> np.ndarray:
@@ -114,17 +131,21 @@ def steering_stack(states: np.ndarray) -> np.ndarray:
     G(DIRECTIONS[k]).  Each value equals :func:`gaussian_steering` of that
     direction to rounding.
 
-    With sigma in the mode order (a, b, c) factored as L L^T (Cholesky),
+    With sigma in a cyclic mode order (a, b, c) factored as L L^T (Cholesky),
     the block of L below and right of a party's quadratures is the Cholesky
-    factor of the conditional of the rest given that party.  So
-    nu(a->b) = L22 L33 and nu(ab->c) = L44 L55 are products of diagonal
-    entries: G is the log-det ratio 1/2 ln(det sigma_X / det sigma_XY) of
-    Kogias et al., with no Schur complement formed or solved.  nu(a->bc) is
-    the spectrum of the trailing 4x4 factor, by the two-mode closed form of
-    :func:`symplectic_eigenvalues`: the norms of the self-dual and
-    anti-self-dual parts of L^T Omega L, and det L.  One batched
-    factorization of all six orderings serves all 12 directions, and no
-    direction needs an eigensolver.
+    factor of the conditional of the rest given that party, and the product
+    of L's leading diagonal entries is P(S) = sqrt(det sigma_S) of the
+    leading modes S.  The three orderings give P of every mode, every pair
+    and the whole state.  A one-mode steered party has nu(X->y) =
+    P(Xy) / P(X), the log-det ratio G = 1/2 ln(det sigma_X / det sigma_Xy) of
+    Kogias et al., with no Schur complement formed or solved.  Where the
+    ordering lists X and then y, that ratio is a diagonal product,
+    nu(a->b) = L22 L33 and nu(ab->c) = L44 L55; b->a divides P(ab) by P(b).
+    nu(a->bc) is the spectrum of the trailing 4x4 factor, by the two-mode
+    closed form of :func:`symplectic_eigenvalues`: the norms of the
+    self-dual and anti-self-dual parts of L^T Omega L, and det L.  One
+    batched factorization of the three orderings serves all 12 directions,
+    and no direction needs an eigensolver.
 
     Raises
     ------
@@ -133,6 +154,16 @@ def steering_stack(states: np.ndarray) -> np.ndarray:
         entry or is not positive definite.
     """
     return _quantifier(_conditionals(states)[0])
+
+
+def _stack_and_spectra(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """steering_stack(states) and symplectic_eigenvalues(states), from one kernel call.
+
+    Ordering 0 of the kernel is each state's own mode order, so its factors are
+    the ones symplectic_eigenvalues takes, and the spectra are bit-identical.
+    """
+    nus, _, low = _conditionals(states)
+    return _quantifier(nus), _factor_spectrum(low[:, 0])
 
 
 def steering_report(cm: CovarianceMatrix) -> dict[str, float]:
@@ -190,9 +221,9 @@ def find_threshold(config: GhzConfig, direction: str, tol: float = 1e-4) -> floa
         raise ValueError(f"unknown direction {direction!r}, "
                          f"expected one of {', '.join(DIRECTIONS)}")
     k = DIRECTIONS.index(label)
-    nus, diag = _conditionals(build_states(config, [0.0, 0.5, 1.0]))
+    nus, minors, _ = _conditionals(build_states(config, [0.0, 0.5, 1.0]))
     nus = _clamp(nus[:, k])
-    det_x = np.prod(diag[:, _ORDER[k], :_WIDTH[k]], axis=-1) ** 2
+    det_x = minors[:, _X_ORDERING[k], _X_LAST[k]] ** 2
     product_form = label in ("B->AC", "C->AB")
     q = det_x * (np.prod(1.0 - nus**2, axis=-1) if product_form else 1.0 - np.prod(nus**2, axis=-1))
     eta = _sign_change(*q.tolist())
@@ -205,9 +236,19 @@ def _sign_change(q0: float, qh: float, q1: float) -> float | None:
     """The one simple root in (0, 1) of the quadratic through (0, q0), (1/2, qh), (1, q1), or None.
 
     In t = eta / (1 - eta) it is (1 - eta)^2 (q1 t^2 + (4 qh - q0 - q1) t + q0), so a
-    root at eta = 0 is t = 0 exactly and one at eta = 1 lowers the degree.  Two
-    roots inside, or a double one that round-off splits or makes complex, give None.
+    root at eta = 0 is t = 0 exactly and one at eta = 1 lowers the degree.  The
+    roots in t come from the quadratic formula in the form that cancels no digits.
+    Two roots inside, or a double one that round-off splits or makes complex, give None.
     """
-    t = np.roots([q1, 4.0 * qh - q0 - q1, q0])
-    t = t.real[(t.imag == 0.0) & (t.real > 0.0)]
-    return float(t[0] / (1.0 + t[0])) if t.size == 1 else None
+    a, b, c = q1, 4.0 * qh - q0 - q1, q0
+    if c == 0.0:  # t = 0 is a root exactly, and -b / a the other
+        roots = [-b / a] if a != 0.0 else []
+    elif a == 0.0:  # the root at eta = 1 has gone: b t + c is left
+        roots = [-c / b] if b != 0.0 else []
+    elif (disc := b * b - 4.0 * a * c) >= 0.0:
+        h = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        roots = [h / a, c / h]
+    else:
+        roots = []
+    inside = [t for t in roots if t > 0.0]
+    return inside[0] / (1.0 + inside[0]) if len(inside) == 1 else None

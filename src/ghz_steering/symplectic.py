@@ -141,7 +141,7 @@ def symplectic_eigenvalues(cm: CovarianceMatrix | np.ndarray) -> np.ndarray:
 
 def _require_finite(m: np.ndarray) -> np.ndarray:
     """m itself; NumericalError "not a state" if an entry is not finite."""
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NumericalError(_NOT_A_STATE)
     return m
 

@@ -24,6 +24,7 @@ steering values as arrays.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -149,7 +150,7 @@ def _bartlett_covariances(n_samples: int, dim: int, n_trials: int,
     chi_rng, normal_rng = map(np.random.default_rng, seq.spawn(2))
     dof = n_samples - 1
     k = min(dof, dim)
-    rows, cols = (np.r_[:k, i] for i in np.triu_indices(k, 1, dim))  # the diagonal first
+    rows, cols = _bartlett_slots(k, dim)
     draws = np.concatenate([
         np.sqrt(chi_rng.chisquare(dof - np.arange(k, dtype=float), size=(n_trials, k))),
         normal_rng.standard_normal((n_trials, len(rows) - k)),
@@ -157,6 +158,34 @@ def _bartlett_covariances(n_samples: int, dim: int, n_trials: int,
     factors = np.zeros((n_trials, k, dim))
     factors[:, rows, cols] = draws
     return np.swapaxes(factors, -1, -2) @ factors / dof
+
+
+@functools.cache
+def _bartlett_slots(k: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the entries of a k x dim Bartlett factor: the diagonal, then
+    the entries right of it in row order.  Built once per shape, so read-only."""
+    slots = tuple(np.r_[:k, i] for i in np.triu_indices(k, 1, dim))
+    for index in slots:
+        index.flags.writeable = False
+    return slots
+
+
+def _positive_definite(stack: np.ndarray) -> np.ndarray:
+    """Which matrices of a (K, n, n) stack are positive definite, by one Cholesky over all of them.
+
+    Column j's pivot is eliminated from every matrix at once, n steps in all; a
+    matrix is positive definite when every pivot is positive.  Matrices that
+    failed carry on with pivot 1, and their values no longer matter.
+    """
+    rest = stack.copy()
+    definite = np.ones(len(stack), dtype=bool)
+    with np.errstate(all="ignore"):  # the carried-on matrices may overflow
+        for j in range(stack.shape[-1]):
+            pivot = rest[:, j, j]
+            definite &= pivot > 0.0
+            column = rest[:, j + 1:, j] / np.where(definite, pivot, 1.0)[:, None]
+            rest[:, j + 1:, j + 1:] -= column[:, :, None] * rest[:, None, j, j + 1:]
+    return definite
 
 
 def population_measurements(cov: CovarianceMatrix | np.ndarray) -> np.ndarray:
@@ -256,8 +285,9 @@ def reconstruct_trials(
     _bartlett_covariances) whatever n_trials is; trial 0 is what
     sample_covariance draws.  Trials whose reconstructed matrix falls below
     the physicality floor (min symplectic eigenvalue < REJECT_NU_FLOOR, or 0
-    when its Cholesky factorization fails) are recorded and excluded from
-    the statistics; nothing is repaired or projected.
+    when its Cholesky factorization fails, which one batched test decides for
+    every row at once) are recorded and excluded from the statistics;
+    nothing is repaired or projected.
 
     Raises
     ------
@@ -276,12 +306,9 @@ def reconstruct_trials(
     nu_min = np.zeros(n_trials)  # stays 0 where a matrix is not positive definite
     try:
         nu_min[:] = symplectic_eigenvalues(stack).min(axis=-1)
-    except NumericalError:  # some matrix is not a state: find it row by row
-        for index, matrix in enumerate(stack):
-            try:
-                nu_min[index] = symplectic_eigenvalues(matrix).min()
-            except NumericalError:
-                pass
+    except NumericalError:  # some matrix is not a state: test every row at once
+        definite = _positive_definite(stack)
+        nu_min[definite] = symplectic_eigenvalues(stack[definite]).min(axis=-1)
     accepted = np.flatnonzero(nu_min >= REJECT_NU_FLOOR)
     values = steering_stack(stack[accepted])
 

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ghz_steering import build_states, cli, network
+from ghz_steering import (GhzConfig, build_state, build_states, cli, network, steering_report,
+                          steering_stack)
 from ghz_steering.network import build_ghz
 from ghz_steering.cli import DEFAULT_GRID, SWEEP_COLUMNS, main
-from ghz_steering.symplectic import PHYSICALITY_TOL, NumericalError
+from ghz_steering.symplectic import PHYSICALITY_TOL, NumericalError, symplectic_eigenvalues
 
 R = 0.339
 
@@ -195,6 +196,7 @@ class TestTomo:
         for direction, value in doc["mean"].items():
             assert abs(value - doc["analytic"][direction]) < 0.1
         assert all(v >= 0 for v in doc["std"].values())
+        assert doc["analytic"] == steering_report(build_state(GhzConfig()))
 
     def test_reruns_are_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -382,7 +384,7 @@ def test_numerical_failure_exits_2(capsys, monkeypatch, argv):
     def fail(states):
         raise NumericalError("not a state: covariance matrix is not positive definite")
 
-    monkeypatch.setattr(cli, "steering_stack", fail)
+    monkeypatch.setattr(cli, "_stack_and_spectra", fail)
     rc, out, err = run(capsys, argv)
     assert rc == 2
     assert out == ""
@@ -390,10 +392,11 @@ def test_numerical_failure_exits_2(capsys, monkeypatch, argv):
 
 
 def test_the_first_unphysical_row_is_reported_before_any_steering(capsys, monkeypatch):
-    def no_steering(states):
-        raise AssertionError("steering evaluated")
+    # G comes from the kernel call that gives the spectra; nothing past the gate runs
+    def no_steering(g):
+        raise AssertionError("residuals evaluated")
 
-    monkeypatch.setattr(cli, "steering_stack", no_steering)
+    monkeypatch.setattr(cli, "monogamy_stack", no_steering)
     monkeypatch.setattr(cli, "physicality_floor",
                         lambda states, nu_min: np.array([1 - PHYSICALITY_TOL, 2.0, 2.0]))
     rc, out, err = run(capsys, ["sweep", "--grid", "1,0.5,0.2"])
@@ -402,13 +405,38 @@ def test_the_first_unphysical_row_is_reported_before_any_steering(capsys, monkey
     assert err == "error: state at eta=0.5 violates the uncertainty relation\n"
 
 
+@pytest.mark.parametrize("argv", [["sweep"], ["check"]])
+def test_one_cholesky_call_gives_the_gate_spectra_and_g(capsys, monkeypatch, argv):
+    # the kernel's first ordering is each state's own: its factors give the gate's spectra
+    cholesky_calls, gates = [], []
+    cholesky, physicality = np.linalg.cholesky, cli._physicality
+
+    def cholesky_spy(m, *args, **kwargs):
+        cholesky_calls.append(m.shape)
+        return cholesky(m, *args, **kwargs)
+
+    def physicality_spy(states):
+        gates.append((states, *physicality(states)))
+        return gates[-1][1:]
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky_spy)
+    monkeypatch.setattr(cli, "_physicality", physicality_spy)
+    rc, _, _ = run(capsys, argv)
+    assert rc == 0
+    (states, g, nus, _), = gates
+    assert cholesky_calls == [(len(states), 3, 6, 6)]
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    assert np.array_equal(nus, symplectic_eigenvalues(states))
+    assert np.array_equal(g, steering_stack(states))
+
+
 @pytest.mark.parametrize("argv", [["build", "--eta", "0.5"], ["sweep", "--grid", "0.5,1"],
                                   ["tomo", "--eta", "0.5", "--samples", "2000"]])
 def test_build_sweep_and_tomo_share_one_physicality_gate(capsys, monkeypatch, argv):
     def not_reached(*args, **kwargs):
         raise AssertionError("evaluated past the gate")
 
-    for name in ("steering_stack", "steering_report", "reconstruct_trials", "correlation_variance"):
+    for name in ("monogamy_stack", "reconstruct_trials", "correlation_variance"):
         monkeypatch.setattr(cli, name, not_reached)
     monkeypatch.setattr(cli, "physicality_floor", lambda states, nu_min: np.full_like(nu_min, 2.0))
     rc, out, err = run(capsys, argv)

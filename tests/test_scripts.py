@@ -20,6 +20,11 @@ def test_loss_sweep():
     assert lines[1] == "A->BC activates at eta = 0.500000"
 
 
+def test_loss_sweep_without_squeezing():
+    lines = run_script("loss_sweep.py", "--r", "0", "--steps", "5")
+    assert lines == ["r = 0.0 (0.000 dB)", "A->BC never activates without squeezing"]
+
+
 def test_loss_sweep_rejects_a_one_point_grid_and_out_of_domain_squeezing():
     lines = run_script("loss_sweep.py", "--steps", "1", returncode=2)
     assert lines[-1] == "loss_sweep.py: error: --steps must be at least 2, got 1"

@@ -1,5 +1,6 @@
 """Steering quantifier, the twelve directions, monogamy, thresholds."""
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -28,9 +29,14 @@ from ghz_steering import steering, symplectic
 from ghz_steering.network import MAX_SQUEEZING_R
 from ghz_steering.steering import STEERING_EPS, gaussian_steering, parse_direction
 from ghz_steering.symplectic import (PHYSICALITY_TOL, Partition, is_physical, quadrature_indices,
-                                     symplectic_eigenvalues, symplectic_form)
+                                     symmetric_part, symplectic_eigenvalues, symplectic_form)
 
 SIGN_CHANGE = steering._sign_change  # the root picker itself, where a test spies on its calls
+EPS = np.finfo(float).eps
+
+# The directions whose mode ordering, and so every bit of G, the cyclic kernel
+# shares with the six-ordering one.
+SAME_ORDERING = ("A->B", "C->A", "B->C", "A->BC", "BC->A", "C->AB", "AB->C")
 
 R = 0.339
 A_CONST = math.exp(2 * R)
@@ -89,6 +95,52 @@ def hermitian_spectrum(low):
     the upper half of the eigenvalues of i L^T Omega L, which come in pairs +-nu."""
     n = low.shape[-1] // 2
     return np.linalg.eigvalsh(1j * (np.swapaxes(low, -1, -2) @ symplectic_form(n) @ low))[..., n:]
+
+
+def random_gaussian_states(seed, n, r_max=3.0):
+    """n generic three-mode states: squeezed vacua with r in [0, r_max] through a
+    random passive network (a Haar-random 3x3 unitary), plus thermal noise in [0, 0.5]."""
+    rng = np.random.default_rng(seed)
+    interleave = [0, 3, 1, 4, 2, 5]  # (xA, xB, xC, pA, pB, pC) -> (xA, pA, xB, pB, xC, pC)
+    states = []
+    for r, noise in zip(rng.uniform(0.0, r_max, (n, 3)), rng.uniform(0.0, 0.5, n)):
+        u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+        passive = np.block([[u.real, -u.imag], [u.imag, u.real]])[np.ix_(interleave, interleave)]
+        squeezed = np.diag(np.exp(np.concatenate([-2 * r, 2 * r])))[np.ix_(interleave, interleave)]
+        states.append(symmetric_part(passive @ squeezed @ passive.T) + noise * np.eye(6))
+    return np.array(states)
+
+
+def six_ordering_g(states):
+    """G of the 12 directions by the six-ordering kernel that preceded the cyclic one.
+
+    Each state is factored in all six mode orderings, and each direction is read
+    in the first ordering that lists its steering party and then its steered
+    party: nu = L_ww L_w+1,w+1 for one steered mode, the spectrum of the
+    trailing 4x4 factor for two.
+    """
+    orderings = list(itertools.permutations(range(3)))
+    ordered = np.array([quadrature_indices(order) for order in orderings])
+    low = np.linalg.cholesky(states[:, ordered[:, :, None], ordered[:, None, :]])
+    nus = np.ones((len(states), 12, 2))
+    for k, label in enumerate(DIRECTIONS):
+        p = parse_direction(label)
+        lead = p.steering + p.steered
+        o = next(i for i, order in enumerate(orderings) if order[:len(lead)] == lead)
+        w = 2 * len(p.steering)
+        if len(p.steered) == 1:
+            nus[:, k, 0] = low[:, o, w, w] * low[:, o, w + 1, w + 1]
+        else:
+            nus[:, k] = symplectic._factor_spectrum(low[:, o, 2:, 2:])
+    nus = np.where(np.abs(nus - 1.0) <= steering.BOUNDARY_CLAMP, 1.0, nus)
+    return np.maximum(0.0, np.where(nus < 1.0, -np.log(nus), 0.0).sum(axis=-1))
+
+
+def roots_sign_change(q0, qh, q1):
+    """The root picker that preceded the closed form: np.roots, a companion-matrix eigensolver."""
+    t = np.roots([q1, 4.0 * qh - q0 - q1, q0])
+    t = t.real[(t.imag == 0.0) & (t.real > 0.0)]
+    return float(t[0] / (1.0 + t[0])) if t.size == 1 else None
 
 
 @pytest.fixture
@@ -354,6 +406,38 @@ class TestSteeringStack:
         assert np.abs(g - expected).max() <= 1e-11
 
 
+    def test_matches_independent_solve_on_generic_states(self):
+        # a random passive network lets every direction steer, so each way the
+        # kernel reads nu (a diagonal pair, a ratio of minors, a 4x4 factor) is seen at G > 0
+        states = random_gaussian_states(20261023, 200)
+        g = steering_stack(states)
+        assert np.all((g > 0.0).sum(axis=0) >= 10)
+        expected = [[independent_g(m, label) for label in DIRECTIONS] for m in states]
+        assert np.abs(g - expected).max() <= 1e-11
+
+    def test_matches_the_six_ordering_kernel(self):
+        # the orderings differ in round-off only, which grows with the condition
+        # number kappa of the state; directions read in the same ordering agree bit for bit
+        states = np.concatenate([random_states(20261024, 2000, r_max=3.0),
+                                 random_gaussian_states(20261024, 500)])
+        g, reference = steering_stack(states), six_ordering_g(states)
+        w = np.linalg.eigvalsh(states)
+        assert np.all(np.abs(g - reference).max(axis=1) <= 8 * EPS * w[:, -1] / w[:, 0])
+        same = [DIRECTIONS.index(label) for label in SAME_ORDERING]
+        assert np.array_equal(g[:, same], reference[:, same])
+
+    def test_equals_the_six_ordering_kernel_at_moderate_squeezing(self):
+        states = random_states(20261025, 2000, r_max=0.5)
+        assert np.abs(steering_stack(states) - six_ordering_g(states)).max() <= 1e-14
+
+    def test_factors_each_state_in_three_orderings(self, monkeypatch):
+        shapes = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: shapes.append(m.shape) or cholesky(m))
+        steering_stack(random_states(20261026, 5))
+        assert shapes == [(5, 3, 6, 6)]
+
+
 class TestSteeringReport:
     def test_key_order_matches_directions(self):
         rep = steering_report(build_state(GhzConfig()))
@@ -568,6 +652,27 @@ class TestThreshold:
                 except ValueError as exc:
                     assert "no threshold in range" in str(exc)
         assert found == {"A->B", "B->A", "A->C", "C->A", "A->BC", "BC->A", "AC->B", "AB->C"}
+
+    def test_sign_change_matches_the_companion_matrix_roots(self):
+        rng = np.random.default_rng(20261027)
+        q = rng.normal(size=(5000, 3)) * 10.0 ** rng.uniform(-8.0, 8.0, (5000, 1))
+        x, y = rng.normal(size=(2, 200))
+        s = rng.choice([-2.0, 0.25, 1.0, 3.0], 200)
+        degenerate = np.concatenate([
+            np.column_stack([0 * x, x, y]),                    # a root at eta = 0
+            np.column_stack([x, y, 0 * x]),                    # a root at eta = 1: degree 1
+            np.column_stack([0 * x, x, 0 * x]),                # roots at both ends
+            np.column_stack([x, (x + y) / 4, y]),              # no linear term
+            np.column_stack([s * s * x, (1 - s) ** 2 * x / 4, x]),  # a double root at t = s
+        ])
+        found = 0
+        for q0, qh, q1 in np.concatenate([q, degenerate]).tolist():
+            got, want = SIGN_CHANGE(q0, qh, q1), roots_sign_change(q0, qh, q1)
+            assert (got is None) == (want is None), (q0, qh, q1)
+            if want is not None:
+                found += 1
+                assert abs(got - want) <= 1e-15, (q0, qh, q1)
+        assert found >= 2500
 
     @pytest.mark.parametrize("q, eta", [
         ((1.0, 0.0, -1.0), 0.5),        # one simple root inside

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghz_steering import tomography
 from ghz_steering import (
     DIRECTIONS,
     CovarianceMatrix,
@@ -28,6 +29,7 @@ from ghz_steering.tomography import (
     REJECT_NU_FLOOR,
     TrialStatistics,
     _bartlett_covariances,
+    _positive_definite,
     _sample_covariances,
     _sampling_root,
     covariance_from_measurements,
@@ -339,6 +341,37 @@ def assert_equals_reference(stats, reference):
     assert np.array_equal([stats.std[d] for d in DIRECTIONS], std)
 
 
+def cholesky_succeeds(matrix):
+    try:
+        np.linalg.cholesky(matrix)
+        return True
+    except np.linalg.LinAlgError:
+        return False
+
+
+class TestPositiveDefinite:
+    @pytest.mark.parametrize("n", [3, 7, 12, 20, 50])
+    def test_agrees_with_cholesky_row_by_row(self, n):
+        cm = build_state(GhzConfig(eta=0.7))
+        stack = covariance_from_measurements(population_measurements(
+            np.array(trial_covariances(cm, n, 1000, n))))
+        want = [cholesky_succeeds(m) for m in stack]
+        assert 0 < sum(want) or n == 3
+        assert _positive_definite(stack).tolist() == want
+
+    def test_edge_cases(self):
+        bad = np.eye(6)
+        bad[4, 5] = bad[5, 4] = 1.0  # singular: the last pivot is exactly 0
+        overflowing = np.eye(6)
+        overflowing[0, 0] = 1e-300  # a tiny first pivot sends the carried-on rest past the float range
+        overflowing[0, 1:] = overflowing[1:, 0] = 1e10
+        stack = np.array([np.eye(6), bad, -np.eye(6), overflowing, 2.0 * np.eye(6)])
+        with np.errstate(all="raise"):
+            assert _positive_definite(stack).tolist() == [True, False, False, False, True]
+        assert [cholesky_succeeds(m) for m in stack] == [True, False, False, False, True]
+        assert _positive_definite(np.zeros((0, 6, 6))).shape == (0,)
+
+
 class TestReconstructTrials:
     @pytest.mark.parametrize("cm, n, trials, seed", [
         (build_state(GhzConfig()), 20_000, 3, 7),
@@ -367,6 +400,19 @@ class TestReconstructTrials:
         stats = reconstruct_trials(CovarianceMatrix(3.0 * np.eye(6)), 10, 3, seed=229)
         assert stats.min_symplectic_eigenvalues[0] == 0.0
         assert stats.rejected == (0,) and len(stats.accepted) >= 2
+
+    def test_a_stack_with_a_failing_matrix_takes_two_spectrum_calls(self, monkeypatch):
+        # one call on the whole stack fails; the definiteness test picks the rows
+        # for one more call, and no row is retried alone
+        calls = []
+        spectra = tomography.symplectic_eigenvalues
+        monkeypatch.setattr(tomography, "symplectic_eigenvalues",
+                            lambda m: calls.append(len(m)) or spectra(m))
+        cm = CovarianceMatrix(3.0 * np.eye(6))
+        stats = reconstruct_trials(cm, 10, 50, seed=229)
+        nu_mins = [nu_min_or_zero(m) for m in stats.matrices]
+        assert calls == [50, sum(nu > 0.0 for nu in nu_mins)] and 0 < calls[1] < 50
+        assert np.array_equal(stats.min_symplectic_eigenvalues, nu_mins)
 
     def test_deterministic(self):
         cm = build_state(GhzConfig())
