@@ -29,8 +29,10 @@ from .network import (
     correlation_variance,
     squeezing_db_to_r,
 )
-from .steering import DIRECTIONS, RESIDUAL_KEYS, STEERING_EPS, _stack_and_spectra, monogamy_stack
-from .symplectic import NumericalError, physicality_floor, purity
+from .steering import (DIRECTIONS, RESIDUAL_KEYS, STEERING_EPS, _stack_and_spectra,
+                       monogamy_stack, steering_stack)
+from .symplectic import (NumericalError, _certify_physical, physicality_floor, purity,
+                         symplectic_eigenvalues)
 from .tomography import REJECT_NU_FLOOR, reconstruct_trials
 
 SCHEMA_VERSION = 2
@@ -198,19 +200,35 @@ def _physicality(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return g, nus, physicality_floor(states, nus[:, 0])
 
 
-def _require_physical(states: np.ndarray, etas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """G and the spectra of the states at etas; NumericalError at the first state below its floor."""
-    g, nus, floor = _physicality(states)
+def _raise_below_floor(nus: np.ndarray, floor: np.ndarray, etas: Sequence[float]) -> None:
+    """NumericalError naming the eta of the first state whose min nu is below its floor."""
     below = np.flatnonzero(~(nus[:, 0] >= floor))
     if below.size:
         raise NumericalError(f"state at eta={etas[below[0]]} violates the uncertainty relation")
-    return g, nus
+
+
+def _require_physical(states: np.ndarray, etas: Sequence[float]) -> np.ndarray:
+    """G (K, 12) of the states at etas; NumericalError at the first state below its floor.
+
+    The steering kernel runs first, so a matrix that is not a state fails as
+    such.  Then one complex Cholesky factorization certifies that every state
+    clears its floor (see symplectic._certify_physical), with no spectrum.
+    Only a stack it does not certify gets its spectra and floors, which decide.
+    """
+    g = steering_stack(states)
+    try:
+        _certify_physical(states)
+    except NumericalError:
+        nus = symplectic_eigenvalues(states)
+        _raise_below_floor(nus, physicality_floor(states, nus[:, 0]), etas)
+    return g
 
 
 def cmd_build(args: argparse.Namespace) -> int:
     config = _config_from_args(args, eta=args.eta)
     state = build_state(config)
-    nus = _require_physical(state.matrix[None], [config.eta])[1][0]
+    _, nus, floor = _physicality(state.matrix[None])
+    _raise_below_floor(nus, floor, [config.eta])
     variances = {lab: correlation_variance(state, lab) for lab in BUILD_COMBOS}
 
     if args.format == "json":
@@ -220,13 +238,13 @@ def cmd_build(args: argparse.Namespace) -> int:
             "config": asdict(config),
             "covariance_matrix": state.matrix.tolist(),
             "purity": purity(state),
-            "symplectic_eigenvalues": nus.tolist(),
+            "symplectic_eigenvalues": nus[0].tolist(),
             "correlation_variances": variances,
         }
         text = json.dumps(doc, indent=2) + "\n"
     else:
         lines = [f"# purity={_fmt(purity(state))}"]
-        lines.append("# symplectic_eigenvalues=" + ";".join(_fmt(nu) for nu in nus))
+        lines.append("# symplectic_eigenvalues=" + ";".join(_fmt(nu) for nu in nus[0]))
         for lab, val in variances.items():
             lines.append(f"# var({lab})={_fmt(val)}")
         header = [f"{quad}{name}" for name in MODE_NAMES for quad in ("x", "p")]
@@ -240,7 +258,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    g = _require_physical(build_states(config, args.grid), args.grid)[0]
+    g = _require_physical(build_states(config, args.grid), args.grid)
     rows = list(zip(args.grid, g.tolist(), monogamy_stack(g).tolist()))
 
     if args.format == "csv":
@@ -266,7 +284,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_tomo(args: argparse.Namespace) -> int:
     config = _config_from_args(args, eta=args.eta)
     state = build_state(config)
-    g = _require_physical(state.matrix[None], [config.eta])[0]
+    g = _require_physical(state.matrix[None], [config.eta])
     analytic = dict(zip(DIRECTIONS, g[0].tolist()))  # steering_report(state), from the gate's call
     try:
         stats = reconstruct_trials(state, n_samples=args.samples, n_trials=args.trials,

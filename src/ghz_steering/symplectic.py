@@ -212,6 +212,20 @@ def physicality_floor(m: np.ndarray, nu_min: np.ndarray) -> np.ndarray:
     return floor
 
 
+def _certify_physical(m: np.ndarray) -> None:
+    """Return only if every matrix of a positive-definite stack (..., 2N, 2N) clears its floor.
+
+    With f = 1 - PHYSICALITY_TOL, the fixed floor of :func:`physicality_floor`,
+    sigma + i f Omega = f (sigma / f + i Omega) is positive definite exactly
+    when sigma / f obeys the uncertainty relation, that is min nu(sigma) > f,
+    and every such state meets its floor.  One complex Cholesky factorization
+    of the stack decides this with no spectrum.  NumericalError when it fails:
+    a matrix may then still meet a floor widened by its conditioning, which
+    only the spectrum and :func:`physicality_floor` decide.
+    """
+    _cholesky(m + 1j * (1.0 - PHYSICALITY_TOL) * symplectic_form(m.shape[-1] // 2))
+
+
 def is_physical(cm: CovarianceMatrix | np.ndarray) -> bool:
     """True when the min symplectic eigenvalue of cm reaches its :func:`physicality_floor`."""
     m = _as_array(cm)

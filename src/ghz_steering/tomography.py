@@ -293,7 +293,9 @@ def reconstruct_trials(
     ------
     RuntimeError
         If fewer than 2 trials survive (a standard deviation needs at least
-        two accepted trials).
+        two accepted trials).  The message counts the rejected trials that
+        are not positive definite and those below the floor, and gives the
+        largest rejected min symplectic eigenvalue.
     """
     if n_trials < 2:
         raise ValueError("need at least 2 trials for a standard deviation")
@@ -313,10 +315,13 @@ def reconstruct_trials(
     values = steering_stack(stack[accepted])
 
     if len(accepted) < 2:
-        detail = ", ".join(f"trial {i}: nu_min={nu:.4f}" for i, nu in enumerate(nu_min))
+        rejected = nu_min[nu_min < REJECT_NU_FLOOR]
+        singular = np.count_nonzero(rejected == 0.0)
         raise RuntimeError(
             f"only {len(accepted)} of {n_trials} trials reconstructed a physical "
-            f"matrix (floor {REJECT_NU_FLOOR}); {detail}"
+            f"matrix (floor {REJECT_NU_FLOOR}); {singular} not positive definite (nu_min=0), "
+            f"{rejected.size - singular} below the floor, "
+            f"largest rejected nu_min={rejected.max():.4f}"
         )
 
     mean = dict(zip(DIRECTIONS, values.mean(axis=0).tolist()))

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ghz_steering import (GhzConfig, build_state, build_states, cli, network, steering_report,
-                          steering_stack)
+from ghz_steering import (CovarianceMatrix, GhzConfig, build_state, build_states, cli, network,
+                          steering_report, steering_stack)
 from ghz_steering.network import build_ghz
 from ghz_steering.cli import DEFAULT_GRID, SWEEP_COLUMNS, main
 from ghz_steering.symplectic import PHYSICALITY_TOL, NumericalError, symplectic_eigenvalues
@@ -381,31 +381,40 @@ def test_the_eta_grid_is_built_once(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv", [["sweep", "--grid", "0.5,1"], ["check"]])
 def test_numerical_failure_exits_2(capsys, monkeypatch, argv):
-    def fail(states):
-        raise NumericalError("not a state: covariance matrix is not positive definite")
-
-    monkeypatch.setattr(cli, "_stack_and_spectra", fail)
+    # matrices that are not positive definite fail in the steering kernel, before any gate
+    monkeypatch.setattr(cli, "build_states", lambda config, etas: -build_states(config, etas))
     rc, out, err = run(capsys, argv)
     assert rc == 2
     assert out == ""
     assert err == "error: not a state: covariance matrix is not positive definite\n"
 
 
+def shrink_built_states(monkeypatch, factor, rows=slice(None)):
+    """Make the CLI build its states (the given rows of a stack) times factor: min nu = factor."""
+    def states(config, etas):
+        stack = build_states(config, etas)
+        stack[rows] *= factor
+        return stack
+
+    monkeypatch.setattr(cli, "build_states", states)
+    monkeypatch.setattr(cli, "build_state",
+                        lambda config: CovarianceMatrix(factor * build_state(config).matrix))
+
+
 def test_the_first_unphysical_row_is_reported_before_any_steering(capsys, monkeypatch):
-    # G comes from the kernel call that gives the spectra; nothing past the gate runs
+    # rows 1 and 2 have min nu = 0.9: the certificate fails and the floor names row 1
     def no_steering(g):
         raise AssertionError("residuals evaluated")
 
     monkeypatch.setattr(cli, "monogamy_stack", no_steering)
-    monkeypatch.setattr(cli, "physicality_floor",
-                        lambda states, nu_min: np.array([1 - PHYSICALITY_TOL, 2.0, 2.0]))
+    shrink_built_states(monkeypatch, 0.9, rows=slice(1, None))
     rc, out, err = run(capsys, ["sweep", "--grid", "1,0.5,0.2"])
     assert rc == 2
     assert out == ""
     assert err == "error: state at eta=0.5 violates the uncertainty relation\n"
 
 
-@pytest.mark.parametrize("argv", [["sweep"], ["check"]])
+@pytest.mark.parametrize("argv", [["check"]])
 def test_one_cholesky_call_gives_the_gate_spectra_and_g(capsys, monkeypatch, argv):
     # the kernel's first ordering is each state's own: its factors give the gate's spectra
     cholesky_calls, gates = [], []
@@ -430,6 +439,69 @@ def test_one_cholesky_call_gives_the_gate_spectra_and_g(capsys, monkeypatch, arg
     assert np.array_equal(g, steering_stack(states))
 
 
+@pytest.mark.parametrize("argv, states", [(["sweep"], 21), (["tomo", "--samples", "2000"], 1)],
+                         ids=["sweep", "tomo"])
+def test_sweep_and_tomo_certify_their_states_without_a_spectrum(capsys, monkeypatch, argv, states):
+    # one real kernel factorization gives G; one complex factorization clears the floor
+    calls = []
+    cholesky, eigvalsh, reconstruct = np.linalg.cholesky, np.linalg.eigvalsh, cli.reconstruct_trials
+
+    def spy(name, fn):
+        def wrapper(m, *args, **kwargs):
+            calls.append((name, m.shape, m.dtype.kind))
+            return fn(m, *args, **kwargs)
+        return wrapper
+
+    def trials(*args, **kwargs):  # the reconstruction runs past the gate
+        calls.append("trials")
+        return reconstruct(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy("cholesky", cholesky))
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", eigvalsh))
+    monkeypatch.setattr(cli, "reconstruct_trials", trials)
+    rc, _, err = run(capsys, argv)
+    assert (rc, err) == (0, "")
+    gate = calls[:calls.index("trials")] if "trials" in calls else calls
+    assert gate == [("cholesky", (states, 3, 6, 6), "f"), ("cholesky", (states, 6, 6), "c")]
+
+
+@pytest.mark.parametrize("argv", [["build", "--r", "3", "--eta", "0.3"],
+                                  ["build", "--t1", "0", "--t2", "1", "--eta", "0"]])
+def test_build_prints_the_spectrum_of_its_state(capsys, argv):
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    doc = json.loads(out)
+    state = build_state(GhzConfig(**doc["config"]))
+    assert doc["symplectic_eigenvalues"] == symplectic_eigenvalues(state).tolist()
+
+
+@pytest.mark.parametrize("delta", [1e-10, 1e-8, 1e-6])
+def test_the_gate_gives_the_rule_verdict_at_the_fixed_floor(delta):
+    # built states have min nu = 1, so c * sigma has min nu = c: rows just above and
+    # just below f = 1 - PHYSICALITY_TOL, at the domain's corners and inside it
+    f, etas = 1 - PHYSICALITY_TOL, [0.0, 0.3, 0.7, 1.0]
+    rng = np.random.default_rng(2400)
+    corners = [(r, t1, t2) for r in (0.0, 3.0) for t1 in (0.0, 1.0) for t2 in (0.0, 1.0)]
+    configs = corners + list(zip(rng.uniform(0.0, 3.0, 100), *rng.uniform(0.0, 1.0, (2, 100))))
+    verdicts = set()
+    for r, t1, t2 in configs:
+        states = build_states(GhzConfig(r1=r, r2=r, r3=r, t1=t1, t2=t2), etas)
+        states *= f * (1 + rng.choice([-delta, delta], len(etas)))[:, None, None]
+        _, nus, floor = cli._physicality(states)
+        verdicts.update((nus[:, 0] >= floor).tolist())
+        want = got = None
+        try:
+            cli._raise_below_floor(nus, floor, etas)
+        except NumericalError as exc:
+            want = str(exc)
+        try:
+            assert np.array_equal(cli._require_physical(states, etas), steering_stack(states))
+        except NumericalError as exc:
+            got = str(exc)
+        assert got == want, (r, t1, t2)
+    assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize("argv", [["build", "--eta", "0.5"], ["sweep", "--grid", "0.5,1"],
                                   ["tomo", "--eta", "0.5", "--samples", "2000"]])
 def test_build_sweep_and_tomo_share_one_physicality_gate(capsys, monkeypatch, argv):
@@ -438,7 +510,7 @@ def test_build_sweep_and_tomo_share_one_physicality_gate(capsys, monkeypatch, ar
 
     for name in ("monogamy_stack", "reconstruct_trials", "correlation_variance"):
         monkeypatch.setattr(cli, name, not_reached)
-    monkeypatch.setattr(cli, "physicality_floor", lambda states, nu_min: np.full_like(nu_min, 2.0))
+    shrink_built_states(monkeypatch, 0.9)
     rc, out, err = run(capsys, argv)
     assert rc == 2
     assert out == ""

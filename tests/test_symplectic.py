@@ -344,6 +344,45 @@ class TestIsPhysical:
                               np.full(21, 1 - PHYSICALITY_TOL))
 
 
+class TestCertifyPhysical:
+    F = 1 - PHYSICALITY_TOL
+
+    def test_passes_every_built_state_on_the_domain(self):
+        # the 32 corners of r in {0, 3} and t1, t2 in {0, 1}, then 218 random configs, 10 eta each
+        rng = np.random.default_rng(7)
+        configs = [(3.0 * r1, 3.0 * r2, 3.0 * r3, float(t1), float(t2))
+                   for r1, r2, r3, t1, t2 in np.ndindex(2, 2, 2, 2, 2)]
+        configs += list(zip(*rng.uniform(0.0, 3.0, (3, 218)), *rng.uniform(0.0, 1.0, (2, 218))))
+        states = np.concatenate([
+            build_states(GhzConfig(r1=r1, r2=r2, r3=r3, t1=t1, t2=t2), np.linspace(0.0, 1.0, 10))
+            for r1, r2, r3, t1, t2 in configs])
+        assert len(states) == 2500
+        symplectic._certify_physical(states)
+
+    @pytest.mark.parametrize("delta", [1e-10, 1e-8, 1e-6])
+    def test_a_pass_implies_the_floor_on_scaled_pure_states(self, delta):
+        # c * sigma of a pure state has min nu = c = f (1 -+ delta)
+        rng = np.random.default_rng(11)
+        verdicts = {-1: [], 1: []}
+        for params in zip(*rng.uniform(0.0, 3.0, (3, 100)), *rng.uniform(0.0, 1.0, (2, 100))):
+            for sign, passed in verdicts.items():
+                m = self.F * (1 + sign * delta) * exact_state(*params)
+                try:
+                    symplectic._certify_physical(m[None])
+                except NumericalError:
+                    passed.append(False)
+                    continue
+                passed.append(True)
+                nu_min = symplectic_eigenvalues(m).min()
+                assert nu_min >= physicality_floor(m, nu_min), (params, sign)
+        if delta >= 1e-8:  # far enough from f that round-off cannot flip the verdict
+            assert verdicts == {-1: [False] * 100, 1: [True] * 100}
+
+    def test_fails_below_the_floor(self):
+        with pytest.raises(NumericalError):
+            symplectic._certify_physical(0.9 * build_state(GhzConfig()).matrix[None])
+
+
 class TestSchurComplement:
     def test_product_state_returns_steered_block_exactly(self):
         cm = CovarianceMatrix(np.diag([2.0, 2.0, 3.0, 3.0]))

@@ -489,6 +489,15 @@ class TestReconstructTrials:
             reconstruct_trials(cm, n_samples=1000, n_trials=3, seed=0)
         assert str(exc.value) == expected_too_few_message(nu_mins, accepted)
 
+    def test_the_too_few_message_counts_singular_and_low_trials(self):
+        # 7 samples: most reconstructions are not positive definite, none passes
+        cm = build_state(GhzConfig(eta=0.7))
+        _, nu_mins, accepted, *_ = per_trial_reference(cm, 7, 20, 1)
+        assert accepted == [] and 0 < nu_mins.count(0.0) < 20
+        with pytest.raises(RuntimeError) as exc:
+            reconstruct_trials(cm, n_samples=7, n_trials=20, seed=1)
+        assert str(exc.value) == expected_too_few_message(nu_mins, accepted)
+
     def test_needs_two_trials(self):
         with pytest.raises(ValueError):
             reconstruct_trials(build_state(GhzConfig()), n_samples=1000, n_trials=1, seed=0)
@@ -514,9 +523,12 @@ class TestReconstructTrials:
 
 
 def expected_too_few_message(nu_mins, accepted):
-    detail = ", ".join(f"trial {i}: nu_min={nu:.4f}" for i, nu in enumerate(nu_mins))
+    rejected = [nu for i, nu in enumerate(nu_mins) if i not in accepted]
+    singular = sum(nu == 0.0 for nu in rejected)
     return (f"only {len(accepted)} of {len(nu_mins)} trials reconstructed a physical "
-            f"matrix (floor {REJECT_NU_FLOOR}); {detail}")
+            f"matrix (floor {REJECT_NU_FLOOR}); {singular} not positive definite (nu_min=0), "
+            f"{len(rejected) - singular} below the floor, "
+            f"largest rejected nu_min={max(rejected):.4f}")
 
 
 def ks_pvalue(a, b):
