@@ -29,8 +29,7 @@ from .network import (
     correlation_variance,
     squeezing_db_to_r,
 )
-from .steering import (DIRECTIONS, RESIDUAL_KEYS, STEERING_EPS, _stack_and_spectra,
-                       monogamy_stack, steering_stack)
+from .steering import DIRECTIONS, RESIDUAL_KEYS, STEERING_EPS, monogamy_stack, steering_stack
 from .symplectic import (NumericalError, _certify_physical, physicality_floor, purity,
                          symplectic_eigenvalues)
 from .tomography import REJECT_NU_FLOOR, reconstruct_trials
@@ -191,13 +190,10 @@ def _add_output_args(parser: argparse.ArgumentParser, formats: tuple[str, ...], 
                              f"${OUTDIR_ENV} when set")
 
 
-def _physicality(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """G (K, 12), the ascending symplectic spectra and the physicality floors of a (K, 6, 6) stack.
-
-    One steering-kernel call gives both G and the spectra.
-    """
-    g, nus = _stack_and_spectra(states)
-    return g, nus, physicality_floor(states, nus[:, 0])
+def _physicality(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending symplectic spectra (K, 3) and the physicality floors (K,) of a (K, 6, 6) stack."""
+    nus = symplectic_eigenvalues(states)
+    return nus, physicality_floor(states, nus[:, 0])
 
 
 def _raise_below_floor(nus: np.ndarray, floor: np.ndarray, etas: Sequence[float]) -> None:
@@ -219,15 +215,14 @@ def _require_physical(states: np.ndarray, etas: Sequence[float]) -> np.ndarray:
     try:
         _certify_physical(states)
     except NumericalError:
-        nus = symplectic_eigenvalues(states)
-        _raise_below_floor(nus, physicality_floor(states, nus[:, 0]), etas)
+        _raise_below_floor(*_physicality(states), etas)
     return g
 
 
 def cmd_build(args: argparse.Namespace) -> int:
     config = _config_from_args(args, eta=args.eta)
     state = build_state(config)
-    _, nus, floor = _physicality(state.matrix[None])
+    nus, floor = _physicality(state.matrix[None])
     _raise_below_floor(nus, floor, [config.eta])
     variances = {lab: correlation_variance(state, lab) for lab in BUILD_COMBOS}
 
@@ -323,7 +318,9 @@ def cmd_tomo(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     grid = _parse_grid(DEFAULT_GRID)
-    g, nus, floor = _physicality(build_states(config, grid))
+    states = build_states(config, grid)
+    g = steering_stack(states)
+    nus, floor = _physicality(states)
     nu_min = nus[:, 0]
     worst = np.argmin(nu_min - floor)  # the row with the least margin
     worst_pair = g[:, :6].max()  # DIRECTIONS[:6] are the one-to-one directions

@@ -15,7 +15,8 @@ from ghz_steering import (CovarianceMatrix, GhzConfig, build_state, build_states
                           steering_report, steering_stack)
 from ghz_steering.network import build_ghz
 from ghz_steering.cli import DEFAULT_GRID, SWEEP_COLUMNS, main
-from ghz_steering.symplectic import PHYSICALITY_TOL, NumericalError, symplectic_eigenvalues
+from ghz_steering.symplectic import (PHYSICALITY_TOL, NumericalError, physicality_floor,
+                                     symplectic_eigenvalues)
 
 R = 0.339
 
@@ -414,29 +415,20 @@ def test_the_first_unphysical_row_is_reported_before_any_steering(capsys, monkey
     assert err == "error: state at eta=0.5 violates the uncertainty relation\n"
 
 
-@pytest.mark.parametrize("argv", [["check"]])
-def test_one_cholesky_call_gives_the_gate_spectra_and_g(capsys, monkeypatch, argv):
-    # the kernel's first ordering is each state's own: its factors give the gate's spectra
-    cholesky_calls, gates = [], []
-    cholesky, physicality = np.linalg.cholesky, cli._physicality
-
-    def cholesky_spy(m, *args, **kwargs):
-        cholesky_calls.append(m.shape)
-        return cholesky(m, *args, **kwargs)
-
-    def physicality_spy(states):
-        gates.append((states, *physicality(states)))
-        return gates[-1][1:]
-
-    monkeypatch.setattr(np.linalg, "cholesky", cholesky_spy)
-    monkeypatch.setattr(cli, "_physicality", physicality_spy)
-    rc, _, _ = run(capsys, argv)
-    assert rc == 0
-    (states, g, nus, _), = gates
-    assert cholesky_calls == [(len(states), 3, 6, 6)]
-    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
-    assert np.array_equal(nus, symplectic_eigenvalues(states))
-    assert np.array_equal(g, steering_stack(states))
+def test_check_reports_the_row_with_the_least_margin_over_its_floor(capsys, monkeypatch):
+    # rows 3 on have min nu = 0.9 - 0.01 k: the last row is the worst, and G still runs
+    factors = np.r_[np.ones(3), 0.9 - 0.01 * np.arange(18)]
+    monkeypatch.setattr(cli, "build_states", lambda config, etas:
+                        factors[:, None, None] * build_states(config, etas))
+    rc, out, err = run(capsys, ["check"])
+    states = factors[:, None, None] * build_states(GhzConfig(), cli._parse_grid(DEFAULT_GRID))
+    nu_min = symplectic_eigenvalues(states)[:, 0]
+    floor = physicality_floor(states, nu_min)
+    assert rc == 4
+    assert out.splitlines()[0] == ("FAIL physicality: min symplectic eigenvalue "
+                                   f"{nu_min[-1]:.6g} vs floor {floor[-1]:.6g}")
+    assert nu_min[-1] == pytest.approx(0.73)
+    assert err.startswith("check failed: physicality")
 
 
 @pytest.mark.parametrize("argv, states", [(["sweep"], 21), (["tomo", "--samples", "2000"], 1)],
@@ -487,7 +479,7 @@ def test_the_gate_gives_the_rule_verdict_at_the_fixed_floor(delta):
     for r, t1, t2 in configs:
         states = build_states(GhzConfig(r1=r, r2=r, r3=r, t1=t1, t2=t2), etas)
         states *= f * (1 + rng.choice([-delta, delta], len(etas)))[:, None, None]
-        _, nus, floor = cli._physicality(states)
+        nus, floor = cli._physicality(states)
         verdicts.update((nus[:, 0] >= floor).tolist())
         want = got = None
         try:
