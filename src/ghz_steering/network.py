@@ -9,6 +9,7 @@ analysis stage carries A' = sqrt(eta) A + sqrt(1 - eta) vacuum.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -94,13 +95,20 @@ def build_ghz(config: GhzConfig) -> CovarianceMatrix:
     Inputs: x-squeezed r1, p-squeezed r2, x-squeezed r3, each with variance
     e^{-2r} in the squeezed and e^{2r} in the other quadrature.  The passive
     network acts alike on the x and p sectors.  The channel loss in config
-    is NOT applied here; see :func:`build_state`.
+    is NOT applied here; see :func:`build_state`.  The state depends on
+    (r1, r2, r3, t1, t2) only and is built once per such key while it is
+    among the last 64 keys: the same key returns the same read-only matrix.
     """
-    r1, r2, r3 = config.r1, config.r2, config.r3
+    return _lossless_state(config.r1, config.r2, config.r3, config.t1, config.t2)
+
+
+@functools.lru_cache(maxsize=64)  # a sweep and its threshold, or repeated tomography runs
+def _lossless_state(r1: float, r2: float, r3: float, t1: float, t2: float) -> CovarianceMatrix:
+    """The network output of :func:`build_ghz` for one (r1, r2, r3, t1, t2)."""
     sigma_in = np.diag([math.exp(-2.0 * r1), math.exp(2.0 * r1), math.exp(2.0 * r2),
                         math.exp(-2.0 * r2), math.exp(-2.0 * r3), math.exp(2.0 * r3)])
     net = np.zeros((6, 6))
-    net[0::2, 0::2] = net[1::2, 1::2] = network_mode_matrix(config.t1, config.t2)
+    net[0::2, 0::2] = net[1::2, 1::2] = network_mode_matrix(t1, t2)
     return CovarianceMatrix(net @ sigma_in @ net.T)
 
 

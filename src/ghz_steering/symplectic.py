@@ -126,9 +126,11 @@ def symplectic_eigenvalues(cm: CovarianceMatrix | np.ndarray) -> np.ndarray:
     shape (..., 2N, 2N), and returns shape (..., N).  With sigma = L L^T
     (Cholesky), M = L^T Omega L is similar to Omega sigma, so its
     eigenvalues are +-i nu.  One and two modes take a closed form in L and
-    M, each nu to a few eps relative, also when two coincide; from three
-    modes on, a backward-stable eigensolver on the Hermitian i M gives each
-    nu to about eps times the largest.
+    M, each nu to a few eps relative, also when two coincide.  From three
+    modes on, nu comes from the real symmetric M^T M where nu_max <= 64
+    nu_min, within about eps * 64^2 = 9.1e-13 relative of the Hermitian i M,
+    whose eigenvalues every other matrix takes, each nu to about eps times
+    the largest.
 
     Raises
     ------
@@ -168,6 +170,16 @@ _BOTH_SUMS = np.ones((2, 2))
 _BOTH_SUMS.flags.writeable = False
 
 
+# Largest nu_max / nu_min for which _many_mode_spectrum keeps its real route,
+# whose own error in nu_min, about eps (nu_max / nu_min)^2 relative, then stays
+# below eps * 64^2 = 9.1e-13.
+_REAL_ROUTE_SPREAD = 64.0
+
+# The trace of M^T M, 2 sum nu^2, that the real route needs: inside this range
+# every entry of M^T M is finite and every nu^2 far above the subnormals.
+_REAL_ROUTE_TRACE = (1e-280, 1e280)
+
+
 def _factor_spectrum(low: np.ndarray) -> np.ndarray:
     """Ascending symplectic spectrum of L L^T from its Cholesky factors L, shape (..., 2N, 2N).
 
@@ -175,11 +187,11 @@ def _factor_spectrum(low: np.ndarray) -> np.ndarray:
     J. Phys. B 37, L21, 2004): nu+ = (|a| + |b|) / 2 over the self-dual part
     a and the anti-self-dual part b of M = L^T Omega L, and nu- = det L / nu+
     (det L = Pf M), both to a few eps relative, also where nu+ = nu-.  From
-    three modes on, the upper half of the eigenvalues of the Hermitian i M.
+    three modes on, :func:`_many_mode_spectrum`.
     """
     n = low.shape[-1] // 2
     if n > 2:
-        return _eigvalsh(1j * (np.swapaxes(low, -1, -2) @ symplectic_form(n) @ low))[..., n:]
+        return _many_mode_spectrum(np.swapaxes(low, -1, -2) @ symplectic_form(n) @ low)
     if n == 1:
         return (low[..., 0, 0] * low[..., 1, 1])[..., None]
     m = np.swapaxes(low, -1, -2) @ symplectic_form(2) @ low
@@ -190,6 +202,34 @@ def _factor_spectrum(low: np.ndarray) -> np.ndarray:
     np.minimum(diag[:, 0] * diag[:, 1] / nus[:, 1] * (diag[:, 2] * diag[:, 3]), nus[:, 1],
                out=nus[:, 0])
     return nus.reshape(low.shape[:-2] + (2,))
+
+
+def _many_mode_spectrum(m: np.ndarray) -> np.ndarray:
+    """Ascending nu of a stack of real antisymmetric M = L^T Omega L, shape (..., 2N, 2N).
+
+    M is normal with eigenvalues +-i nu, so the real symmetric M^T M has each
+    nu^2 twice: nu is the square root of every other eigenvalue, negative
+    round-off clipped to 0.  That eigensolve errs by about eps nu_max^2 in
+    nu^2, so it is kept only where nu_max <= _REAL_ROUTE_SPREAD * nu_min and
+    the trace of M^T M lies in _REAL_ROUTE_TRACE; each nu is then within about
+    eps * _REAL_ROUTE_SPREAD**2 relative of the Hermitian route's (the rounding
+    of M, about eps ||sigma|| in each nu, enters both).  Every other matrix
+    takes the upper half of the eigenvalues of the Hermitian i M, each nu to
+    about eps times the largest.
+    """
+    n = m.shape[-1] // 2
+    with np.errstate(over="ignore", invalid="ignore"):  # rows out of range go Hermitian
+        squares = np.swapaxes(m, -1, -2) @ m
+        trace = np.trace(squares, axis1=-2, axis2=-1)
+    lowest, highest = _REAL_ROUTE_TRACE
+    in_range = (lowest <= trace) & (trace <= highest)  # then |s_ij| <= max(s_ii, s_jj) is finite
+    if not in_range.all():
+        squares[~in_range] = 0.0
+    nus = np.sqrt(np.maximum(_eigvalsh(squares)[..., 1::2], 0.0))
+    hermitian = ~(in_range & (nus[..., -1] <= _REAL_ROUTE_SPREAD * nus[..., 0]))
+    if hermitian.any():
+        nus[hermitian] = _eigvalsh(1j * m[hermitian])[..., n:]
+    return nus
 
 
 def physicality_floor(m: np.ndarray, nu_min: np.ndarray) -> np.ndarray:

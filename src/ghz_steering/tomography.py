@@ -31,9 +31,9 @@ from itertools import combinations
 import numpy as np
 
 from .network import MODE_NAMES, combo_vector
-from .steering import DIRECTIONS, steering_stack
+from .steering import DIRECTIONS, _spectra_and_steering
 from .steering import steering_report  # noqa: F401 -- not called; the benchmark traces this name
-from .symplectic import CovarianceMatrix, NumericalError, _as_array, symplectic_eigenvalues
+from .symplectic import CovarianceMatrix, NumericalError, _as_array
 
 # A reconstructed trial is kept when its minimum symplectic eigenvalue is at
 # least this floor.  The floor sits well below 1 on purpose: a pure state
@@ -283,11 +283,15 @@ def reconstruct_trials(
 
     Trial i is the i-th segment of the seed's two streams (see
     _bartlett_covariances) whatever n_trials is; trial 0 is what
-    sample_covariance draws.  Trials whose reconstructed matrix falls below
-    the physicality floor (min symplectic eigenvalue < REJECT_NU_FLOOR, or 0
-    when its Cholesky factorization fails, which one batched test decides for
-    every row at once) are recorded and excluded from the statistics;
-    nothing is repaired or projected.
+    sample_covariance draws.  One factorization of the stack in the steering
+    kernel's three mode orderings gives each trial's spectrum, equal to
+    symplectic_eigenvalues of its matrix, and its G, equal to steering_stack
+    of it.  Trials whose reconstructed matrix falls below the physicality
+    floor (min symplectic eigenvalue < REJECT_NU_FLOOR, or 0 when its
+    Cholesky factorization fails, which one batched test then decides for
+    every row at once, before one more factorization of the rows that pass)
+    are recorded and excluded from the statistics; nothing is repaired or
+    projected.
 
     Raises
     ------
@@ -305,14 +309,16 @@ def reconstruct_trials(
     stack = covariance_from_measurements(population_measurements(_sample_covariances(root, cov_z)))
     stack.flags.writeable = False
 
-    nu_min = np.zeros(n_trials)  # stays 0 where a matrix is not positive definite
+    definite = slice(None)
     try:
-        nu_min[:] = symplectic_eigenvalues(stack).min(axis=-1)
+        spectra, g = _spectra_and_steering(stack)
     except NumericalError:  # some matrix is not a state: test every row at once
         definite = _positive_definite(stack)
-        nu_min[definite] = symplectic_eigenvalues(stack[definite]).min(axis=-1)
+        spectra, g = _spectra_and_steering(stack[definite])
+    nu_min = np.zeros(n_trials)  # stays 0 where a matrix is not positive definite
+    nu_min[definite] = spectra.min(axis=-1)
     accepted = np.flatnonzero(nu_min >= REJECT_NU_FLOOR)
-    values = steering_stack(stack[accepted])
+    values = g[nu_min[definite] >= REJECT_NU_FLOOR]
 
     if len(accepted) < 2:
         rejected = nu_min[nu_min < REJECT_NU_FLOOR]

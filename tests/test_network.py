@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ghz_steering import CovarianceMatrix, GhzConfig, build_state, build_states
+from ghz_steering import CovarianceMatrix, GhzConfig, build_state, build_states, network
 from ghz_steering.network import (
     MAX_SQUEEZING_R,
     build_ghz,
@@ -151,6 +151,47 @@ class TestBuildGhz:
         for mode in range(3):
             block = cm.matrix[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2]
             assert np.allclose(block, expected, atol=1e-12)
+
+
+class TestBuildGhzCache:
+    CONFIGS = [GhzConfig(), GhzConfig(r1=0.0, r2=0.0, r3=0.0), GhzConfig(r1=3.0, r2=1.7, r3=0.0),
+               GhzConfig(r1=0.2, r2=0.5, r3=0.9, t1=0.0, t2=1.0), GhzConfig(r1=1.1, t1=0.7, t2=0.2)]
+
+    def test_equals_the_uncached_build_byte_for_byte(self):
+        network._lossless_state.cache_clear()
+        for config in self.CONFIGS:
+            key = (config.r1, config.r2, config.r3, config.t1, config.t2)
+            uncached = network._lossless_state.__wrapped__(*key).matrix
+            assert build_ghz(config).matrix.tobytes() == uncached.tobytes()
+            assert build_ghz(config).matrix.tobytes() == uncached.tobytes()  # now a cache hit
+
+    def test_one_read_only_state_per_key_whatever_eta(self):
+        first = build_ghz(GhzConfig(eta=0.3))
+        assert build_ghz(GhzConfig(eta=0.9)) is first
+        assert build_ghz(GhzConfig(r1=0.34)) is not first
+        with pytest.raises(ValueError):
+            first.matrix[0, 0] = 5.0
+
+    @pytest.mark.parametrize("field", ["t1", "t2"])
+    def test_signed_zero_transmittances_give_the_same_bytes(self, field):
+        # -0.0 == 0.0 shares one cache key, which is sound only because both build alike
+        uncached = {zero: network._lossless_state.__wrapped__(
+            *(zero if name == field else getattr(GhzConfig(), name)
+              for name in ("r1", "r2", "r3", "t1", "t2"))).matrix.tobytes() for zero in (0.0, -0.0)}
+        assert uncached[0.0] == uncached[-0.0]
+        for order in ((0.0, -0.0), (-0.0, 0.0)):
+            network._lossless_state.cache_clear()
+            for zero in order:  # a miss, then a hit on the shared key
+                assert build_ghz(replace(GhzConfig(), **{field: zero})).matrix.tobytes() == uncached[0.0]
+
+    def test_the_cache_is_bounded(self):
+        network._lossless_state.cache_clear()
+        size = network._lossless_state.cache_info().maxsize
+        assert size is not None and size > 0
+        for k in range(2 * size + 3):
+            build_ghz(GhzConfig(r1=k / (2 * size + 3)))
+        info = network._lossless_state.cache_info()
+        assert info.currsize == size and info.misses == 2 * size + 3
 
 
 class TestLossyChannel:

@@ -18,11 +18,13 @@ from ghz_steering.symplectic import (
     purity,
     quadrature_indices,
     schur_complement,
+    symmetric_part,
     symplectic_eigenvalues,
     symplectic_form,
 )
 
 R = 0.339
+EPS = np.finfo(float).eps
 
 
 def beam_splitter(n_modes, k, l, t):
@@ -69,6 +71,30 @@ def exact_state(r1, r2, r3, t1=1 / 3, t2=0.5, eta=1.0) -> np.ndarray:
     net = np.zeros((6, 6))
     net[0::2, 0::2] = net[1::2, 1::2] = network_mode_matrix(t1, t2)
     return lossy_stack(CovarianceMatrix(net @ sigma_in @ net.T), 0, [eta])[0]
+
+
+def hermitian_spectrum(states):
+    """Three-mode spectra by the Hermitian route: the upper half of the eigenvalues of
+    i L^T Omega L, L the Cholesky factor, which come in pairs +-nu."""
+    low = np.linalg.cholesky(states)
+    return np.linalg.eigvalsh(1j * (np.swapaxes(low, -1, -2) @ symplectic_form(3) @ low))[..., 3:]
+
+
+def rotated_states(nus, seed, count, squeeze=1.5):
+    """count three-mode states of symplectic spectrum nus: the thermal state diag(nu, nu)
+    per mode through single-mode squeezers r in [0, squeeze] and a Haar-random passive
+    network (a 3x3 unitary)."""
+    rng = np.random.default_rng(seed)
+    interleave = [0, 3, 1, 4, 2, 5]  # (xA, xB, xC, pA, pB, pC) -> (xA, pA, xB, pB, xC, pC)
+    thermal = np.diag(np.repeat(nus, 2))
+    states = []
+    for _ in range(count):
+        u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+        passive = np.block([[u.real, -u.imag], [u.imag, u.real]])[np.ix_(interleave, interleave)]
+        r = rng.uniform(0.0, squeeze, 3)
+        s = passive @ np.diag(np.exp(np.concatenate([-r, r])))[np.ix_(interleave, interleave)]
+        states.append(symmetric_part(s @ thermal @ s.T))
+    return np.array(states)
 
 
 def two_mode_squeezed(r: float) -> CovarianceMatrix:
@@ -238,12 +264,33 @@ class TestSymplecticEigenvalues:
             assert got[0] <= got[1]
             assert np.all(np.abs(got - nus) <= bound * np.array(nus)), (t1, t2, ratio)
 
-    def test_three_modes_take_the_hermitian_route(self):
-        # from N = 3 on, the upper half of the eigenvalues of i L^T Omega L, bit for bit
-        states = np.array([s.matrix for s in random_lossy_states(seed=6, count=50)])
-        low = np.linalg.cholesky(states)
-        hermitian = np.linalg.eigvalsh(1j * (np.swapaxes(low, -1, -2) @ symplectic_form(3) @ low))
-        assert np.array_equal(symplectic_eigenvalues(states), hermitian[:, 3:])
+    def test_three_modes_keep_the_real_route_bound_of_the_hermitian_route(self):
+        # spectra (1, 1, nu) and (1, sqrt(nu), nu), nu from 1 to 1000, squeezed and rotated:
+        # where nu_max <= R nu_min each nu of the real route lies within 8 eps (nu_max /
+        # nu_min)^2 nu of the Hermitian route's, plus 8 eps ||sigma|| for the rounding of
+        # M = L^T Omega L, which the two routes read differently; past R it is the
+        # Hermitian route, bit for bit
+        spread = symplectic._REAL_ROUTE_SPREAD
+        states = np.concatenate([rotated_states([1.0, mid, nu], seed=k, count=20)
+                                 for k, nu in enumerate(np.geomspace(1.0, 1000.0, 31))
+                                 for mid in (1.0, math.sqrt(nu))])
+        states = np.concatenate([states, [s.matrix for s in random_lossy_states(seed=6, count=50)]])
+        got, reference = symplectic_eigenvalues(states), hermitian_spectrum(states)
+        ratio = reference[:, -1] / reference[:, 0]
+        real = ratio <= spread
+        assert 0 < np.count_nonzero(real) < len(states)
+        norm = np.linalg.eigvalsh(states[real])[:, -1:]
+        bound = 8 * EPS * (ratio[real, None] ** 2 * reference[real] + norm)
+        assert np.all(np.abs(got[real] - reference[real]) <= bound)
+        assert np.array_equal(got[~real], reference[~real])
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
+    def test_three_modes_out_of_the_real_range_take_the_hermitian_route(self, scale):
+        # M^T M would underflow or overflow: no warning, and the Hermitian route bit for bit
+        states = scale * np.array([s.matrix for s in random_lossy_states(seed=8, count=10)])
+        got = symplectic_eigenvalues(states)
+        assert np.array_equal(got, hermitian_spectrum(states))
+        assert np.allclose(got / scale, symplectic_eigenvalues(states / scale), rtol=1e-14, atol=0)
 
     def test_higher_rank_stack_matches_rows_bit_for_bit(self):
         # (K, 3, 4, 4): the two-mode reductions of each state, as the steering kernel stacks them
@@ -342,6 +389,21 @@ class TestIsPhysical:
         monkeypatch.setattr(symplectic, "_eigvalsh", no_eigvalsh)
         assert np.array_equal(physicality_floor(states, nu_min),
                               np.full(21, 1 - PHYSICALITY_TOL))
+
+
+class TestRealRouteGuard:
+    # two vacua and a thermal mode at nu, mixed by a random passive rotation: the
+    # real route alone errs by about eps nu^2 in nu_min = 1
+    @pytest.mark.parametrize("nu", [1e4, 1e5])
+    def test_a_thermal_mode_among_vacua_is_physical(self, nu):
+        states = rotated_states([1.0, 1.0, nu], seed=int(nu), count=200, squeeze=0.0)
+        assert all(is_physical(state) for state in states)
+        assert np.abs(symplectic_eigenvalues(states)[:, 0] - 1.0).max() <= 1e-10
+
+    def test_without_the_guard_such_states_read_unphysical(self, monkeypatch):
+        monkeypatch.setattr(symplectic, "_REAL_ROUTE_SPREAD", np.inf)
+        states = rotated_states([1.0, 1.0, 1e4], seed=10_000, count=200, squeeze=0.0)
+        assert not all(is_physical(state) for state in states)
 
 
 class TestCertifyPhysical:

@@ -4,13 +4,14 @@ import functools
 import math
 import timeit
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghz_steering import tomography
+from ghz_steering import steering, symplectic, tomography
 from ghz_steering import (
     DIRECTIONS,
     CovarianceMatrix,
@@ -401,18 +402,47 @@ class TestReconstructTrials:
         assert stats.min_symplectic_eigenvalues[0] == 0.0
         assert stats.rejected == (0,) and len(stats.accepted) >= 2
 
-    def test_a_stack_with_a_failing_matrix_takes_two_spectrum_calls(self, monkeypatch):
-        # one call on the whole stack fails; the definiteness test picks the rows
-        # for one more call, and no row is retried alone
-        calls = []
-        spectra = tomography.symplectic_eigenvalues
-        monkeypatch.setattr(tomography, "symplectic_eigenvalues",
-                            lambda m: calls.append(len(m)) or spectra(m))
+    def test_a_stack_with_a_failing_matrix_takes_two_factorizations(self, monkeypatch):
+        # one factorization of the whole stack fails; the definiteness test picks the
+        # rows for one more, which gives their spectra and G, and no row is retried alone
+        shapes = []
+        cholesky = steering._cholesky
+        monkeypatch.setattr(steering, "_cholesky", lambda m: shapes.append(m.shape) or cholesky(m))
         cm = CovarianceMatrix(3.0 * np.eye(6))
         stats = reconstruct_trials(cm, 10, 50, seed=229)
         nu_mins = [nu_min_or_zero(m) for m in stats.matrices]
-        assert calls == [50, sum(nu > 0.0 for nu in nu_mins)] and 0 < calls[1] < 50
+        definite = sum(nu > 0.0 for nu in nu_mins)
+        assert shapes == [(50, 3, 6, 6), (definite, 3, 6, 6)] and 0 < definite < 50
         assert np.array_equal(stats.min_symplectic_eigenvalues, nu_mins)
+
+    @pytest.mark.parametrize("cm, n, trials, seed", [
+        (build_state(GhzConfig(eta=0.7)), 2000, 50, 1),
+        (build_state(GhzConfig(r1=1.7, r2=1.7, r3=1.7, eta=0.5)), 100_000, 20, 2),
+        (CovarianceMatrix(3.0 * np.eye(6)), 10, 50, 229),  # some trials not positive definite
+    ])
+    def test_spectra_and_g_are_those_of_the_library_calls(self, cm, n, trials, seed):
+        # one factorization serves both, bit for bit as symplectic_eigenvalues and steering_stack
+        stats = reconstruct_trials(cm, n, trials, seed)
+        definite = np.array([cholesky_succeeds(m) for m in stats.matrices])
+        nu_mins = np.zeros(trials)
+        nu_mins[definite] = symplectic_eigenvalues(stats.matrices[definite]).min(axis=-1)
+        assert np.array_equal(stats.min_symplectic_eigenvalues, nu_mins)
+        assert np.array_equal(stats.g, steering_stack(stats.matrices[list(stats.accepted)]))
+
+    @pytest.mark.parametrize("n, past_the_spread", [(8, True), (20, False)])
+    def test_small_sample_stacks_raise_no_runtime_warning(self, n, past_the_spread):
+        # wild but positive-definite trials: at n = 8 a spectrum spreads past the real
+        # route's bound, and both routes run; none passes the floor
+        cm = build_state(GhzConfig())
+        matrices = covariance_from_measurements(population_measurements(
+            np.array(trial_covariances(cm, n, 200, 3))))
+        nus = symplectic_eigenvalues(matrices[_positive_definite(matrices)])
+        spread = nus[:, -1] / nus[:, 0] > symplectic._REAL_ROUTE_SPREAD
+        assert spread.any() == past_the_spread and not spread.all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeError, match="only 0 of 200 trials"):
+                reconstruct_trials(cm, n, 200, seed=3)
 
     def test_deterministic(self):
         cm = build_state(GhzConfig())
