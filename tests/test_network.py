@@ -174,15 +174,15 @@ class TestBuildGhzCache:
 
     @pytest.mark.parametrize("field", ["t1", "t2"])
     def test_signed_zero_transmittances_give_the_same_bytes(self, field):
-        # -0.0 == 0.0 shares one cache key, which is sound only because both build alike
-        uncached = {zero: network._lossless_state.__wrapped__(
-            *(zero if name == field else getattr(GhzConfig(), name)
-              for name in ("r1", "r2", "r3", "t1", "t2"))).matrix.tobytes() for zero in (0.0, -0.0)}
-        assert uncached[0.0] == uncached[-0.0]
+        # -0.0 == 0.0 share one cache key, which is sound only because both build alike
+        key = {name: getattr(GhzConfig(), name) for name in ("r1", "r2", "r3", "t1", "t2")}
+        uncached = [network._lossless_state.__wrapped__(**{**key, field: zero}).matrix.tobytes()
+                    for zero in (0.0, -0.0)]
+        assert uncached[0] == uncached[1]
         for order in ((0.0, -0.0), (-0.0, 0.0)):
             network._lossless_state.cache_clear()
             for zero in order:  # a miss, then a hit on the shared key
-                assert build_ghz(replace(GhzConfig(), **{field: zero})).matrix.tobytes() == uncached[0.0]
+                assert build_ghz(replace(GhzConfig(), **{field: zero})).matrix.tobytes() == uncached[0]
 
     def test_the_cache_is_bounded(self):
         network._lossless_state.cache_clear()
