@@ -100,12 +100,12 @@ _X_ORDERING[_READ] = [[o, o, _NEXT[o], o] for o in range(3)]
 _X_LAST[_READ] = [0, 1, 0, 0]
 
 
-def _conditionals(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Conditional nu (K, 12, 2) in DIRECTIONS order, the principal minors (K, 3, 3)
-    and the Cholesky factors (K, 3, 6, 6) of each state in the three cyclic orderings.
+def _conditionals(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional nu (K, 12, 2) in DIRECTIONS order and the principal minors (K, 3, 3)
+    of each state, from its Cholesky factors in the three cyclic orderings.
 
     Minor [:, o, j] is P(S) = sqrt(det sigma_S) for the first j + 1 modes S of
-    ordering o.  Ordering 0 is (A, B, C), so factor [:, 0] is sigma's own.
+    ordering o.
     """
     sigma = np.asarray(states, dtype=float)
     if sigma.ndim != 3 or sigma.shape[1:] != (6, 6):
@@ -119,17 +119,7 @@ def _conditionals(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     nus[:, _READ[:, :2], 0] = pairs[:, :, 1:]
     nus[:, _READ[:, 2], 0] = minors[:, :, 1] / minors[:, _NEXT, 0]
     nus[:, _READ[:, 3]] = _factor_spectrum(low[:, :, 2:, 2:])
-    return nus, minors, low
-
-
-def _spectra_and_steering(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symplectic spectra (K, 3) and G (K, 12) of a stack of three-mode states from
-    one factorization: the spectra come from ordering 0, sigma's own Cholesky
-    factor, as in :func:`symplectic_eigenvalues`, and G as in :func:`steering_stack`.
-    NumericalError "not a state" as there.
-    """
-    nus, _, low = _conditionals(states)
-    return _factor_spectrum(low[:, 0]), _quantifier(nus)
+    return nus, minors
 
 
 def steering_stack(states: np.ndarray) -> np.ndarray:
@@ -220,7 +210,7 @@ def find_threshold(config: GhzConfig, direction: str, tol: float = 1e-4) -> floa
         raise ValueError(f"unknown direction {direction!r}, "
                          f"expected one of {', '.join(DIRECTIONS)}")
     k = DIRECTIONS.index(label)
-    nus, minors, _ = _conditionals(build_states(config, [0.0, 0.5, 1.0]))
+    nus, minors = _conditionals(build_states(config, [0.0, 0.5, 1.0]))
     nus = _clamp(nus[:, k])
     det_x = minors[:, _X_ORDERING[k], _X_LAST[k]] ** 2
     product_form = label in ("B->AC", "C->AB")

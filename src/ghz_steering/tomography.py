@@ -16,24 +16,25 @@ its Bartlett factor takes 6 chi-squares and 15 normals, whatever n is.  So
 S is equal in distribution to np.cov of the sample_quadratures table, while
 time and memory per trial do not grow with n.  :func:`reconstruct_trials`
 draws trial i of K from the i-th segments of two seeded streams, whatever K
-is, and :func:`sample_covariance` draws trial 0.  Measuring, reconstruction,
-the rejection floor and the steering values then run once over the (K, 6, 6)
-stack, and :class:`TrialStatistics` keeps it and the (n_accepted, 12)
-steering values as arrays.
+is.  Measuring, reconstruction and the rejection floor then run once over the
+(K, 6, 6) stack, the steering values once over its accepted trials, and
+:class:`TrialStatistics` keeps the stack and the (n_accepted, 12) steering
+values as arrays.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .network import MODE_NAMES, combo_vector
-from .steering import DIRECTIONS, _spectra_and_steering
+from .steering import DIRECTIONS, steering_stack
 from .steering import steering_report  # noqa: F401 -- not called; the benchmark traces this name
-from .symplectic import CovarianceMatrix, NumericalError, _as_array
+from .symplectic import CovarianceMatrix, NumericalError, _as_array, symplectic_eigenvalues
 
 # A reconstructed trial is kept when its minimum symplectic eigenvalue is at
 # least this floor.  The floor sits well below 1 on purpose: a pure state
@@ -74,6 +75,8 @@ def _sampling_root(cm: CovarianceMatrix, n_samples: int) -> np.ndarray:
     """Symmetric square root of cm (eigendecomposition), after the sampling checks."""
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
+    if n_samples - 1 > sys.float_info.max:  # the Wishart degrees of freedom are a float
+        raise ValueError("too many samples: n_samples - 1 exceeds the largest float")
     w, vecs = np.linalg.eigh(cm.matrix)
     if not np.all(np.isfinite(w)):  # an eigenvalue past the largest float
         raise NumericalError(_OUT_OF_RANGE)
@@ -96,26 +99,6 @@ def sample_quadratures(
     root = _sampling_root(cm, n_samples)
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n_samples, cm.matrix.shape[0])) @ root
-
-
-def sample_covariance(
-    cm: CovarianceMatrix,
-    n_samples: int,
-    seed: int | np.random.SeedSequence,
-) -> CovarianceMatrix:
-    """Sample covariance (divisor n-1) of n_samples quadrature records, drawn exactly.
-
-    Returns root^T C root, root the square root of sample_quadratures and C
-    one draw of cov(Z) for n_samples standard-normal rows Z (see
-    _bartlett_covariances).  So the result is equal in distribution to
-    np.cov of the table sample_quadratures draws, though not equal to it for
-    the same seed; it is trial 0 of reconstruct_trials.  Time and memory do
-    not depend on n_samples, and one seed, an int or a SeedSequence, always
-    gives the same matrix.
-    """
-    root = _sampling_root(cm, n_samples)
-    cov_z = _bartlett_covariances(n_samples, root.shape[0], 1, seed)
-    return CovarianceMatrix(_sample_covariances(root, cov_z)[0])
 
 
 def _sample_covariances(root: np.ndarray, cov_z: np.ndarray) -> np.ndarray:
@@ -272,26 +255,24 @@ def reconstruct_trials(
 ) -> TrialStatistics:
     """Repeat sample -> measure -> reconstruct -> steering, then aggregate.
 
-    Each trial's sample covariance is one exact draw, as in
-    :func:`sample_covariance`, so no sample table is ever held and the cost
-    of a trial does not depend on n_samples.  The reconstructed matrices
-    are equal in distribution to those of the table pipeline
-    (sample_quadratures, then measure_set).  Measuring the 18 variances, the
-    reconstruction, the rejection floor and the steering values then run
-    once over the stack of all trials; every value equals that of the trial
-    computed alone.
+    Each trial's sample covariance of n_samples records is one exact draw,
+    so no sample table is ever held and the cost of a trial does not depend
+    on n_samples.  The reconstructed matrices are equal in distribution to
+    those of the table pipeline (sample_quadratures, then measure_set).
+    Measuring the 18 variances, the reconstruction and the rejection floor
+    then run once over the stack of all trials, the steering values once
+    over the accepted trials; every value equals that of the trial computed
+    alone.
 
     Trial i is the i-th segment of the seed's two streams (see
-    _bartlett_covariances) whatever n_trials is; trial 0 is what
-    sample_covariance draws.  One factorization of the stack in the steering
-    kernel's three mode orderings gives each trial's spectrum, equal to
-    symplectic_eigenvalues of its matrix, and its G, equal to steering_stack
-    of it.  Trials whose reconstructed matrix falls below the physicality
-    floor (min symplectic eigenvalue < REJECT_NU_FLOOR, or 0 when its
-    Cholesky factorization fails, which one batched test then decides for
-    every row at once, before one more factorization of the rows that pass)
-    are recorded and excluded from the statistics; nothing is repaired or
-    projected.
+    _bartlett_covariances) whatever n_trials is.  Each trial's spectrum is
+    symplectic_eigenvalues of the stack, and the G of the accepted trials
+    is steering_stack of theirs; no rejected trial is passed to it.  Trials
+    whose reconstructed matrix falls below the physicality floor (min
+    symplectic eigenvalue < REJECT_NU_FLOOR, or 0 when its Cholesky
+    factorization fails, which one batched test then decides for every row
+    at once, before the spectrum of the rows that pass) are recorded and
+    excluded from the statistics; nothing is repaired or projected.
 
     Raises
     ------
@@ -311,14 +292,13 @@ def reconstruct_trials(
 
     definite = slice(None)
     try:
-        spectra, g = _spectra_and_steering(stack)
+        spectra = symplectic_eigenvalues(stack)
     except NumericalError:  # some matrix is not a state: test every row at once
         definite = _positive_definite(stack)
-        spectra, g = _spectra_and_steering(stack[definite])
+        spectra = symplectic_eigenvalues(stack[definite])
     nu_min = np.zeros(n_trials)  # stays 0 where a matrix is not positive definite
     nu_min[definite] = spectra.min(axis=-1)
     accepted = np.flatnonzero(nu_min >= REJECT_NU_FLOOR)
-    values = g[nu_min[definite] >= REJECT_NU_FLOOR]
 
     if len(accepted) < 2:
         rejected = nu_min[nu_min < REJECT_NU_FLOOR]
@@ -330,6 +310,7 @@ def reconstruct_trials(
             f"largest rejected nu_min={rejected.max():.4f}"
         )
 
+    values = steering_stack(stack[accepted])
     mean = dict(zip(DIRECTIONS, values.mean(axis=0).tolist()))
     std = dict(zip(DIRECTIONS, values.std(axis=0, ddof=1).tolist()))
     return TrialStatistics(

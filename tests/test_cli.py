@@ -219,6 +219,11 @@ class TestTomo:
         assert rc == 2
         assert "floor" in err
 
+    def test_a_sample_count_past_the_float_range_is_a_usage_error(self, capsys):
+        rc, out, err = run(capsys, ["tomo", "--samples", str(10**400), "--trials", "3"])
+        assert rc == 3 and out == ""
+        assert err == "ghz-steering: error: too many samples: n_samples - 1 exceeds the largest float\n"
+
     def test_single_trial_is_a_usage_error(self, capsys):
         rc, _, err = run(capsys, ["tomo", "--trials", "1"])
         assert rc == 3

@@ -36,11 +36,16 @@ from ghz_steering.tomography import (
     covariance_from_measurements,
     measure_set,
     population_measurements,
-    sample_covariance,
     sample_quadratures,
 )
 
 R = 0.339
+
+
+def sampled_covariance(cm, n_samples, seed):
+    """The sample covariance of n_samples records that reconstruct_trials draws as trial 0."""
+    return _sample_covariances(_sampling_root(cm, n_samples),
+                               _bartlett_covariances(n_samples, 6, 1, seed))[0]
 
 
 def test_measurement_labels_are_a_frozen_contract():
@@ -97,14 +102,14 @@ class TestSampleCovariance:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_rank_is_that_of_n_samples(self, n):
         # the sample covariance of n rows has rank n - 1, capped by the dimension
-        got = sample_covariance(build_state(GhzConfig(eta=0.7)), n, seed=21).matrix
+        got = sampled_covariance(build_state(GhzConfig(eta=0.7)), n, seed=21)
         assert np.linalg.matrix_rank(got) == min(n - 1, 6)
 
     @pytest.mark.parametrize("n", [10**15, 10**20])  # 10^20 is past the int64 range
     def test_costs_one_draw_at_any_sample_count(self, n):
         # the relative sampling error is ~5e-8 at 10^15 samples
         cm = build_state(GhzConfig(eta=0.7))
-        got = sample_covariance(cm, n, seed=21).matrix
+        got = sampled_covariance(cm, n, seed=21)
         assert np.max(np.abs(got - cm.matrix)) <= 1e-6
 
     @pytest.mark.parametrize("cm, n", [
@@ -116,7 +121,7 @@ class TestSampleCovariance:
         with pytest.raises(ValueError) as table_error:
             sample_quadratures(cm, n, seed=0)
         with pytest.raises(ValueError) as cov_error:
-            sample_covariance(cm, n, seed=0)
+            sampled_covariance(cm, n, seed=0)
         assert str(cov_error.value) == str(table_error.value)
 
 
@@ -151,8 +156,7 @@ class TestBartlettCovariances:
         assert np.array_equal(_bartlett_covariances(2000, 6, 2, seed), first)
         assert np.array_equal(_bartlett_covariances(2000, 6, 2, 11), first)
         cm = build_state(GhzConfig())
-        assert np.array_equal(sample_covariance(cm, 2000, seed).matrix,
-                              sample_covariance(cm, 2000, 11).matrix)
+        assert np.array_equal(sampled_covariance(cm, 2000, seed), sampled_covariance(cm, 2000, 11))
 
 
 class TestMeasureSet:
@@ -310,7 +314,7 @@ def trial_covariances(cm, n_samples, n_trials, seed):
     root = _sampling_root(cm, n_samples)
     draws = _bartlett_covariances(n_samples, 6, n_trials, seed)
     sampled = [symmetric_part(root.T @ cov_z @ root) for cov_z in draws]
-    assert np.array_equal(sampled[0], sample_covariance(cm, n_samples, seed).matrix)
+    assert np.array_equal(sampled[0], symmetric_part(sampled_covariance(cm, n_samples, seed)))
     return sampled
 
 
@@ -402,18 +406,27 @@ class TestReconstructTrials:
         assert stats.min_symplectic_eigenvalues[0] == 0.0
         assert stats.rejected == (0,) and len(stats.accepted) >= 2
 
-    def test_a_stack_with_a_failing_matrix_takes_two_factorizations(self, monkeypatch):
-        # one factorization of the whole stack fails; the definiteness test picks the
-        # rows for one more, which gives their spectra and G, and no row is retried alone
-        shapes = []
-        cholesky = steering._cholesky
-        monkeypatch.setattr(steering, "_cholesky", lambda m: shapes.append(m.shape) or cholesky(m))
-        cm = CovarianceMatrix(3.0 * np.eye(6))
-        stats = reconstruct_trials(cm, 10, 50, seed=229)
-        nu_mins = [nu_min_or_zero(m) for m in stats.matrices]
-        definite = sum(nu > 0.0 for nu in nu_mins)
-        assert shapes == [(50, 3, 6, 6), (definite, 3, 6, 6)] and 0 < definite < 50
-        assert np.array_equal(stats.min_symplectic_eigenvalues, nu_mins)
+    @pytest.mark.parametrize("cm, n, seed", [
+        (CovarianceMatrix(3.0 * np.eye(6)), 10, 229),
+        # noise and seed picked so that 49 of 50 trials are positive definite and 3 pass
+        (CovarianceMatrix(build_state(GhzConfig(eta=0.7)).matrix + 0.2 * np.eye(6)), 20, 0),
+    ])
+    def test_a_stack_with_a_failing_matrix_takes_two_factorizations(self, monkeypatch, cm, n, seed):
+        # the spectrum of the whole stack fails; the definiteness test picks the rows
+        # for one more, and no row is retried alone.  G is one factorization of the
+        # accepted rows in the three orderings: no rejected row reaches it
+        def spy(module):
+            shapes, cholesky = [], module._cholesky
+            monkeypatch.setattr(module, "_cholesky", lambda m: shapes.append(m.shape) or cholesky(m))
+            return shapes
+
+        spectra, orderings = spy(symplectic), spy(steering)
+        stats = reconstruct_trials(cm, n, 50, seed)
+        definite = sum(cholesky_succeeds(m) for m in stats.matrices)
+        assert spectra == [(50, 6, 6), (definite, 6, 6)] and 0 < definite < 50
+        assert orderings == [(len(stats.accepted), 3, 6, 6)] and len(stats.accepted) < definite
+        assert np.array_equal(stats.min_symplectic_eigenvalues,
+                              [nu_min_or_zero(m) for m in stats.matrices])
 
     @pytest.mark.parametrize("cm, n, trials, seed", [
         (build_state(GhzConfig(eta=0.7)), 2000, 50, 1),
@@ -532,6 +545,13 @@ class TestReconstructTrials:
         with pytest.raises(ValueError):
             reconstruct_trials(build_state(GhzConfig()), n_samples=1000, n_trials=1, seed=0)
 
+    def test_a_sample_count_past_the_float_range_is_a_value_error(self):
+        # n - 1 is the Wishart degrees of freedom, a float: 10^308 still fits, 10^400 does not
+        cm = build_state(GhzConfig())
+        with pytest.raises(ValueError, match="exceeds the largest float"):
+            reconstruct_trials(cm, n_samples=10**400, n_trials=3, seed=0)
+        assert len(reconstruct_trials(cm, n_samples=10**308, n_trials=3, seed=0).accepted) == 3
+
     @pytest.mark.parametrize("matrix", [
         1.5e308 * np.eye(6),  # root^T C root overflows
         np.full((6, 6), 1e308) + 1e307 * np.eye(6),  # an eigenvalue past the largest float
@@ -541,7 +561,7 @@ class TestReconstructTrials:
         with pytest.raises(NumericalError, match="sample covariance out of range"):
             reconstruct_trials(cm, n_samples=10, n_trials=7, seed=0)
         with pytest.raises(NumericalError, match="sample covariance out of range"):
-            sample_covariance(cm, 10, 0)
+            sampled_covariance(cm, 10, 0)
 
     def test_statistics_cover_accepted_trials(self):
         cm = build_state(GhzConfig())
