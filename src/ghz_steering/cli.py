@@ -1,15 +1,17 @@
 """Command-line front end: build states, sweep loss, simulate tomography, self-check.
 
-Exit codes: 0 success, 2 unphysical state or numerical failure, 3
-argument/parse error or unwritable output, 4 check-suite failure.  Output is CSV or JSON;
-identical configurations (including seeds) produce byte-identical files, and
-files are written atomically (temp file then rename).  If the environment
-variable GHZ_STEERING_OUTDIR is set, relative output paths land inside it.
+Exit codes: 0 success, 2 unphysical state or numerical failure, 3 argument/parse error or
+unwritable output, 4 check-suite failure.  Output is CSV or JSON; identical configurations
+(including seeds) produce byte-identical files, and files are written atomically (temp file
+then rename), through a symlink to its target; an existing FIFO or device is written
+directly.  If the environment variable GHZ_STEERING_OUTDIR is set, relative output paths
+land inside it.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -30,7 +32,7 @@ from .network import (
     squeezing_db_to_r,
 )
 from .steering import DIRECTIONS, RESIDUAL_KEYS, STEERING_EPS, monogamy_stack, steering_stack
-from .symplectic import (NumericalError, _certify_physical, physicality_floor, purity,
+from .symplectic import (NumericalError, below_floor, physicality_floor, purity,
                          symplectic_eigenvalues)
 from .tomography import REJECT_NU_FLOOR, reconstruct_trials
 
@@ -76,27 +78,26 @@ def _fmt(value: float) -> str:
     return format(float(value), CSV_NUMBER)
 
 
-def _resolve_output(path_arg: str | None) -> Path | None:
-    if path_arg is None:
-        return None
-    path = Path(path_arg)
-    outdir = os.environ.get(OUTDIR_ENV)
-    if outdir and not path.is_absolute():
-        path = Path(outdir) / path
-    return path
-
-
-def _emit(text: str, path: Path | None) -> None:
-    """Write to stdout, or atomically to path (temp file, then rename); ValueError if unwritable."""
-    if path is None:
+def _emit(text: str, output: str | None) -> None:
+    """Write to stdout, or to the --output path (a relative one under $GHZ_STEERING_OUTDIR when
+    set): atomically (temp file, then rename) to a regular file or a symlink's target, directly
+    to an existing FIFO or device.  ValueError if unwritable."""
+    if output is None:
         sys.stdout.write(text)
         return
-    tmp = path.with_name(path.name + ".tmp")
+    path = Path(os.environ.get(OUTDIR_ENV, ""), output)  # Path drops the dir before an absolute one
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        target = Path(os.path.realpath(path)) if path.is_symlink() else path
+        if target.is_symlink():  # realpath stops at a link only in a loop
+            raise OSError(errno.ELOOP, os.strerror(errno.ELOOP))
+        target.parent.mkdir(parents=True, exist_ok=True)
+        if target.exists() and not (target.is_file() or target.is_dir()):  # a FIFO or device
+            target.write_text(text)
+            return
+        tmp = target.with_name(target.name + ".tmp")
         try:
             tmp.write_text(text)
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         finally:
             tmp.unlink(missing_ok=True)  # already gone after the rename
     except OSError as exc:
@@ -190,40 +191,18 @@ def _add_output_args(parser: argparse.ArgumentParser, formats: tuple[str, ...], 
                              f"${OUTDIR_ENV} when set")
 
 
-def _physicality(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending symplectic spectra (K, 3) and the physicality floors (K,) of a (K, 6, 6) stack."""
-    nus = symplectic_eigenvalues(states)
-    return nus, physicality_floor(states, nus[:, 0])
-
-
-def _raise_below_floor(nus: np.ndarray, floor: np.ndarray, etas: Sequence[float]) -> None:
-    """NumericalError naming the eta of the first state whose min nu is below its floor."""
-    below = np.flatnonzero(~(nus[:, 0] >= floor))
+def _require_physical(states: np.ndarray, etas: Sequence[float]) -> None:
+    """NumericalError at the eta of the first state below its floor, by symplectic.below_floor."""
+    below = np.flatnonzero(below_floor(states))
     if below.size:
         raise NumericalError(f"state at eta={etas[below[0]]} violates the uncertainty relation")
-
-
-def _require_physical(states: np.ndarray, etas: Sequence[float]) -> np.ndarray:
-    """G (K, 12) of the states at etas; NumericalError at the first state below its floor.
-
-    The steering kernel runs first, so a matrix that is not a state fails as
-    such.  Then one complex Cholesky factorization certifies that every state
-    clears its floor (see symplectic._certify_physical), with no spectrum.
-    Only a stack it does not certify gets its spectra and floors, which decide.
-    """
-    g = steering_stack(states)
-    try:
-        _certify_physical(states)
-    except NumericalError:
-        _raise_below_floor(*_physicality(states), etas)
-    return g
 
 
 def cmd_build(args: argparse.Namespace) -> int:
     config = _config_from_args(args, eta=args.eta)
     state = build_state(config)
-    nus, floor = _physicality(state.matrix[None])
-    _raise_below_floor(nus, floor, [config.eta])
+    _require_physical(state.matrix[None], [config.eta])
+    nus = symplectic_eigenvalues(state)
     variances = {lab: correlation_variance(state, lab) for lab in BUILD_COMBOS}
 
     if args.format == "json":
@@ -233,13 +212,13 @@ def cmd_build(args: argparse.Namespace) -> int:
             "config": asdict(config),
             "covariance_matrix": state.matrix.tolist(),
             "purity": purity(state),
-            "symplectic_eigenvalues": nus[0].tolist(),
+            "symplectic_eigenvalues": nus.tolist(),
             "correlation_variances": variances,
         }
         text = json.dumps(doc, indent=2) + "\n"
     else:
         lines = [f"# purity={_fmt(purity(state))}"]
-        lines.append("# symplectic_eigenvalues=" + ";".join(_fmt(nu) for nu in nus[0]))
+        lines.append("# symplectic_eigenvalues=" + ";".join(_fmt(nu) for nu in nus))
         for lab, val in variances.items():
             lines.append(f"# var({lab})={_fmt(val)}")
         header = [f"{quad}{name}" for name in MODE_NAMES for quad in ("x", "p")]
@@ -247,13 +226,15 @@ def cmd_build(args: argparse.Namespace) -> int:
         for row in state.matrix:
             lines.append(",".join(_fmt(v) for v in row))
         text = "\n".join(lines) + "\n"
-    _emit(text, _resolve_output(args.output))
+    _emit(text, args.output)
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    g = _require_physical(build_states(config, args.grid), args.grid)
+    states = build_states(config, args.grid)
+    g = steering_stack(states)
+    _require_physical(states, args.grid)
     rows = list(zip(args.grid, g.tolist(), monogamy_stack(g).tolist()))
 
     if args.format == "csv":
@@ -272,15 +253,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             ],
         }
         text = json.dumps(doc, indent=2) + "\n"
-    _emit(text, _resolve_output(args.output))
+    _emit(text, args.output)
     return EXIT_OK
 
 
 def cmd_tomo(args: argparse.Namespace) -> int:
     config = _config_from_args(args, eta=args.eta)
     state = build_state(config)
-    g = _require_physical(state.matrix[None], [config.eta])
-    analytic = dict(zip(DIRECTIONS, g[0].tolist()))  # steering_report(state), from the gate's call
+    g = steering_stack(state.matrix[None])
+    _require_physical(state.matrix[None], [config.eta])
+    analytic = dict(zip(DIRECTIONS, g[0].tolist()))  # steering_report(state)
     try:
         stats = reconstruct_trials(state, n_samples=args.samples, n_trials=args.trials,
                                    seed=args.seed)
@@ -311,7 +293,7 @@ def cmd_tomo(args: argparse.Namespace) -> int:
         "mean": stats.mean,
         "std": stats.std,
     }
-    _emit(json.dumps(doc, indent=2) + "\n", _resolve_output(args.output))
+    _emit(json.dumps(doc, indent=2) + "\n", args.output)
     return EXIT_OK
 
 
@@ -320,8 +302,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     grid = _parse_grid(DEFAULT_GRID)
     states = build_states(config, grid)
     g = steering_stack(states)
-    nus, floor = _physicality(states)
-    nu_min = nus[:, 0]
+    nu_min = symplectic_eigenvalues(states)[:, 0]
+    floor = physicality_floor(states, nu_min)
     worst = np.argmin(nu_min - floor)  # the row with the least margin
     worst_pair = g[:, :6].max()  # DIRECTIONS[:6] are the one-to-one directions
     asym = np.abs(g[-1, 6::2] - g[-1, 7::2]).max()  # eta = 1: G(X->YZ) against G(YZ->X)

@@ -85,13 +85,16 @@ _ORDERED = 6 * _QUADRATURES[:, :, None] + _QUADRATURES[:, None, :]  # in a flatt
 _NEXT = [1, 2, 0]  # ordering o + 1 leads with the second mode of ordering o
 
 
-def _column(steering: str, steered: str) -> int:
-    """Column of DIRECTIONS of a direction given by its parties' mode names, in any order."""
-    return DIRECTIONS.index("".join(sorted(steering)) + "->" + "".join(sorted(steered)))
+def _column(direction: str) -> int:
+    """Column of DIRECTIONS of a label whose parties list their modes in any order ("CB->A")."""
+    label = "->".join("".join(sorted(party)) for party in direction.split("->"))
+    if label not in DIRECTIONS:
+        raise ValueError(f"unknown direction {direction!r}, expected one of {', '.join(DIRECTIONS)}")
+    return DIRECTIONS.index(label)
 
 
 # Ordering o = (a, b, c) reads row o: a->b, ab->c, b->a and a->bc.
-_READ = np.array([[_column(a, b), _column(a + b, c), _column(b, a), _column(a, b + c)]
+_READ = np.array([[_column(d) for d in (f"{a}->{b}", f"{a}{b}->{c}", f"{b}->{a}", f"{a}->{b}{c}")]
                   for a, b, c in ([MODE_NAMES[m] for m in order] for order in _ORDERINGS)])
 # P(X) of each direction's steering party X is minor [:, _X_ORDERING, _X_LAST]:
 # (o, 0) for a->b and a->bc, (o, 1) for ab->c, and P(b) at (o + 1, 0) for b->a.
@@ -205,15 +208,11 @@ def find_threshold(config: GhzConfig, direction: str, tol: float = 1e-4) -> floa
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    label = "->".join("".join(sorted(party)) for party in direction.split("->"))
-    if label not in DIRECTIONS:
-        raise ValueError(f"unknown direction {direction!r}, "
-                         f"expected one of {', '.join(DIRECTIONS)}")
-    k = DIRECTIONS.index(label)
+    k = _column(direction)
     nus, minors = _conditionals(build_states(config, [0.0, 0.5, 1.0]))
     nus = _clamp(nus[:, k])
     det_x = minors[:, _X_ORDERING[k], _X_LAST[k]] ** 2
-    product_form = label in ("B->AC", "C->AB")
+    product_form = DIRECTIONS[k] in ("B->AC", "C->AB")
     q = det_x * (np.prod(1.0 - nus**2, axis=-1) if product_form else 1.0 - np.prod(nus**2, axis=-1))
     eta = _sign_change(*q.tolist())
     if eta is None:

@@ -252,29 +252,35 @@ def physicality_floor(m: np.ndarray, nu_min: np.ndarray) -> np.ndarray:
     return floor
 
 
-def _certify_physical(m: np.ndarray) -> None:
-    """Return only if every matrix of a positive-definite stack (..., 2N, 2N) clears its floor.
+def below_floor(m: np.ndarray) -> np.ndarray:
+    """Which matrices of a stack (..., 2N, 2N) have min nu below their :func:`physicality_floor`.
 
-    With f = 1 - PHYSICALITY_TOL, the fixed floor of :func:`physicality_floor`,
-    sigma + i f Omega = f (sigma / f + i Omega) is positive definite exactly
-    when sigma / f obeys the uncertainty relation, that is min nu(sigma) > f,
-    and every such state meets its floor.  One complex Cholesky factorization
-    of the stack decides this with no spectrum.  NumericalError when it fails:
-    a matrix may then still meet a floor widened by its conditioning, which
-    only the spectrum and :func:`physicality_floor` decide.
+    With f = 1 - PHYSICALITY_TOL, the fixed floor, sigma + i f Omega =
+    f (sigma / f + i Omega) is positive definite exactly when sigma / f obeys
+    the uncertainty relation (Simon, Mukunda and Dutta, PRA 49, 1567, 1994),
+    that is min nu(sigma) > f, and every such state meets its floor.  One
+    complex Cholesky factorization of the stack decides this with no spectrum.
+    Only a stack it rejects gets its spectra and floors, which decide: a
+    matrix may still meet a floor widened by its conditioning.  NumericalError
+    "not a state" if a matrix is not finite or not positive definite.
     """
-    _cholesky(m + 1j * (1.0 - PHYSICALITY_TOL) * symplectic_form(m.shape[-1] // 2))
+    f_omega = (1.0 - PHYSICALITY_TOL) * symplectic_form(m.shape[-1] // 2)
+    try:
+        _cholesky(_require_finite(m) + 1j * f_omega)
+        return np.zeros(m.shape[:-2], dtype=bool)
+    except NumericalError:  # not certified; the spectrum raises if not a state
+        nu_min = symplectic_eigenvalues(m)[..., 0]
+        return ~(nu_min >= physicality_floor(m, nu_min))
 
 
 def is_physical(cm: CovarianceMatrix | np.ndarray) -> bool:
-    """True when the min symplectic eigenvalue of cm reaches its :func:`physicality_floor`."""
+    """True when the min symplectic eigenvalue of cm reaches its floor (see :func:`below_floor`)."""
     m = _as_array(cm)
     if m.shape[0] % 2 or m.shape[0] == 0:
         return False
     try:
-        nu_min = symplectic_eigenvalues(m).min()
-        return bool(nu_min >= physicality_floor(m, nu_min))
-    except NumericalError:  # not positive definite
+        return not below_floor(m).any()
+    except NumericalError:  # not a state
         return False
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -327,6 +328,47 @@ class TestOutputResolution:
         assert rc == 0
         assert target.exists()
 
+    def test_a_symlink_is_written_through_to_its_target(self, capsys, tmp_path):
+        # the link stays, and the temp file goes beside the target, in the target's directory
+        (tmp_path / "data").mkdir()
+        target = tmp_path / "data" / "target.csv"
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(os.path.join("data", "target.csv"))
+        _, expected, _ = run(capsys, ["build", "--format", "csv"])
+        rc, out, err = run(capsys, ["build", "--format", "csv", "--output", str(link)])
+        assert (rc, out, err) == (0, "", "")
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_text() == expected
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "link.csv", "target.csv"]
+
+    def test_a_symlink_loop_is_a_usage_error(self, capsys, tmp_path):
+        (tmp_path / "a.json").symlink_to("b.json")
+        (tmp_path / "b.json").symlink_to("a.json")
+        rc, out, err = run(capsys, ["build", "--output", str(tmp_path / "a.json")])
+        assert (rc, out) == (3, "")
+        assert err == (f"ghz-steering: error: cannot write {tmp_path / 'a.json'}: "
+                       "Too many levels of symbolic links\n")
+        assert all(p.is_symlink() for p in tmp_path.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    def test_a_fifo_is_written_directly(self, capsys, tmp_path):
+        # the reader opens first, so the write neither blocks nor fills the pipe
+        fifo = tmp_path / "out.json"
+        os.mkfifo(fifo)
+        _, expected, _ = run(capsys, ["build"])
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            rc, out, err = run(capsys, ["build", "--output", str(fifo)])
+            received = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert (rc, out, err) == (0, "", "")
+        assert received.decode() == expected
+        assert fifo.is_fifo()
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
 
 class TestUnwritableOutput:
     COMMANDS = [["build"], ["sweep"], ["tomo", "--samples", "2000"]]
@@ -436,12 +478,18 @@ def test_check_reports_the_row_with_the_least_margin_over_its_floor(capsys, monk
     assert err.startswith("check failed: physicality")
 
 
-@pytest.mark.parametrize("argv, states", [(["sweep"], 21), (["tomo", "--samples", "2000"], 1)],
-                         ids=["sweep", "tomo"])
-def test_sweep_and_tomo_certify_their_states_without_a_spectrum(capsys, monkeypatch, argv, states):
-    # one real kernel factorization gives G; one complex factorization clears the floor
+@pytest.mark.parametrize("argv, gate, after", [
+    (["sweep"], [("cholesky", (21, 3, 6, 6), "f"), ("cholesky", (21, 6, 6), "c")], None),
+    (["tomo", "--samples", "2000"], [("cholesky", (1, 3, 6, 6), "f"), ("cholesky", (1, 6, 6), "c")],
+     "trials"),
+    (["build"], [("cholesky", (1, 6, 6), "c")], "spectrum"),
+], ids=["sweep", "tomo", "build"])
+def test_sweep_and_tomo_certify_their_states_without_a_spectrum(capsys, monkeypatch, argv, gate,
+                                                                after):
+    # sweep and tomo: one real kernel factorization gives G, and one complex factorization
+    # clears the floor; build: the complex factorization runs before the spectrum it prints
     calls = []
-    cholesky, eigvalsh, reconstruct = np.linalg.cholesky, np.linalg.eigvalsh, cli.reconstruct_trials
+    cholesky, eigvalsh = np.linalg.cholesky, np.linalg.eigvalsh
 
     def spy(name, fn):
         def wrapper(m, *args, **kwargs):
@@ -449,17 +497,22 @@ def test_sweep_and_tomo_certify_their_states_without_a_spectrum(capsys, monkeypa
             return fn(m, *args, **kwargs)
         return wrapper
 
-    def trials(*args, **kwargs):  # the reconstruction runs past the gate
-        calls.append("trials")
-        return reconstruct(*args, **kwargs)
+    def marked(name, fn):  # a stage that runs past the gate
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
 
     monkeypatch.setattr(np.linalg, "cholesky", spy("cholesky", cholesky))
     monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", eigvalsh))
-    monkeypatch.setattr(cli, "reconstruct_trials", trials)
+    monkeypatch.setattr(cli, "reconstruct_trials", marked("trials", cli.reconstruct_trials))
+    monkeypatch.setattr(cli, "symplectic_eigenvalues",
+                        marked("spectrum", cli.symplectic_eigenvalues))
     rc, _, err = run(capsys, argv)
     assert (rc, err) == (0, "")
-    gate = calls[:calls.index("trials")] if "trials" in calls else calls
-    assert gate == [("cholesky", (states, 3, 6, 6), "f"), ("cholesky", (states, 6, 6), "c")]
+    stages = [k for k, call in enumerate(calls) if isinstance(call, str)]
+    assert calls[:stages[0] if stages else None] == gate
+    assert (calls[stages[0]] if stages else None) == after
 
 
 @pytest.mark.parametrize("argv", [["build", "--r", "3", "--eta", "0.3"],
@@ -484,15 +537,14 @@ def test_the_gate_gives_the_rule_verdict_at_the_fixed_floor(delta):
     for r, t1, t2 in configs:
         states = build_states(GhzConfig(r1=r, r2=r, r3=r, t1=t1, t2=t2), etas)
         states *= f * (1 + rng.choice([-delta, delta], len(etas)))[:, None, None]
-        nus, floor = cli._physicality(states)
-        verdicts.update((nus[:, 0] >= floor).tolist())
+        nu_min = symplectic_eigenvalues(states)[:, 0]
+        physical = nu_min >= physicality_floor(states, nu_min)
+        verdicts.update(physical.tolist())
         want = got = None
+        if not physical.all():
+            want = f"state at eta={etas[np.argmin(physical)]} violates the uncertainty relation"
         try:
-            cli._raise_below_floor(nus, floor, etas)
-        except NumericalError as exc:
-            want = str(exc)
-        try:
-            assert np.array_equal(cli._require_physical(states, etas), steering_stack(states))
+            cli._require_physical(states, etas)
         except NumericalError as exc:
             got = str(exc)
         assert got == want, (r, t1, t2)

@@ -13,6 +13,7 @@ from ghz_steering.network import build_ghz, lossy_stack, network_mode_matrix
 from ghz_steering.symplectic import (
     PHYSICALITY_TOL,
     Partition,
+    below_floor,
     is_physical,
     physicality_floor,
     purity,
@@ -397,19 +398,34 @@ class TestRealRouteGuard:
     @pytest.mark.parametrize("nu", [1e4, 1e5])
     def test_a_thermal_mode_among_vacua_is_physical(self, nu):
         states = rotated_states([1.0, 1.0, nu], seed=int(nu), count=200, squeeze=0.0)
-        assert all(is_physical(state) for state in states)
-        assert np.abs(symplectic_eigenvalues(states)[:, 0] - 1.0).max() <= 1e-10
+        nu_min = symplectic_eigenvalues(states)[:, 0]
+        assert np.all(nu_min >= physicality_floor(states, nu_min))
+        assert np.abs(nu_min - 1.0).max() <= 1e-10
 
     def test_without_the_guard_such_states_read_unphysical(self, monkeypatch):
+        # the rule itself: the certificate of below_floor passes these states without a spectrum
         monkeypatch.setattr(symplectic, "_REAL_ROUTE_SPREAD", np.inf)
         states = rotated_states([1.0, 1.0, 1e4], seed=10_000, count=200, squeeze=0.0)
-        assert not all(is_physical(state) for state in states)
+        nu_min = symplectic_eigenvalues(states)[:, 0]
+        assert not np.all(nu_min >= physicality_floor(states, nu_min))
 
 
 class TestCertifyPhysical:
     F = 1 - PHYSICALITY_TOL
 
-    def test_passes_every_built_state_on_the_domain(self):
+    @pytest.fixture
+    def spectra(self, monkeypatch):
+        """The stacks below_floor takes a spectrum of, by their shapes."""
+        shapes = []
+
+        def spy(m):
+            shapes.append(np.shape(m))
+            return symplectic_eigenvalues(m)
+
+        monkeypatch.setattr(symplectic, "symplectic_eigenvalues", spy)
+        return shapes
+
+    def test_passes_every_built_state_on_the_domain(self, spectra):
         # the 32 corners of r in {0, 3} and t1, t2 in {0, 1}, then 218 random configs, 10 eta each
         rng = np.random.default_rng(7)
         configs = [(3.0 * r1, 3.0 * r2, 3.0 * r3, float(t1), float(t2))
@@ -419,30 +435,49 @@ class TestCertifyPhysical:
             build_states(GhzConfig(r1=r1, r2=r2, r3=r3, t1=t1, t2=t2), np.linspace(0.0, 1.0, 10))
             for r1, r2, r3, t1, t2 in configs])
         assert len(states) == 2500
-        symplectic._certify_physical(states)
+        assert np.array_equal(below_floor(states), np.zeros(2500, dtype=bool))
+        assert spectra == []  # the certificate passed them all
 
     @pytest.mark.parametrize("delta", [1e-10, 1e-8, 1e-6])
-    def test_a_pass_implies_the_floor_on_scaled_pure_states(self, delta):
+    def test_a_pass_implies_the_floor_on_scaled_pure_states(self, spectra, delta):
         # c * sigma of a pure state has min nu = c = f (1 -+ delta)
         rng = np.random.default_rng(11)
         verdicts = {-1: [], 1: []}
         for params in zip(*rng.uniform(0.0, 3.0, (3, 100)), *rng.uniform(0.0, 1.0, (2, 100))):
             for sign, passed in verdicts.items():
                 m = self.F * (1 + sign * delta) * exact_state(*params)
-                try:
-                    symplectic._certify_physical(m[None])
-                except NumericalError:
-                    passed.append(False)
-                    continue
-                passed.append(True)
                 nu_min = symplectic_eigenvalues(m).min()
-                assert nu_min >= physicality_floor(m, nu_min), (params, sign)
+                rule = bool(nu_min >= physicality_floor(m, nu_min))
+                spectra.clear()
+                assert below_floor(m[None]).tolist() == [not rule], (params, sign)
+                passed.append(spectra == [])  # the certificate decided, with no spectrum
+                if passed[-1]:
+                    assert rule, (params, sign)
+                else:
+                    assert spectra == [(1, 6, 6)]
         if delta >= 1e-8:  # far enough from f that round-off cannot flip the verdict
             assert verdicts == {-1: [False] * 100, 1: [True] * 100}
 
-    def test_fails_below_the_floor(self):
-        with pytest.raises(NumericalError):
-            symplectic._certify_physical(0.9 * build_state(GhzConfig()).matrix[None])
+    def test_fails_below_the_floor(self, spectra):
+        assert below_floor(0.9 * build_state(GhzConfig()).matrix[None]).tolist() == [True]
+        assert spectra == [(1, 6, 6)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_stack_is_not_a_state(self, bad):
+        states = build_states(GhzConfig(), [0.5, 1.0])
+        states[1, 2, 3] = states[1, 3, 2] = bad
+        with pytest.raises(NumericalError, match="not a state"):
+            below_floor(states)
+        with pytest.raises(NumericalError, match="not a state"):
+            below_floor(np.full((1, 6, 6), bad))
+
+    @pytest.mark.parametrize("m", [np.diag([1.0, -1.0]), np.diag([2.0, 2.0, 1.0, 0.0]),
+                                   np.ones((6, 6))])
+    def test_a_matrix_that_is_not_positive_definite_is_not_a_state(self, m):
+        with pytest.raises(NumericalError, match="not a state"):
+            below_floor(m)
+        with pytest.raises(NumericalError, match="not a state"):
+            below_floor(np.stack([np.eye(len(m)), m]))
 
 
 class TestSchurComplement:
