@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ghz_steering import (CovarianceMatrix, GhzConfig, build_state, build_states, cli, network,
-                          steering_report, steering_stack)
+                          steering_report)
 from ghz_steering.network import build_ghz
 from ghz_steering.cli import DEFAULT_GRID, SWEEP_COLUMNS, main
 from ghz_steering.symplectic import (PHYSICALITY_TOL, NumericalError, physicality_floor,
