@@ -21,9 +21,8 @@ import math
 import numpy as np
 
 from .network import MODE_NAMES, GhzConfig, build_states
-from .symplectic import (CovarianceMatrix, Partition, _cholesky, _factor_spectrum,
-                         _require_finite, quadrature_indices, schur_complement,
-                         symplectic_eigenvalues)
+from .symplectic import (CovarianceMatrix, Partition, _as_array, _cholesky, _factor_spectrum,
+                         quadrature_indices, schur_complement, symplectic_eigenvalues)
 
 # Conditional symplectic eigenvalues this close to 1 count as exactly 1; keeps
 # states sitting on the steering boundary from flickering into false positives.
@@ -45,16 +44,10 @@ RESIDUAL_KEYS: tuple[str, ...] = ("A_out", "A_in", "B_out", "B_in", "C_out", "C_
 
 
 def parse_direction(label: str) -> Partition:
-    """Partition for a label like "A->B" or "BC->A" (modes A, B, C = 0, 1, 2)."""
-    parts = label.split("->")
-    if len(parts) != 2:
-        raise ValueError(f"direction label must look like 'A->BC', got {label!r}")
-    try:
-        steering = tuple(MODE_NAMES.index(ch) for ch in parts[0])
-        steered = tuple(MODE_NAMES.index(ch) for ch in parts[1])
-    except ValueError:
-        raise ValueError(f"unknown mode name in direction label {label!r}") from None
-    return Partition(steering=steering, steered=steered)
+    """Partition of a label like "A->B" or "BC->A" (modes A, B, C = 0, 1, 2), read by
+    :func:`_column` as find_threshold reads it: "CB->A" is "BC->A", any other label a ValueError."""
+    return Partition(*([MODE_NAMES.index(m) for m in party]
+                       for party in DIRECTIONS[_column(label)].split("->")))
 
 
 def _clamp(nus: np.ndarray) -> np.ndarray:
@@ -113,8 +106,7 @@ def _conditionals(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sigma = np.asarray(states, dtype=float)
     if sigma.ndim != 3 or sigma.shape[1:] != (6, 6):
         raise ValueError(f"expected a (K, 6, 6) stack of three-mode states, got shape {sigma.shape}")
-    _require_finite(sigma)
-    low = _cholesky(np.take(sigma.reshape(-1, 36), _ORDERED, axis=1))
+    low = _cholesky(np.take(_as_array(sigma).reshape(-1, 36), _ORDERED, axis=1))
     diag = np.diagonal(low, axis1=-2, axis2=-1)
     pairs = diag[..., 0::2] * diag[..., 1::2]  # the diagonal product of each mode's pair
     minors = np.multiply.accumulate(pairs, axis=-1)
@@ -128,8 +120,8 @@ def _conditionals(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def steering_stack(states: np.ndarray) -> np.ndarray:
     """G of all 12 directions for a stack of three-mode covariance matrices.
 
-    Takes symmetric matrices of shape (K, 6, 6), quadratures ordered
-    (xA, pA, xB, pB, xC, pC), and returns shape (K, 12): column k is
+    Takes matrices of shape (K, 6, 6), quadratures ordered (xA, pA, xB, pB,
+    xC, pC) and symmetrized on ingest, and returns shape (K, 12): column k is
     G(DIRECTIONS[k]).  Each value equals :func:`gaussian_steering` of that
     direction to rounding.
 
@@ -151,6 +143,8 @@ def steering_stack(states: np.ndarray) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        If the input is not of shape (K, 6, 6).
     NumericalError
         "not a state" exactly when some matrix of the stack has a non-finite
         entry or is not positive definite.

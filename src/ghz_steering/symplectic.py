@@ -39,23 +39,15 @@ def symmetric_part(m: np.ndarray) -> np.ndarray:
 class CovarianceMatrix:
     """Symmetrized second moments of the quadratures of an N-mode Gaussian state.
 
-    The wrapped array is symmetrized on ingest and frozen read-only.  No
+    One (2N, 2N) matrix, read by :func:`_as_array` and frozen read-only.  No
     physicality requirement is imposed here; use :func:`is_physical`.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("covariance matrix must be square")
-        if m.shape[0] == 0 or m.shape[0] % 2:
-            raise ValueError("covariance matrix dimension must be 2N for N >= 1 modes")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("covariance matrix entries must be finite")
-        m = symmetric_part(m)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _as_array(self.matrix, single=True))
+        self.matrix.flags.writeable = False
 
     @property
     def n_modes(self) -> int:
@@ -84,10 +76,20 @@ class Partition:
         object.__setattr__(self, "steered", steered)
 
 
-def _as_array(cm: CovarianceMatrix | np.ndarray) -> np.ndarray:
+def _as_array(cm: CovarianceMatrix | np.ndarray, single: bool = False) -> np.ndarray:
+    """The one ingest check: a CovarianceMatrix's matrix as is, else an array of shape
+    (..., 2N, 2N), N >= 1 ((2N, 2N) if single), symmetrized.  ValueError naming any other
+    shape; NumericalError "not a state" if an entry is not finite."""
     if isinstance(cm, CovarianceMatrix):
         return cm.matrix
-    return symmetric_part(np.asarray(cm, dtype=float))
+    m = np.asarray(cm, dtype=float)
+    if (m.ndim < 2 or (single and m.ndim > 2) or m.shape[-1] != m.shape[-2]
+            or m.shape[-1] == 0 or m.shape[-1] % 2):
+        form = "(2N, 2N)" if single else "(..., 2N, 2N)"
+        raise ValueError(f"expected covariance input of shape {form}, N >= 1, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise NumericalError(_NOT_A_STATE)
+    return symmetric_part(m)
 
 
 @functools.cache
@@ -134,18 +136,13 @@ def symplectic_eigenvalues(cm: CovarianceMatrix | np.ndarray) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        If the input is not of shape (..., 2N, 2N), N >= 1.
     NumericalError
         If the input has a non-finite entry or is not positive definite
         (the Cholesky factorization fails): "not a state".
     """
-    return _factor_spectrum(_cholesky(_require_finite(_as_array(cm))))
-
-
-def _require_finite(m: np.ndarray) -> np.ndarray:
-    """m itself; NumericalError "not a state" if an entry is not finite."""
-    if not np.isfinite(m).all():
-        raise NumericalError(_NOT_A_STATE)
-    return m
+    return _factor_spectrum(_cholesky(_as_array(cm)))
 
 
 def _cholesky(m: np.ndarray) -> np.ndarray:
@@ -252,7 +249,7 @@ def physicality_floor(m: np.ndarray, nu_min: np.ndarray) -> np.ndarray:
     return floor
 
 
-def below_floor(m: np.ndarray) -> np.ndarray:
+def below_floor(cm: CovarianceMatrix | np.ndarray) -> np.ndarray:
     """Which matrices of a stack (..., 2N, 2N) have min nu below their :func:`physicality_floor`.
 
     With f = 1 - PHYSICALITY_TOL, the fixed floor, sigma + i f Omega =
@@ -261,12 +258,14 @@ def below_floor(m: np.ndarray) -> np.ndarray:
     that is min nu(sigma) > f, and every such state meets its floor.  One
     complex Cholesky factorization of the stack decides this with no spectrum.
     Only a stack it rejects gets its spectra and floors, which decide: a
-    matrix may still meet a floor widened by its conditioning.  NumericalError
-    "not a state" if a matrix is not finite or not positive definite.
+    matrix may still meet a floor widened by its conditioning.  ValueError
+    unless the shape is (..., 2N, 2N), N >= 1; NumericalError "not a state" if
+    a matrix is not finite or not positive definite.
     """
+    m = _as_array(cm)
     f_omega = (1.0 - PHYSICALITY_TOL) * symplectic_form(m.shape[-1] // 2)
     try:
-        _cholesky(_require_finite(m) + 1j * f_omega)
+        _cholesky(m + 1j * f_omega)
         return np.zeros(m.shape[:-2], dtype=bool)
     except NumericalError:  # not certified; the spectrum raises if not a state
         nu_min = symplectic_eigenvalues(m)[..., 0]
@@ -274,12 +273,10 @@ def below_floor(m: np.ndarray) -> np.ndarray:
 
 
 def is_physical(cm: CovarianceMatrix | np.ndarray) -> bool:
-    """True when the min symplectic eigenvalue of cm reaches its floor (see :func:`below_floor`)."""
-    m = _as_array(cm)
-    if m.shape[0] % 2 or m.shape[0] == 0:
-        return False
+    """True when one matrix (2N, 2N) reaches its floor (see :func:`below_floor`), False
+    when it is not a state; ValueError for any other shape."""
     try:
-        return not below_floor(m).any()
+        return not below_floor(_as_array(cm, single=True))
     except NumericalError:  # not a state
         return False
 
@@ -308,10 +305,11 @@ def schur_complement(cm: CovarianceMatrix, partition: Partition) -> np.ndarray:
 def purity(cm: CovarianceMatrix | np.ndarray) -> float:
     """Purity of the Gaussian state, 1/sqrt(det sigma); equals 1 for pure states.
 
-    Raises NumericalError "not a state", as symplectic_eigenvalues does, unless
-    cm is finite and positive definite and its determinant does not underflow.
+    Raises ValueError unless cm is one matrix of shape (2N, 2N), N >= 1, and
+    NumericalError "not a state", as symplectic_eigenvalues does, unless cm is
+    finite and positive definite and its determinant does not underflow.
     """
-    m = _require_finite(_as_array(cm))
+    m = _as_array(cm, single=True)
     _cholesky(m)
     det = np.linalg.det(m)
     if det <= 0:

@@ -174,15 +174,13 @@ def _positive_definite(stack: np.ndarray) -> np.ndarray:
 def population_measurements(cov: CovarianceMatrix | np.ndarray) -> np.ndarray:
     """The (..., 18) variances v^T sigma v of a CovarianceMatrix or a (..., 6, 6) array.
 
-    Arrays are symmetrized on ingest, as in symplectic_eigenvalues.  Noise-free
-    for a state; for a sample covariance, the sample variances.
+    Arrays are read as symplectic_eigenvalues reads them: symmetrized, NumericalError "not a
+    state" if an entry is not finite.  Any other trailing shape raises "expected a three-mode
+    state".  Noise-free for a state; for a sample covariance, the sample variances.
     """
     if np.shape(cov.matrix if isinstance(cov, CovarianceMatrix) else cov)[-2:] != (6, 6):
         raise ValueError("expected a three-mode state")
-    m = _as_array(cov)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("covariance matrix entries must be finite")
-    return ((_COMBO_MATRIX @ m) * _COMBO_MATRIX).sum(axis=-1)
+    return ((_COMBO_MATRIX @ _as_array(cov)) * _COMBO_MATRIX).sum(axis=-1)
 
 
 def measure_set(samples: np.ndarray) -> np.ndarray:

@@ -1,0 +1,154 @@
+"""A fixed corpus of CLI and script runs, and a comparator of two package trees.
+
+Every entry is an argv and the exit code it gives: CLI_RUNS, HELP_RUNS and
+OUTPUT_RUN are argvs of ``python -m ghz_steering``, SCRIPT_RUNS those of the
+example scripts.  tests/test_cli_corpus.py runs each entry in-process twice.
+
+Run as a script to compare this tree's package with another tree's:
+
+    python tests/cli_corpus.py PARENT_SRC
+
+runs every entry in fresh processes, once with PARENT_SRC and once with this
+tree's src/ on PYTHONPATH (the scripts are this tree's in both), and prints
+one line per entry: "identical", "numbers differ" with the largest relative
+change, or which of text, exit code or written file differs.  The exit
+status is 1 unless every entry is identical.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+CLI_RUNS: list[tuple[list[str], int]] = [
+    (["build"], 0),
+    (["build", "--format", "csv"], 0),
+    (["build", "--r", "3", "--t1", "0", "--t2", "1", "--eta", "0"], 0),
+    (["build", "--squeezing-db", "26.05"], 0),
+    (["build", "--r", "0"], 0),
+    (["sweep"], 0),
+    (["sweep", "--format", "json"], 0),
+    (["sweep", "--squeezing-db", "26.05", "--grid", "0:1:0.001"], 0),
+    (["sweep", "--grid", "0.5,1"], 0),
+    (["sweep", "--r", "0"], 0),
+    (["sweep", "--r", "3", "--t1", "0", "--t2", "1"], 0),
+    (["tomo"], 0),
+    (["tomo", "--samples", "2000", "--trials", "50", "--seed", "1"], 0),
+    (["tomo", "--samples", str(10**400), "--trials", "3"], 3),  # n_samples - 1 past the largest float
+    # exit 2: fewer than 2 trials reconstruct a physical matrix
+    (["tomo", "--samples", "3", "--trials", "5"], 2),
+    (["tomo", "--samples", "8", "--trials", "200", "--seed", "3"], 2),
+    (["tomo", "--samples", "7", "--trials", "10000", "--seed", "1", "--eta", "0.7"], 2),
+    (["tomo", "--r", "3", "--eta", "0", "--samples", "5000", "--trials", "4"], 2),
+    (["tomo", "--samples", "1000", "--seed", "0"], 2),
+    (["check"], 0),
+    (["check", "--r", "3"], 0),
+    (["check", "--r", "0"], 0),
+    (["check", "--squeezing-db", "26.05"], 0),
+    (["check", "--r", "1.7"], 0),
+    # usage errors
+    (["build", "--r", "3.5"], 3),
+    (["sweep", "--grid", "0:1:0.00001"], 3),
+    (["tomo", "--trials", "10001"], 3),
+    (["tomo", "--seed", "-1"], 3),
+    (["sweep", "--grid", "2"], 3),
+    (["tomo", "--trials", "1"], 3),
+    (["tomo", "--samples", "1"], 3),
+]
+
+# argparse lays these out differently across Python versions, so in-process
+# runs compare only their exit codes.
+HELP_RUNS: list[tuple[list[str], int]] = [
+    ([*command, "--help"], 0) for command in ([], ["build"], ["sweep"], ["tomo"], ["check"])
+]
+
+# A relative --output lands under $GHZ_STEERING_OUTDIR.
+OUTPUT_RUN: tuple[list[str], int] = (["sweep", "--format", "json", "--output", "runs/sweep.json"], 0)
+
+SCRIPT_RUNS: list[tuple[list[str], int]] = [
+    (["loss_sweep.py", "--steps", "5"], 0),
+    (["loss_sweep.py", "--r", "0", "--steps", "5"], 0),
+    (["tomography_demo.py"], 0),
+]
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf|NaN|Infinity)\b")
+
+
+def _number(text: str) -> float:
+    return float({"NaN": "nan", "Infinity": "inf"}.get(text, text))
+
+
+def number_change(old: str, new: str) -> float | None:
+    """Largest relative change between the numbers of two texts whose other text is equal;
+    None if the texts differ otherwise."""
+    if _NUMBER.split(old) != _NUMBER.split(new):
+        return None
+    pairs = zip(map(_number, _NUMBER.findall(old)), map(_number, _NUMBER.findall(new)))
+    changes = [0.0 if a == b or (math.isnan(a) and math.isnan(b))
+               else abs(a - b) / max(abs(a), abs(b)) for a, b in pairs]
+    return max(changes, default=0.0)
+
+
+def run_fresh(src: Path, kind: str, argv: list[str]) -> tuple[int, str, str, dict[str, bytes]]:
+    """Exit code, stdout, stderr and written files of one run in a fresh process and directory."""
+    with tempfile.TemporaryDirectory() as work:
+        outdir = Path(work, "out")
+        env = {**os.environ, "PYTHONPATH": str(src), "GHZ_STEERING_OUTDIR": str(outdir)}
+        command = ([str(SCRIPTS / argv[0]), *argv[1:]] if kind == "script"
+                   else ["-m", "ghz_steering", *argv])
+        proc = subprocess.run([sys.executable, *command], cwd=work, env=env,
+                              capture_output=True, text=True, timeout=300)
+        files = {str(p.relative_to(outdir)): p.read_bytes()
+                 for p in sorted(outdir.rglob("*")) if p.is_file()}
+    return proc.returncode, proc.stdout, proc.stderr, files
+
+
+def compare(old: tuple, new: tuple) -> str:
+    """One line for two results of run_fresh."""
+    (old_code, *old_texts, old_files), (new_code, *new_texts, new_files) = old, new
+    if old_code != new_code:
+        return f"exit code differs ({old_code} -> {new_code})"
+    if old_files.keys() != new_files.keys():
+        return "written file differs (different files)"
+    old_texts += [old_files[name].decode() for name in sorted(old_files)]
+    new_texts += [new_files[name].decode() for name in sorted(new_files)]
+    if old_texts == new_texts:
+        return "identical"
+    changes = [number_change(a, b) for a, b in zip(old_texts, new_texts)]
+    if None in changes:
+        where = changes.index(None)
+        return "text differs" if where < 2 else "written file differs"
+    return f"numbers differ (largest relative change {max(changes):.3g})"
+
+
+def entries() -> list[tuple[str, list[str], int]]:
+    """(kind, argv, exit code) of every run of the corpus."""
+    return ([("cli", argv, code) for argv, code in [*CLI_RUNS, *HELP_RUNS, OUTPUT_RUN]]
+            + [("script", argv, code) for argv, code in SCRIPT_RUNS])
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tests/cli_corpus.py PARENT_SRC", file=sys.stderr)
+        return 2
+    parent = Path(argv[0]).resolve()
+    differing = 0
+    for kind, run_argv, _ in entries():
+        verdict = compare(run_fresh(parent, kind, run_argv), run_fresh(ROOT / "src", kind, run_argv))
+        differing += verdict != "identical"
+        shown = " ".join(a if len(a) < 20 else f"{a[:8]}...({len(a)} chars)" for a in run_argv)
+        print(f"{verdict}: {'' if kind == 'script' else 'ghz-steering '}{shown}")
+    print(f"{len(entries()) - differing} of {len(entries())} identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

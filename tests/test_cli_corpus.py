@@ -1,0 +1,67 @@
+"""Every run of the CLI corpus gives its exit code and writes the same bytes twice."""
+
+import runpy
+import sys
+
+import pytest
+
+from cli_corpus import CLI_RUNS, HELP_RUNS, OUTPUT_RUN, SCRIPT_RUNS, SCRIPTS, number_change
+from ghz_steering.cli import OUTDIR_ENV, main
+
+
+def params(runs):
+    return [pytest.param(argv, code, id=" ".join(argv)[:50]) for argv, code in runs]
+
+
+def run(capsys, call):
+    """Exit code, stdout and stderr of one in-process call; a call that returns None exits 0."""
+    try:
+        code = call() or 0
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv, code", params(CLI_RUNS))
+def test_cli_run_is_repeatable(capsys, argv, code):
+    first = run(capsys, lambda: main(argv))
+    assert first[0] == code, first[2]
+    assert run(capsys, lambda: main(argv)) == first
+
+
+@pytest.mark.parametrize("argv, code", params(HELP_RUNS))
+def test_help_exit_code(capsys, argv, code):
+    assert run(capsys, lambda: main(argv))[0] == code
+
+
+def test_output_run_writes_the_same_file_twice(capsys, monkeypatch, tmp_path):
+    argv, code = OUTPUT_RUN
+    monkeypatch.setenv(OUTDIR_ENV, str(tmp_path))
+    written = []
+    for _ in range(2):
+        assert run(capsys, lambda: main(argv)) == (code, "", "")
+        written.append((tmp_path / argv[-1]).read_bytes())
+    assert written[0] and written[0] == written[1]
+
+
+@pytest.mark.parametrize("argv, code", params(SCRIPT_RUNS))
+def test_script_run_is_repeatable(capsys, monkeypatch, argv, code):
+    monkeypatch.setattr(sys, "argv", argv)
+
+    def script():
+        runpy.run_path(str(SCRIPTS / argv[0]), run_name="__main__")
+
+    first = run(capsys, script)
+    assert first[0] == code, first[2]
+    assert run(capsys, script) == first
+
+
+@pytest.mark.parametrize("old, new, change", [
+    ("eta,G\n0.5,1e-3\n", "eta,G\n0.5,1e-3\n", 0.0),
+    ("G 0.5 2", "G 0.5 2.5", 0.2),
+    ("G 0.5", "H 0.5", None),
+    ("G 0.5", "G 0.5 1", None),
+])
+def test_number_change(old, new, change):
+    assert number_change(old, new) == change

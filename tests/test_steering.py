@@ -26,7 +26,7 @@ from ghz_steering import (
     steering_stack,
 )
 from ghz_steering import steering, symplectic
-from ghz_steering.network import MAX_SQUEEZING_R
+from ghz_steering.network import MAX_SQUEEZING_R, MODE_NAMES
 from ghz_steering.steering import STEERING_EPS, gaussian_steering, parse_direction
 from ghz_steering.symplectic import (PHYSICALITY_TOL, Partition, is_physical, quadrature_indices,
                                      symmetric_part, symplectic_eigenvalues, symplectic_form)
@@ -192,10 +192,33 @@ class TestParseDirection:
     def test_one_to_two(self):
         assert parse_direction("B->AC") == Partition(steering=(1,), steered=(0, 2))
 
-    @pytest.mark.parametrize("label", ["", "A", "A->", "->B", "A->D", "AB->AB", "a->b", "A=>B"])
+    INVALID = ["", "A", "A->", "->B", "A->D", "AB->AB", "a->b", "A=>B"]
+
+    @pytest.mark.parametrize("label", INVALID)
     def test_invalid(self, label):
         with pytest.raises(ValueError):
             parse_direction(label)
+
+    def test_a_party_lists_its_modes_in_canonical_order(self):
+        assert parse_direction("CB->A") == Partition(steering=(1, 2), steered=(0,))
+
+    @pytest.mark.parametrize("label", [*DIRECTIONS, "CB->A", *INVALID])
+    def test_reads_labels_as_find_threshold_does(self, label):
+        try:
+            find_threshold(GhzConfig(), label)
+            unknown = None
+        except ValueError as exc:
+            unknown = None if str(exc).startswith("no threshold in range") else str(exc)
+        if unknown is None:
+            steering_party, steered_party = label.split("->")
+            assert parse_direction(label) == Partition(
+                steering=sorted(MODE_NAMES.index(m) for m in steering_party),
+                steered=sorted(MODE_NAMES.index(m) for m in steered_party))
+        else:
+            assert unknown.startswith("unknown direction")
+            with pytest.raises(ValueError) as exc:
+                parse_direction(label)
+            assert str(exc.value) == unknown
 
 
 class TestDirectionHelpers:
@@ -330,6 +353,12 @@ class TestSteeringStack:
 
     def test_empty_stack(self):
         assert steering_stack(np.zeros((0, 6, 6))).shape == (0, 12)
+
+    def test_arrays_are_symmetrized_on_ingest(self):
+        # each cyclic ordering reads a different triangle of a non-symmetric array
+        skewed = build_states(GhzConfig(), [0.7])
+        skewed[0, 0, 3] += 0.3
+        assert np.array_equal(steering_stack(skewed), steering_stack(symmetric_part(skewed)))
 
     @pytest.mark.parametrize("shape", [(6, 6), (2, 4, 4), (1, 6, 5)])
     def test_rejects_wrong_shape(self, shape):

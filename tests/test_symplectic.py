@@ -1,6 +1,7 @@
 """Covariance-matrix algebra: forms, spectra, reductions, Schur complements."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,7 +129,7 @@ class TestCovarianceMatrix:
             CovarianceMatrix(np.ones((2, 4)))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError, match="not a state"):
             CovarianceMatrix(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
     def test_n_modes(self):
@@ -545,6 +546,39 @@ class TestPurity:
     def test_value_is_the_determinant_formula(self):
         state = build_state(GhzConfig(eta=0.4))
         assert purity(state) == float(1.0 / np.sqrt(np.linalg.det(state.matrix)))
+
+
+class TestIngest:
+    """Every public function that takes covariance input reads it through one check."""
+
+    @pytest.mark.parametrize("shape", [(3, 3), (5, 5), (0, 0), (2, 4), (6,)])
+    @pytest.mark.parametrize("func", [symplectic_eigenvalues, purity, below_floor])
+    def test_a_shape_other_than_2n_by_2n_is_rejected(self, func, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            func(np.eye(*shape) if len(shape) == 2 else np.ones(shape))
+
+    @pytest.mark.parametrize("m", [np.stack(4 * [build_state(GhzConfig()).matrix]),
+                                   np.stack(3 * [build_state(GhzConfig(eta=0.5)).matrix]),
+                                   np.ones((2, 4))])
+    def test_is_physical_takes_one_matrix(self, m):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {m.shape}")):
+            is_physical(m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_is_physical_of_a_non_finite_matrix_is_false(self, bad):
+        m = np.array(build_state(GhzConfig()).matrix)
+        m[1, 4] = m[4, 1] = bad
+        assert is_physical(m) is False
+
+    def test_purity_takes_one_matrix(self):
+        with pytest.raises(ValueError, match=re.escape("got shape (2, 6, 6)")):
+            purity(build_states(GhzConfig(), [0.5, 1.0]))
+
+    def test_below_floor_takes_what_its_siblings_take(self):
+        state = build_state(GhzConfig(eta=0.5))
+        assert below_floor(state.matrix.tolist()).tolist() is False
+        assert below_floor(state).tolist() is False
+        assert below_floor(0.9 * np.eye(2)).tolist() is True
 
 
 @given(

@@ -231,7 +231,7 @@ class TestPopulationMeasurements:
     def test_rejects_non_finite_entries(self):
         state = np.array(build_state(GhzConfig()).matrix)
         state[1, 4] = np.nan
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(NumericalError, match="not a state"):
             population_measurements(state)
 
 
