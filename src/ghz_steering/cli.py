@@ -26,7 +26,6 @@ import numpy as np
 from .network import (
     MODE_NAMES,
     GhzConfig,
-    build_state,
     build_states,
     correlation_variance,
     squeezing_db_to_r,
@@ -80,8 +79,9 @@ def _fmt(value: float) -> str:
 
 def _emit(text: str, output: str | None) -> None:
     """Write to stdout, or to the --output path (a relative one under $GHZ_STEERING_OUTDIR when
-    set): atomically (temp file, then rename) to a regular file or a symlink's target, directly
-    to an existing FIFO or device.  ValueError if unwritable."""
+    set): atomically to a regular file or a symlink's target, by a rename of a temp file beside it
+    that this call created, the only file it ever removes; directly to an existing FIFO or device.
+    ValueError if unwritable."""
     if output is None:
         sys.stdout.write(text)
         return
@@ -94,12 +94,16 @@ def _emit(text: str, output: str | None) -> None:
         if target.exists() and not (target.is_file() or target.is_dir()):  # a FIFO or device
             target.write_text(text)
             return
-        tmp = target.with_name(target.name + ".tmp")
+        tmp = target.with_name(f"{target.name}.{os.urandom(8).hex()}.tmp")
+        # O_EXCL fails on any existing file; the umask applies to 0o666, as for open()
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            tmp.write_text(text)
+            with open(fd, "w") as stream:
+                stream.write(text)
             os.replace(tmp, target)
-        finally:
-            tmp.unlink(missing_ok=True)  # already gone after the rename
+        except BaseException:
+            tmp.unlink(missing_ok=True)  # this run's own temp file
+            raise
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
@@ -200,8 +204,9 @@ def _require_physical(states: np.ndarray, etas: Sequence[float]) -> None:
 
 def cmd_build(args: argparse.Namespace) -> int:
     config = _config_from_args(args, eta=args.eta)
-    state = build_state(config)
-    _require_physical(state.matrix[None], [config.eta])
+    states = build_states(config, [config.eta])
+    _require_physical(states, [config.eta])
+    state = states[0]
     nus = symplectic_eigenvalues(state)
     variances = {lab: correlation_variance(state, lab) for lab in BUILD_COMBOS}
 
@@ -210,7 +215,7 @@ def cmd_build(args: argparse.Namespace) -> int:
             "schema_version": SCHEMA_VERSION,
             "command": "build",
             "config": asdict(config),
-            "covariance_matrix": state.matrix.tolist(),
+            "covariance_matrix": state.tolist(),
             "purity": purity(state),
             "symplectic_eigenvalues": nus.tolist(),
             "correlation_variances": variances,
@@ -223,7 +228,7 @@ def cmd_build(args: argparse.Namespace) -> int:
             lines.append(f"# var({lab})={_fmt(val)}")
         header = [f"{quad}{name}" for name in MODE_NAMES for quad in ("x", "p")]
         lines.append(",".join(header))
-        for row in state.matrix:
+        for row in state:
             lines.append(",".join(_fmt(v) for v in row))
         text = "\n".join(lines) + "\n"
     _emit(text, args.output)
@@ -259,12 +264,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_tomo(args: argparse.Namespace) -> int:
     config = _config_from_args(args, eta=args.eta)
-    state = build_state(config)
-    g = steering_stack(state.matrix[None])
-    _require_physical(state.matrix[None], [config.eta])
-    analytic = dict(zip(DIRECTIONS, g[0].tolist()))  # steering_report(state)
+    states = build_states(config, [config.eta])
+    g = steering_stack(states)
+    _require_physical(states, [config.eta])
+    analytic = dict(zip(DIRECTIONS, g[0].tolist()))  # steering_report(states[0])
     try:
-        stats = reconstruct_trials(state, n_samples=args.samples, n_trials=args.trials,
+        stats = reconstruct_trials(states[0], n_samples=args.samples, n_trials=args.trials,
                                    seed=args.seed)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,6 +5,8 @@ two on a 1:2 beam splitter, flips the sign of beam two, then mixes beams two
 and three on a balanced beam splitter.  Output mode order is (A, B, C).
 Transmission loss acts on mode A: the state that actually reaches the
 analysis stage carries A' = sqrt(eta) A + sqrt(1 - eta) vacuum.
+:func:`build_states` is the one state builder, a stack over eta, and
+:func:`build_state` its one-row form.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import CovarianceMatrix, symmetric_part
+from .symplectic import CovarianceMatrix, _as_array
 
 MODE_NAMES = "ABC"
 
@@ -112,50 +114,39 @@ def _lossless_state(r1: float, r2: float, r3: float, t1: float, t2: float) -> Co
     return CovarianceMatrix(net @ sigma_in @ net.T)
 
 
-def lossy_stack(cm: CovarianceMatrix, mode: int, etas) -> np.ndarray:
-    """Pure-loss channel on one mode for each efficiency in etas, as a (K, 2N, 2N) stack.
+def lossy_stack(cm: CovarianceMatrix | np.ndarray, etas) -> np.ndarray:
+    """Pure-loss channel on mode A for each efficiency in etas, as a (K, 2N, 2N) stack.
 
-    Row k is sigma -> X sigma X^T + Y at etas[k]: X scales the mode's
-    quadratures by sqrt(eta), Y adds (1 - eta) vacuum noise on that mode.
-    Done as one broadcast scale-and-add over the stack.
+    Row k is sigma -> X sigma X^T + Y at etas[k]: X scales A's quadratures by
+    sqrt(eta), Y adds (1 - eta) vacuum noise on A.  Done as one broadcast
+    scale-and-add over the stack; each row is exactly symmetric, as sigma is.
     """
     etas = np.asarray(etas, dtype=float).reshape(-1)
     if not np.all((0.0 <= etas) & (etas <= 1.0)):
         raise ValueError("efficiency must lie in [0, 1]")
-    if not 0 <= mode < cm.n_modes:
-        raise ValueError("mode index out of range")
-    dim = 2 * cm.n_modes
-    sl = slice(2 * mode, 2 * mode + 2)
-    scale = np.ones((etas.size, dim))
-    scale[:, sl] = np.sqrt(etas)[:, None]
-    noise = np.zeros((etas.size, dim, dim))
-    noise[:, sl, sl] = (1.0 - etas)[:, None, None] * np.eye(2)
-    out = scale[:, :, None] * cm.matrix * scale[:, None, :] + noise
-    return symmetric_part(out)
+    m = _as_array(cm, single=True)
+    scale = np.ones((etas.size, m.shape[-1]))
+    scale[:, :2] = np.sqrt(etas)[:, None]
+    noise = np.zeros((etas.size,) + m.shape)  # adding it also turns the -0.0 of eta = 0 into +0.0
+    noise[:, 0, 0] = noise[:, 1, 1] = 1.0 - etas
+    return scale[:, :, None] * m * scale[:, None, :] + noise
 
 
-def lossy_channel(cm: CovarianceMatrix, mode: int, eta: float) -> CovarianceMatrix:
-    """Pure-loss channel of efficiency eta on one mode: sigma -> X sigma X^T + Y.
-
-    X scales the mode's quadratures by sqrt(eta); Y adds (1 - eta) vacuum
-    noise on that mode.  Loss composes multiplicatively in eta.
-    """
-    return CovarianceMatrix(lossy_stack(cm, mode, [eta])[0])
+def lossy_channel(cm: CovarianceMatrix | np.ndarray, eta: float) -> CovarianceMatrix:
+    """Pure-loss channel of efficiency eta on mode A, row 0 of :func:`lossy_stack`."""
+    return CovarianceMatrix(lossy_stack(cm, [eta])[0])
 
 
 def build_state(config: GhzConfig) -> CovarianceMatrix:
-    """Network output after the channel: loss eta on mode A."""
-    return lossy_channel(build_ghz(config), 0, config.eta)
+    """Network output after the channel: loss eta on mode A, row 0 of :func:`build_states`."""
+    return CovarianceMatrix(build_states(config, [config.eta])[0])
 
 
 def build_states(config: GhzConfig, etas) -> np.ndarray:
-    """build_state at each channel efficiency in etas, as a (K, 6, 6) stack.
-
-    The lossless state is built once; the loss on A is then one
-    :func:`lossy_stack` call, equal to build_state(replace(config, eta=eta))
-    row by row.
-    """
-    return lossy_stack(build_ghz(config), 0, etas)
+    """The state at each channel efficiency in etas, as a (K, 6, 6) stack: the lossless
+    state built once, then one :func:`lossy_stack` call.  Row k is build_state(replace(config,
+    eta=etas[k])) byte for byte."""
+    return lossy_stack(build_ghz(config), etas)
 
 
 def combo_vector(label: str) -> np.ndarray:
@@ -177,7 +168,7 @@ def combo_vector(label: str) -> np.ndarray:
     return vec
 
 
-def correlation_variance(cm: CovarianceMatrix, label: str) -> float:
+def correlation_variance(cm: CovarianceMatrix | np.ndarray, label: str) -> float:
     """Variance v^T sigma v of a three-mode combination, v = combo_vector(label)."""
     vec = combo_vector(label)
-    return float(vec @ cm.matrix @ vec)
+    return float(vec @ _as_array(cm, single=True) @ vec)

@@ -60,7 +60,7 @@ def _quantifier(nus: np.ndarray) -> np.ndarray:
     return 0.0 - np.log(np.minimum(_clamp(nus), 1.0)).sum(axis=-1)  # not -sum: G = 0 is +0.0
 
 
-def gaussian_steering(cm: CovarianceMatrix, partition: Partition) -> float:
+def gaussian_steering(cm: CovarianceMatrix | np.ndarray, partition: Partition) -> float:
     """Steering quantifier of the steering party over the steered party.
 
     Non-negative by construction; exactly 0 when no conditional symplectic
@@ -152,11 +152,12 @@ def steering_stack(states: np.ndarray) -> np.ndarray:
     return _quantifier(_conditionals(states)[0])
 
 
-def steering_report(cm: CovarianceMatrix) -> dict[str, float]:
+def steering_report(cm: CovarianceMatrix | np.ndarray) -> dict[str, float]:
     """G of every directed bipartition of a three-mode state, keyed in DIRECTIONS order."""
-    if cm.n_modes != 3:
+    m = _as_array(cm, single=True)
+    if m.shape != (6, 6):
         raise ValueError("steering report is defined for three-mode states")
-    return dict(zip(DIRECTIONS, steering_stack(cm.matrix[None])[0].tolist()))
+    return dict(zip(DIRECTIONS, steering_stack(m[None])[0].tolist()))
 
 
 # Row k holds the columns of G(collective), G(pair 1) and G(pair 2) of the
@@ -180,7 +181,7 @@ def monogamy_stack(g: np.ndarray) -> np.ndarray:
     return g[..., _RESIDUALS[:, 0]] - g[..., _RESIDUALS[:, 1]] - g[..., _RESIDUALS[:, 2]]
 
 
-def monogamy_residuals(cm: CovarianceMatrix) -> dict[str, float]:
+def monogamy_residuals(cm: CovarianceMatrix | np.ndarray) -> dict[str, float]:
     """Monogamy residuals of a three-mode state, keyed in RESIDUAL_KEYS order."""
     g = list(steering_report(cm).values())
     return dict(zip(RESIDUAL_KEYS, monogamy_stack(g).tolist()))

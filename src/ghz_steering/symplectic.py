@@ -281,20 +281,20 @@ def is_physical(cm: CovarianceMatrix | np.ndarray) -> bool:
         return False
 
 
-def schur_complement(cm: CovarianceMatrix, partition: Partition) -> np.ndarray:
+def schur_complement(cm: CovarianceMatrix | np.ndarray, partition: Partition) -> np.ndarray:
     """Covariance of the steered party conditioned on the steering party.
 
     Returns B - C^T A^{-1} C where A is the steering-party block, B the
     steered-party block, and C the cross block, in the interleaved ordering of
-    the partition's own mode lists.  NumericalError "not a state" unless A is
-    positive definite.
+    the partition's own mode lists.  cm is one (2N, 2N) matrix, read by
+    :func:`_as_array`.  NumericalError "not a state" unless A is positive definite.
     """
+    m = _as_array(cm, single=True)
     needed = max(partition.steering + partition.steered)
-    if needed >= cm.n_modes:
-        raise ValueError(f"partition uses mode {needed} but state has {cm.n_modes} modes")
+    if needed >= m.shape[0] // 2:
+        raise ValueError(f"partition uses mode {needed} but state has {m.shape[0] // 2} modes")
     ia = quadrature_indices(partition.steering)
     ib = quadrature_indices(partition.steered)
-    m = cm.matrix
     blk_a = m[np.ix_(ia, ia)]
     blk_b = m[np.ix_(ib, ib)]
     cross = m[np.ix_(ia, ib)]

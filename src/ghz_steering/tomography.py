@@ -71,13 +71,13 @@ _SLOT_A, _SLOT_B = np.array([np.flatnonzero(row) for row in _COMBO_MATRIX[6:]]).
 _SLOT_SIGN = np.array([np.prod(row[row != 0]) for row in _COMBO_MATRIX[6:]])
 
 
-def _sampling_root(cm: CovarianceMatrix, n_samples: int) -> np.ndarray:
-    """Symmetric square root of cm (eigendecomposition), after the sampling checks."""
+def _sampling_root(cm: CovarianceMatrix | np.ndarray, n_samples: int) -> np.ndarray:
+    """Symmetric square root of one matrix cm (eigendecomposition), after the sampling checks."""
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     if n_samples - 1 > sys.float_info.max:  # the Wishart degrees of freedom are a float
         raise ValueError("too many samples: n_samples - 1 exceeds the largest float")
-    w, vecs = np.linalg.eigh(cm.matrix)
+    w, vecs = np.linalg.eigh(_as_array(cm, single=True))
     if not np.all(np.isfinite(w)):  # an eigenvalue past the largest float
         raise NumericalError(_OUT_OF_RANGE)
     if w.min() < -1e-9 * max(1.0, abs(w.max())):
@@ -86,7 +86,7 @@ def _sampling_root(cm: CovarianceMatrix, n_samples: int) -> np.ndarray:
 
 
 def sample_quadratures(
-    cm: CovarianceMatrix,
+    cm: CovarianceMatrix | np.ndarray,
     n_samples: int,
     seed: int | np.random.SeedSequence,
 ) -> np.ndarray:
@@ -98,7 +98,7 @@ def sample_quadratures(
     """
     root = _sampling_root(cm, n_samples)
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((n_samples, cm.matrix.shape[0])) @ root
+    return rng.standard_normal((n_samples, root.shape[0])) @ root
 
 
 def _sample_covariances(root: np.ndarray, cov_z: np.ndarray) -> np.ndarray:
@@ -246,7 +246,7 @@ class TrialStatistics:
 
 
 def reconstruct_trials(
-    cm_true: CovarianceMatrix,
+    cm_true: CovarianceMatrix | np.ndarray,
     n_samples: int = 100_000,
     n_trials: int = 3,
     seed: int = 0,

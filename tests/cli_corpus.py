@@ -11,7 +11,8 @@ Run as a script to compare this tree's package with another tree's:
 runs every entry in fresh processes, once with PARENT_SRC and once with this
 tree's src/ on PYTHONPATH (the scripts are this tree's in both), and prints
 one line per entry: "identical", "numbers differ" with the largest relative
-change, or which of text, exit code or written file differs.  The exit
+change (and whether a zero changed sign, which no relative change shows), or
+which of text, exit code or written file differs.  The exit
 status is 1 unless every entry is identical.
 """
 
@@ -31,6 +32,8 @@ SCRIPTS = ROOT / "scripts"
 CLI_RUNS: list[tuple[list[str], int]] = [
     (["build"], 0),
     (["build", "--format", "csv"], 0),
+    # eta = 0 zeroes A's rows and columns, and the CSV prints the sign of each zero
+    (["build", "--format", "csv", "--eta", "0"], 0),
     (["build", "--r", "3", "--t1", "0", "--t2", "1", "--eta", "0"], 0),
     (["build", "--squeezing-db", "26.05"], 0),
     (["build", "--r", "0"], 0),
@@ -42,6 +45,7 @@ CLI_RUNS: list[tuple[list[str], int]] = [
     (["sweep", "--r", "3", "--t1", "0", "--t2", "1"], 0),
     (["tomo"], 0),
     (["tomo", "--samples", "2000", "--trials", "50", "--seed", "1"], 0),
+    (["tomo", "--samples", "2000", "--trials", "3", "--seed", "1"], 0),
     (["tomo", "--samples", str(10**400), "--trials", "3"], 3),  # n_samples - 1 past the largest float
     # exit 2: fewer than 2 trials reconstruct a physical matrix
     (["tomo", "--samples", "3", "--trials", "5"], 2),
@@ -97,6 +101,12 @@ def number_change(old: str, new: str) -> float | None:
     return max(changes, default=0.0)
 
 
+def zero_changes_sign(old: str, new: str) -> bool:
+    """Whether a number of old is a zero whose sign differs from that of the same number of new."""
+    pairs = zip(map(_number, _NUMBER.findall(old)), map(_number, _NUMBER.findall(new)))
+    return any(a == b == 0.0 and math.copysign(1.0, a) != math.copysign(1.0, b) for a, b in pairs)
+
+
 def run_fresh(src: Path, kind: str, argv: list[str]) -> tuple[int, str, str, dict[str, bytes]]:
     """Exit code, stdout, stderr and written files of one run in a fresh process and directory."""
     with tempfile.TemporaryDirectory() as work:
@@ -126,7 +136,8 @@ def compare(old: tuple, new: tuple) -> str:
     if None in changes:
         where = changes.index(None)
         return "text differs" if where < 2 else "written file differs"
-    return f"numbers differ (largest relative change {max(changes):.3g})"
+    signs = "a zero changed sign, " if any(map(zero_changes_sign, old_texts, new_texts)) else ""
+    return f"numbers differ ({signs}largest relative change {max(changes):.3g})"
 
 
 def entries() -> list[tuple[str, list[str], int]]:

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ghz_steering import (CovarianceMatrix, GhzConfig, build_state, build_states, cli, network,
-                          steering_report)
+from ghz_steering import GhzConfig, build_state, build_states, cli, network, steering_report
 from ghz_steering.network import build_ghz
 from ghz_steering.cli import DEFAULT_GRID, SWEEP_COLUMNS, main
 from ghz_steering.symplectic import (PHYSICALITY_TOL, NumericalError, physicality_floor,
@@ -252,7 +251,7 @@ class TestSizeCaps:
         (["tomo", "--trials", "1000000000"], "argument --trials: 1000000000 trials, more than 10000"),
     ])
     def test_fires_before_anything_is_allocated(self, capsys, monkeypatch, argv, message):
-        for name in ("build_state", "build_states", "reconstruct_trials"):
+        for name in ("build_states", "reconstruct_trials"):
             monkeypatch.setattr(cli, name, _never_called)
         tracemalloc.start()
         try:
@@ -369,6 +368,32 @@ class TestOutputResolution:
         assert fifo.is_fifo()
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
+    def test_a_neighbouring_tmp_file_is_left_alone(self, capsys, tmp_path):
+        notes = tmp_path / "x.json.tmp"
+        notes.write_text("my notes")
+        _, expected, _ = run(capsys, ["build"])
+        rc, out, err = run(capsys, ["build", "--output", str(tmp_path / "x.json")])
+        assert (rc, out, err) == (0, "", "")
+        assert (tmp_path / "x.json").read_text() == expected
+        assert notes.read_text() == "my notes"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json", "x.json.tmp"]
+
+    def test_a_neighbouring_tmp_directory_is_left_alone(self, capsys, tmp_path):
+        (tmp_path / "y.json.tmp").mkdir()
+        _, expected, _ = run(capsys, ["build"])
+        rc, out, err = run(capsys, ["build", "--output", str(tmp_path / "y.json")])
+        assert (rc, out, err) == (0, "", "")
+        assert (tmp_path / "y.json").read_text() == expected
+        assert (tmp_path / "y.json.tmp").is_dir()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["y.json", "y.json.tmp"]
+
+    def test_the_file_mode_is_that_of_a_plain_write(self, capsys, tmp_path):
+        plain = tmp_path / "plain.json"
+        plain.write_text("")
+        rc, _, _ = run(capsys, ["build", "--output", str(tmp_path / "out.json")])
+        assert rc == 0
+        assert (tmp_path / "out.json").stat().st_mode == plain.stat().st_mode
+
 
 class TestUnwritableOutput:
     COMMANDS = [["build"], ["sweep"], ["tomo", "--samples", "2000"]]
@@ -403,7 +428,7 @@ class TestUnwritableOutput:
         )
         assert proc.returncode == 3
         assert proc.stderr == f"ghz-steering: error: cannot write {tmp_path}: Is a directory\n"
-        assert list(tmp_path.parent.glob(tmp_path.name + ".tmp")) == []
+        assert list(tmp_path.parent.glob(tmp_path.name + ".*tmp")) == []
 
 
 @pytest.mark.parametrize("argv", [["sweep"], ["sweep", "--format", "json"], ["check"]])
@@ -445,8 +470,6 @@ def shrink_built_states(monkeypatch, factor, rows=slice(None)):
         return stack
 
     monkeypatch.setattr(cli, "build_states", states)
-    monkeypatch.setattr(cli, "build_state",
-                        lambda config: CovarianceMatrix(factor * build_state(config).matrix))
 
 
 def test_the_first_unphysical_row_is_reported_before_any_steering(capsys, monkeypatch):

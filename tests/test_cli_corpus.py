@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cli_corpus import CLI_RUNS, HELP_RUNS, OUTPUT_RUN, SCRIPT_RUNS, SCRIPTS, number_change
+from cli_corpus import CLI_RUNS, HELP_RUNS, OUTPUT_RUN, SCRIPT_RUNS, SCRIPTS, compare, number_change
 from ghz_steering.cli import OUTDIR_ENV, main
 
 
@@ -65,3 +65,15 @@ def test_script_run_is_repeatable(capsys, monkeypatch, argv, code):
 ])
 def test_number_change(old, new, change):
     assert number_change(old, new) == change
+
+
+@pytest.mark.parametrize("old, new, verdict", [
+    ("xA\n-0,1\n", "xA\n0,1\n", "numbers differ (a zero changed sign, largest relative change 0)"),
+    ("xA\n0,1\n", "xA\n-0,1.5\n",
+     "numbers differ (a zero changed sign, largest relative change 0.333)"),
+    ("xA\n0,1\n", "xA\n0,1.5\n", "numbers differ (largest relative change 0.333)"),
+    ("xA\n0,1\n", "xA\n0,1\n", "identical"),
+])
+def test_compare_names_a_change_in_the_sign_of_zero(old, new, verdict):
+    # (exit code, stdout, stderr, written files) as run_fresh returns them
+    assert compare((0, old, "", {}), (0, new, "", {})) == verdict

@@ -15,6 +15,7 @@ from ghz_steering.network import (
     combo_vector,
     correlation_variance,
     lossy_channel,
+    lossy_stack,
     network_mode_matrix,
     r_to_squeezing_db,
     squeezing_db_to_r,
@@ -197,22 +198,22 @@ class TestBuildGhzCache:
 class TestLossyChannel:
     def test_full_transmission_is_identity(self):
         cm = build_ghz(GhzConfig())
-        assert np.array_equal(lossy_channel(cm, 0, 1.0).matrix, cm.matrix)
+        assert np.array_equal(lossy_channel(cm, 1.0).matrix, cm.matrix)
 
     def test_zero_transmission_replaces_with_vacuum(self):
-        out = lossy_channel(build_ghz(GhzConfig()), 0, 0.0).matrix
+        out = lossy_channel(build_ghz(GhzConfig()), 0.0).matrix
         assert np.allclose(out[0:2, 0:2], np.eye(2), atol=1e-12)
         assert np.allclose(out[0:2, 2:6], np.zeros((2, 4)), atol=1e-12)
 
     def test_diagonal_value(self):
         # Delta^2 x_A -> eta * u + (1 - eta)
         u = (math.exp(2 * R) + 2 * math.exp(-2 * R)) / 3
-        out = lossy_channel(build_ghz(GhzConfig()), 0, 0.5).matrix
+        out = lossy_channel(build_ghz(GhzConfig()), 0.5).matrix
         assert out[0, 0] == pytest.approx(0.5 * u + 0.5, abs=1e-12)
 
     def test_off_diagonal_scales_by_sqrt_eta(self):
         before = build_ghz(GhzConfig()).matrix
-        after = lossy_channel(build_ghz(GhzConfig()), 0, 0.5).matrix
+        after = lossy_channel(build_ghz(GhzConfig()), 0.5).matrix
         assert after[0, 2] == pytest.approx(math.sqrt(0.5) * before[0, 2], abs=1e-12)
 
     @given(
@@ -222,8 +223,8 @@ class TestLossyChannel:
     @settings(max_examples=50)
     def test_composition(self, eta1, eta2):
         cm = build_ghz(GhzConfig())
-        twice = lossy_channel(lossy_channel(cm, 0, eta1), 0, eta2)
-        once = lossy_channel(cm, 0, eta1 * eta2)
+        twice = lossy_channel(lossy_channel(cm, eta1), eta2)
+        once = lossy_channel(cm, eta1 * eta2)
         assert np.allclose(twice.matrix, once.matrix, atol=1e-12)
 
     @given(
@@ -232,16 +233,12 @@ class TestLossyChannel:
     )
     @settings(max_examples=50)
     def test_preserves_physicality(self, r, eta):
-        cm = lossy_channel(build_ghz(GhzConfig(r1=r, r2=r, r3=r)), 0, eta)
+        cm = lossy_channel(build_ghz(GhzConfig(r1=r, r2=r, r3=r)), eta)
         assert is_physical(cm)
-
-    def test_mode_out_of_range(self):
-        with pytest.raises(ValueError):
-            lossy_channel(build_ghz(GhzConfig()), 3, 0.5)
 
     def test_eta_out_of_range(self):
         with pytest.raises(ValueError):
-            lossy_channel(build_ghz(GhzConfig()), 0, 1.2)
+            lossy_channel(build_ghz(GhzConfig()), 1.2)
 
 
 class TestBuildState:
@@ -249,18 +246,39 @@ class TestBuildState:
         assert np.array_equal(build_state(GhzConfig()).matrix, build_ghz(GhzConfig()).matrix)
 
     def test_loss_hits_first_mode(self):
-        direct = lossy_channel(build_ghz(GhzConfig()), 0, 0.3)
+        direct = lossy_channel(build_ghz(GhzConfig()), 0.3)
         assert np.array_equal(build_state(GhzConfig(eta=0.3)).matrix, direct.matrix)
 
 
+# The corners of the domain: each r in {0, 3}, t1 and t2 in {0, 1}.
+CORNER_CONFIGS = [GhzConfig(r1=r1, r2=r2, r3=r3, t1=t1, t2=t2)
+                  for r1 in (0.0, 3.0) for r2 in (0.0, 3.0) for r3 in (0.0, 3.0)
+                  for t1 in (0.0, 1.0) for t2 in (0.0, 1.0)]
+
+
 class TestBuildStates:
-    def test_rows_equal_build_state_exactly(self):
-        cfg = GhzConfig(r1=0.7, r2=0.7, r3=0.7, t1=0.2, t2=0.8)
+    @pytest.mark.parametrize("cfg", [GhzConfig(r1=0.7, r2=0.7, r3=0.7, t1=0.2, t2=0.8),
+                                     *CORNER_CONFIGS])
+    def test_rows_equal_build_state_exactly(self, cfg):
+        # byte for byte, so the sign of a zero counts too
         etas = [0.0, 0.13, 0.5, 0.999, 1.0]
         stack = build_states(cfg, etas)
         assert stack.shape == (5, 6, 6)
         for eta, row in zip(etas, stack):
-            assert np.array_equal(row, build_state(replace(cfg, eta=eta)).matrix)
+            assert row.tobytes() == build_state(replace(cfg, eta=eta)).matrix.tobytes()
+            assert row.tobytes() == lossy_channel(build_ghz(cfg), eta).matrix.tobytes()
+
+    @pytest.mark.parametrize("cfg", [GhzConfig(), GhzConfig(r1=3.0, r2=0.0, r3=1.0, t1=0.9, t2=0.1),
+                                     *CORNER_CONFIGS])
+    def test_no_negative_zero_at_zero_efficiency(self, cfg):
+        # eta = 0 zeroes A's rows and columns; every zero of the state is +0.0
+        state = build_states(cfg, [0.0])
+        assert not np.signbit(state[state == 0.0]).any()
+
+    @pytest.mark.parametrize("cfg", [GhzConfig(), *CORNER_CONFIGS])
+    def test_a_stack_equals_its_transpose_exactly(self, cfg):
+        stack = lossy_stack(build_ghz(cfg), np.linspace(0.0, 1.0, 11))
+        assert stack.tobytes() == np.ascontiguousarray(np.swapaxes(stack, -1, -2)).tobytes()
 
     @pytest.mark.parametrize("etas", [[0.5, 1.2], [-0.1], [float("nan")]])
     def test_rejects_efficiencies_outside_unit_interval(self, etas):

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghz_steering import CovarianceMatrix, GhzConfig, NumericalError, build_state, build_states
+from ghz_steering import (CovarianceMatrix, GhzConfig, NumericalError, build_state, build_states,
+                          monogamy_residuals, reconstruct_trials, steering_report)
 from ghz_steering import symplectic
-from ghz_steering.network import build_ghz, lossy_stack, network_mode_matrix
+from ghz_steering.network import build_ghz, correlation_variance, lossy_stack, network_mode_matrix
+from ghz_steering.tomography import sample_quadratures
 from ghz_steering.symplectic import (
     PHYSICALITY_TOL,
     Partition,
@@ -72,7 +74,7 @@ def exact_state(r1, r2, r3, t1=1 / 3, t2=0.5, eta=1.0) -> np.ndarray:
                         math.exp(-2 * r2), math.exp(-2 * r3), math.exp(2 * r3)])
     net = np.zeros((6, 6))
     net[0::2, 0::2] = net[1::2, 1::2] = network_mode_matrix(t1, t2)
-    return lossy_stack(CovarianceMatrix(net @ sigma_in @ net.T), 0, [eta])[0]
+    return lossy_stack(CovarianceMatrix(net @ sigma_in @ net.T), [eta])[0]
 
 
 def hermitian_spectrum(states):
@@ -548,6 +550,25 @@ class TestPurity:
         assert purity(state) == float(1.0 / np.sqrt(np.linalg.det(state.matrix)))
 
 
+# Readers of one state: each takes a CovarianceMatrix or one (2N, 2N) array.
+STATE_READERS = {
+    "lossy_stack": lambda cm: lossy_stack(cm, [0.0, 0.3, 1.0]),
+    "correlation_variance": lambda cm: correlation_variance(cm, "xA-xB"),
+    "steering_report": steering_report,
+    "monogamy_residuals": monogamy_residuals,
+    "schur_complement": lambda cm: schur_complement(cm, Partition(steering=(1, 2), steered=(0,))),
+    "sample_quadratures": lambda cm: sample_quadratures(cm, 50, seed=1),
+    "reconstruct_trials": lambda cm: reconstruct_trials(cm, 20_000, 3, seed=7).matrices,
+}
+
+
+def exact(value):
+    """The keys and bytes of a reader's result, so that the sign of a zero counts."""
+    if isinstance(value, dict):
+        return list(value), np.array(list(value.values())).tobytes()
+    return np.asarray(value).tobytes()
+
+
 class TestIngest:
     """Every public function that takes covariance input reads it through one check."""
 
@@ -573,6 +594,18 @@ class TestIngest:
     def test_purity_takes_one_matrix(self):
         with pytest.raises(ValueError, match=re.escape("got shape (2, 6, 6)")):
             purity(build_states(GhzConfig(), [0.5, 1.0]))
+
+    @pytest.mark.parametrize("reader", STATE_READERS.values(), ids=STATE_READERS.keys())
+    def test_a_state_reader_takes_the_plain_array(self, reader):
+        state = build_state(GhzConfig(eta=0.6))
+        assert exact(reader(state.matrix)) == exact(reader(state))
+
+    @pytest.mark.parametrize("shape", [(5, 5), (2, 6, 6)])
+    @pytest.mark.parametrize("reader", STATE_READERS.values(), ids=STATE_READERS.keys())
+    def test_a_state_reader_rejects_any_other_shape(self, reader, shape):
+        message = f"expected covariance input of shape (2N, 2N), N >= 1, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            reader(np.broadcast_to(np.eye(shape[-1]), shape))
 
     def test_below_floor_takes_what_its_siblings_take(self):
         state = build_state(GhzConfig(eta=0.5))
