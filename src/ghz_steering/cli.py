@@ -30,9 +30,9 @@ from .network import (
     correlation_variance,
     squeezing_db_to_r,
 )
-from .steering import DIRECTIONS, RESIDUAL_KEYS, STEERING_EPS, monogamy_stack, steering_stack
-from .symplectic import (NumericalError, below_floor, physicality_floor, purity,
-                         symplectic_eigenvalues)
+from .steering import DIRECTIONS, RESIDUAL_KEYS, STEERING_EPS, _factor, _g, monogamy_stack
+from .symplectic import (NumericalError, _as_array, _below_floor, _factor_spectrum,
+                         physicality_floor, purity, symplectic_eigenvalues)
 from .tomography import REJECT_NU_FLOOR, reconstruct_trials
 
 SCHEMA_VERSION = 2
@@ -108,14 +108,10 @@ def _emit(text: str, output: str | None) -> None:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _config_from_args(args: argparse.Namespace, eta: float | None = None) -> GhzConfig:
-    r = args.r
-    if getattr(args, "squeezing_db", None) is not None:
-        r = squeezing_db_to_r(args.squeezing_db)
-    kwargs = dict(r1=r, r2=r, r3=r, t1=args.t1, t2=args.t2)
-    if eta is not None:
-        kwargs["eta"] = eta
-    return GhzConfig(**kwargs)
+def _config_from_args(args: argparse.Namespace) -> GhzConfig:
+    r = args.r if args.squeezing_db is None else squeezing_db_to_r(args.squeezing_db)
+    return GhzConfig(r1=r, r2=r, r3=r, t1=args.t1, t2=args.t2,
+                     eta=getattr(args, "eta", GhzConfig.eta))  # sweep and check have no --eta
 
 
 def _parse_grid(expr: str) -> list[float]:
@@ -196,16 +192,16 @@ def _add_output_args(parser: argparse.ArgumentParser, formats: tuple[str, ...], 
 
 
 def _require_physical(states: np.ndarray, etas: Sequence[float]) -> None:
-    """NumericalError at the eta of the first state below its floor, by symplectic.below_floor."""
-    below = np.flatnonzero(below_floor(states))
+    """NumericalError at the eta of the first ingested state below its floor (below_floor)."""
+    below = np.flatnonzero(_below_floor(states))
     if below.size:
         raise NumericalError(f"state at eta={etas[below[0]]} violates the uncertainty relation")
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    config = _config_from_args(args, eta=args.eta)
+    config = _config_from_args(args)
     states = build_states(config, [config.eta])
-    _require_physical(states, [config.eta])
+    _require_physical(_as_array(states), [config.eta])
     state = states[0]
     nus = symplectic_eigenvalues(state)
     variances = {lab: correlation_variance(state, lab) for lab in BUILD_COMBOS}
@@ -237,8 +233,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    states = build_states(config, args.grid)
-    g = steering_stack(states)
+    states = _as_array(build_states(config, args.grid))  # read once, for the kernel and the gate
+    g = _g(_factor(states))
     _require_physical(states, args.grid)
     rows = list(zip(args.grid, g.tolist(), monogamy_stack(g).tolist()))
 
@@ -263,9 +259,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_tomo(args: argparse.Namespace) -> int:
-    config = _config_from_args(args, eta=args.eta)
-    states = build_states(config, [config.eta])
-    g = steering_stack(states)
+    config = _config_from_args(args)
+    states = _as_array(build_states(config, [config.eta]))
+    g = _g(_factor(states))
     _require_physical(states, [config.eta])
     analytic = dict(zip(DIRECTIONS, g[0].tolist()))  # steering_report(states[0])
     try:
@@ -305,9 +301,10 @@ def cmd_tomo(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     grid = _parse_grid(DEFAULT_GRID)
-    states = build_states(config, grid)
-    g = steering_stack(states)
-    nu_min = symplectic_eigenvalues(states)[:, 0]
+    states = _as_array(build_states(config, grid))
+    low = _factor(states)
+    g = _g(low)
+    nu_min = _factor_spectrum(low[:, 0])[:, 0]  # ordering 0 is sigma's own factor
     floor = physicality_floor(states, nu_min)
     worst = np.argmin(nu_min - floor)  # the row with the least margin
     worst_pair = g[:, :6].max()  # DIRECTIONS[:6] are the one-to-one directions

@@ -96,25 +96,31 @@ _X_ORDERING[_READ] = [[o, o, _NEXT[o], o] for o in range(3)]
 _X_LAST[_READ] = [0, 1, 0, 0]
 
 
-def _conditionals(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional nu (K, 12, 2) in DIRECTIONS order and the principal minors (K, 3, 3)
-    of each state, from its Cholesky factors in the three cyclic orderings.
+def _factor(states: np.ndarray, low0: np.ndarray | None = None) -> np.ndarray:
+    """Cholesky factors (K, 3, 6, 6) of an ingested (K, 6, 6) stack in the three orderings, in one
+    batched call; given sigma's own factors low0 (K, 6, 6) as ordering 0, of orderings 1 and 2 only."""
+    orderings = _ORDERED if low0 is None else _ORDERED[1:]
+    low = _cholesky(np.take(states.reshape(-1, 36), orderings, axis=1))
+    return low if low0 is None else np.concatenate([low0[:, None], low], axis=1)
 
-    Minor [:, o, j] is P(S) = sqrt(det sigma_S) for the first j + 1 modes S of
-    ordering o.
-    """
-    sigma = np.asarray(states, dtype=float)
-    if sigma.ndim != 3 or sigma.shape[1:] != (6, 6):
-        raise ValueError(f"expected a (K, 6, 6) stack of three-mode states, got shape {sigma.shape}")
-    low = _cholesky(np.take(_as_array(sigma).reshape(-1, 36), _ORDERED, axis=1))
+
+def _read(low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional nu (K, 12, 2) in DIRECTIONS order and the principal minors (K, 3, 3) of
+    each state, from its factors low of :func:`_factor`: minor [:, o, j] is P(S) =
+    sqrt(det sigma_S) for the first j + 1 modes S of ordering o."""
     diag = np.diagonal(low, axis1=-2, axis2=-1)
     pairs = diag[..., 0::2] * diag[..., 1::2]  # the diagonal product of each mode's pair
     minors = np.multiply.accumulate(pairs, axis=-1)
-    nus = np.ones((sigma.shape[0], 12, 2))  # a one-mode conditional's second entry stays 1: no term
+    nus = np.ones((low.shape[0], 12, 2))  # a one-mode conditional's second entry stays 1: no term
     nus[:, _READ[:, :2], 0] = pairs[:, :, 1:]
     nus[:, _READ[:, 2], 0] = minors[:, :, 1] / minors[:, _NEXT, 0]
     nus[:, _READ[:, 3]] = _factor_spectrum(low[:, :, 2:, 2:])
     return nus, minors
+
+
+def _g(low: np.ndarray) -> np.ndarray:
+    """G (K, 12) in DIRECTIONS order from the factors low of :func:`_factor`."""
+    return _quantifier(_read(low)[0])
 
 
 def steering_stack(states: np.ndarray) -> np.ndarray:
@@ -149,7 +155,10 @@ def steering_stack(states: np.ndarray) -> np.ndarray:
         "not a state" exactly when some matrix of the stack has a non-finite
         entry or is not positive definite.
     """
-    return _quantifier(_conditionals(states)[0])
+    sigma = np.asarray(states, dtype=float)
+    if sigma.ndim != 3 or sigma.shape[1:] != (6, 6):
+        raise ValueError(f"expected a (K, 6, 6) stack of three-mode states, got shape {sigma.shape}")
+    return _g(_factor(_as_array(sigma)))
 
 
 def steering_report(cm: CovarianceMatrix | np.ndarray) -> dict[str, float]:
@@ -157,7 +166,7 @@ def steering_report(cm: CovarianceMatrix | np.ndarray) -> dict[str, float]:
     m = _as_array(cm, single=True)
     if m.shape != (6, 6):
         raise ValueError("steering report is defined for three-mode states")
-    return dict(zip(DIRECTIONS, steering_stack(m[None])[0].tolist()))
+    return dict(zip(DIRECTIONS, _g(_factor(m[None]))[0].tolist()))  # m is read: no second ingest
 
 
 # Row k holds the columns of G(collective), G(pair 1) and G(pair 2) of the
@@ -204,7 +213,7 @@ def find_threshold(config: GhzConfig, direction: str, tol: float = 1e-4) -> floa
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     k = _column(direction)
-    nus, minors = _conditionals(build_states(config, [0.0, 0.5, 1.0]))
+    nus, minors = _read(_factor(build_states(config, [0.0, 0.5, 1.0])))  # built symmetric
     nus = _clamp(nus[:, k])
     det_x = minors[:, _X_ORDERING[k], _X_LAST[k]] ** 2
     product_form = DIRECTIONS[k] in ("B->AC", "C->AB")

@@ -262,7 +262,11 @@ def below_floor(cm: CovarianceMatrix | np.ndarray) -> np.ndarray:
     unless the shape is (..., 2N, 2N), N >= 1; NumericalError "not a state" if
     a matrix is not finite or not positive definite.
     """
-    m = _as_array(cm)
+    return _below_floor(_as_array(cm))
+
+
+def _below_floor(m: np.ndarray) -> np.ndarray:
+    """:func:`below_floor` of a stack m that :func:`_as_array` has read."""
     f_omega = (1.0 - PHYSICALITY_TOL) * symplectic_form(m.shape[-1] // 2)
     try:
         _cholesky(m + 1j * f_omega)
@@ -276,7 +280,7 @@ def is_physical(cm: CovarianceMatrix | np.ndarray) -> bool:
     """True when one matrix (2N, 2N) reaches its floor (see :func:`below_floor`), False
     when it is not a state; ValueError for any other shape."""
     try:
-        return not below_floor(_as_array(cm, single=True))
+        return not _below_floor(_as_array(cm, single=True))
     except NumericalError:  # not a state
         return False
 

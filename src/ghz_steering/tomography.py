@@ -16,10 +16,10 @@ its Bartlett factor takes 6 chi-squares and 15 normals, whatever n is.  So
 S is equal in distribution to np.cov of the sample_quadratures table, while
 time and memory per trial do not grow with n.  :func:`reconstruct_trials`
 draws trial i of K from the i-th segments of two seeded streams, whatever K
-is.  Measuring, reconstruction and the rejection floor then run once over the
-(K, 6, 6) stack, the steering values once over its accepted trials, and
-:class:`TrialStatistics` keeps the stack and the (n_accepted, 12) steering
-values as arrays.
+is.  Measuring, reconstruction, one Cholesky factor per trial and the floor
+then run once over the (K, 6, 6) stack, the steering values, from the same
+factors, once over its accepted trials, and :class:`TrialStatistics` keeps
+the stack and the (n_accepted, 12) steering values as arrays.
 """
 
 from __future__ import annotations
@@ -32,9 +32,10 @@ from itertools import combinations
 import numpy as np
 
 from .network import MODE_NAMES, combo_vector
-from .steering import DIRECTIONS, steering_stack
+from .steering import DIRECTIONS, _factor, _g
 from .steering import steering_report  # noqa: F401 -- not called; the benchmark traces this name
-from .symplectic import CovarianceMatrix, NumericalError, _as_array, symplectic_eigenvalues
+from .symplectic import (CovarianceMatrix, NumericalError, _as_array, _cholesky, _factor_spectrum,
+                         symmetric_part)
 
 # A reconstructed trial is kept when its minimum symplectic eigenvalue is at
 # least this floor.  The floor sits well below 1 on purpose: a pure state
@@ -69,6 +70,7 @@ _COMBO_MATRIX = np.array([combo_vector(label) for label in MEASUREMENT_LABELS])
 # which fixes Cov(q_a, q_b) = s_a s_b (Var(row) - Var(q_a) - Var(q_b)) / 2.
 _SLOT_A, _SLOT_B = np.array([np.flatnonzero(row) for row in _COMBO_MATRIX[6:]]).T
 _SLOT_SIGN = np.array([np.prod(row[row != 0]) for row in _COMBO_MATRIX[6:]])
+_SINGLES = np.arange(6)  # rows 0-5, the diagonal
 
 
 def _sampling_root(cm: CovarianceMatrix | np.ndarray, n_samples: int) -> np.ndarray:
@@ -102,12 +104,12 @@ def sample_quadratures(
 
 
 def _sample_covariances(root: np.ndarray, cov_z: np.ndarray) -> np.ndarray:
-    """root^T cov_z root over a stack; NumericalError, not an overflow, past _SAMPLE_LIMIT."""
+    """Symmetrized root^T cov_z root over a stack; NumericalError, not an overflow, past _SAMPLE_LIMIT."""
     with np.errstate(over="ignore", invalid="ignore"):  # an entry out of range raises below
         sampled = root.T @ cov_z @ root
     if not np.abs(sampled).max() <= _SAMPLE_LIMIT:
         raise NumericalError(_OUT_OF_RANGE)
-    return sampled
+    return symmetric_part(sampled)
 
 
 def _bartlett_covariances(n_samples: int, dim: int, n_trials: int,
@@ -119,27 +121,25 @@ def _bartlett_covariances(n_samples: int, dim: int, n_trials: int,
     chi-square with n-1-i degrees of freedom and every entry right of the
     diagonal is standard normal (Odell & Feiveson, JASA 61, 199, 1966).  With
     n <= dim the k rows give R^T R the rank n-1 that cov(Z) has.  The seed
-    spawns two generators, as SeedSequence(seed).spawn(2) does: one call of
-    the first draws every chi-square and one of the second every entry right
-    of the diagonal in row order, both trial by trial, so trial i is the i-th
-    segment of each stream whatever n_trials is.  (One shared stream would
-    not do: a chi-square takes a variable number of raw draws.)  One scatter
-    builds every factor.  Float degrees of freedom let n_samples pass the
-    int64 range.
+    gives the two children of SeedSequence(seed).spawn(2), built directly, so
+    a caller's SeedSequence does not advance: one call of the first draws
+    every chi-square and one of the second every entry right of the diagonal
+    in row order, both trial by trial, so trial i is the i-th segment of each
+    stream whatever n_trials is.  (One shared stream would not do: a
+    chi-square takes a variable number of raw draws.)  Float degrees of
+    freedom let n_samples pass the int64 range.
     """
-    # a fresh SeedSequence: spawning advances one, and the caller's must give the same draw again
-    seq = (np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size)
-           if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed))
-    chi_rng, normal_rng = map(np.random.default_rng, seq.spawn(2))
+    entropy, key, pool = ((seed.entropy, seed.spawn_key, seed.pool_size)  # 4: SeedSequence's default
+                          if isinstance(seed, np.random.SeedSequence) else (seed, (), 4))
+    chi_rng, normal_rng = (np.random.default_rng(np.random.SeedSequence(
+        entropy, spawn_key=(*key, child), pool_size=pool)) for child in (0, 1))
     dof = n_samples - 1
     k = min(dof, dim)
     rows, cols = _bartlett_slots(k, dim)
-    draws = np.concatenate([
-        np.sqrt(chi_rng.chisquare(dof - np.arange(k, dtype=float), size=(n_trials, k))),
-        normal_rng.standard_normal((n_trials, len(rows) - k)),
-    ], axis=1)
     factors = np.zeros((n_trials, k, dim))
-    factors[:, rows, cols] = draws
+    factors[:, rows[:k], cols[:k]] = np.sqrt(
+        chi_rng.chisquare(dof - np.arange(k, dtype=float), size=(n_trials, k)))
+    factors[:, rows[k:], cols[k:]] = normal_rng.standard_normal((n_trials, len(rows) - k))
     return np.swapaxes(factors, -1, -2) @ factors / dof
 
 
@@ -180,7 +180,12 @@ def population_measurements(cov: CovarianceMatrix | np.ndarray) -> np.ndarray:
     """
     if np.shape(cov.matrix if isinstance(cov, CovarianceMatrix) else cov)[-2:] != (6, 6):
         raise ValueError("expected a three-mode state")
-    return ((_COMBO_MATRIX @ _as_array(cov)) * _COMBO_MATRIX).sum(axis=-1)
+    return _variances(_as_array(cov))
+
+
+def _variances(cov: np.ndarray) -> np.ndarray:
+    """The (..., 18) variances v^T sigma v of a symmetric (..., 6, 6) array, unchecked."""
+    return ((_COMBO_MATRIX @ cov) * _COMBO_MATRIX).sum(axis=-1)
 
 
 def measure_set(samples: np.ndarray) -> np.ndarray:
@@ -210,8 +215,13 @@ def covariance_from_measurements(var: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected 18 variances on the last axis, got shape {var.shape}")
     if not np.all(np.isfinite(var)) or np.any(var < 0):
         raise ValueError("variances must be finite and non-negative")
+    return _assemble(var)
+
+
+def _assemble(var: np.ndarray) -> np.ndarray:
+    """The (..., 6, 6) matrices of (..., 18) variances, unchecked, each exactly symmetric."""
     out = np.zeros(var.shape[:-1] + (6, 6))
-    out[..., range(6), range(6)] = var[..., :6]
+    out[..., _SINGLES, _SINGLES] = var[..., :6]
     cov = _SLOT_SIGN * 0.5 * (var[..., 6:] - var[..., _SLOT_A] - var[..., _SLOT_B])
     out[..., _SLOT_A, _SLOT_B] = out[..., _SLOT_B, _SLOT_A] = cov
     return out
@@ -254,23 +264,18 @@ def reconstruct_trials(
     """Repeat sample -> measure -> reconstruct -> steering, then aggregate.
 
     Each trial's sample covariance of n_samples records is one exact draw,
-    so no sample table is ever held and the cost of a trial does not depend
-    on n_samples.  The reconstructed matrices are equal in distribution to
-    those of the table pipeline (sample_quadratures, then measure_set).
-    Measuring the 18 variances, the reconstruction and the rejection floor
-    then run once over the stack of all trials, the steering values once
-    over the accepted trials; every value equals that of the trial computed
-    alone.
-
+    equal in distribution to that of the table pipeline (sample_quadratures,
+    then measure_set), so the cost of a trial does not depend on n_samples.
     Trial i is the i-th segment of the seed's two streams (see
-    _bartlett_covariances) whatever n_trials is.  Each trial's spectrum is
-    symplectic_eigenvalues of the stack, and the G of the accepted trials
-    is steering_stack of theirs; no rejected trial is passed to it.  Trials
-    whose reconstructed matrix falls below the physicality floor (min
-    symplectic eigenvalue < REJECT_NU_FLOOR, or 0 when its Cholesky
-    factorization fails, which one batched test then decides for every row
-    at once, before the spectrum of the rows that pass) are recorded and
-    excluded from the statistics; nothing is repaired or projected.
+    _bartlett_covariances) whatever n_trials is, and every value equals that
+    of the trial computed alone.  One Cholesky factor per trial gives the
+    spectra, bit for bit those of symplectic_eigenvalues, and serves the G of
+    the accepted trials, bit for bit those of steering_stack; no rejected
+    trial is factored for G.  Trials below the floor (min symplectic
+    eigenvalue < REJECT_NU_FLOOR, or 0 when the factorization fails, which
+    one batched test then decides for every row at once, or when a measured
+    variance rounds below 0) are recorded and excluded from the statistics;
+    nothing is repaired or projected.
 
     Raises
     ------
@@ -283,23 +288,28 @@ def reconstruct_trials(
     if n_trials < 2:
         raise ValueError("need at least 2 trials for a standard deviation")
     root = _sampling_root(cm_true, n_samples)
+    if root.shape != (6, 6):
+        raise ValueError("expected a three-mode state")
     cov_z = _bartlett_covariances(n_samples, root.shape[0], n_trials, seed)
 
-    stack = covariance_from_measurements(population_measurements(_sample_covariances(root, cov_z)))
+    var = _variances(_sample_covariances(root, cov_z))
+    stack = _assemble(var)
     stack.flags.writeable = False
 
     definite = slice(None)
     try:
-        spectra = symplectic_eigenvalues(stack)
+        low = _cholesky(stack)
     except NumericalError:  # some matrix is not a state: test every row at once
         definite = _positive_definite(stack)
-        spectra = symplectic_eigenvalues(stack[definite])
+        low = _cholesky(stack[definite])
     nu_min = np.zeros(n_trials)  # stays 0 where a matrix is not positive definite
-    nu_min[definite] = spectra.min(axis=-1)
-    accepted = np.flatnonzero(nu_min >= REJECT_NU_FLOOR)
+    nu_min[definite] = _factor_spectrum(low).min(axis=-1)
+    nu_min[(var < 0.0).any(axis=-1)] = 0.0  # and where a variance rounds below 0: no state's
+    kept = nu_min >= REJECT_NU_FLOOR
+    accepted = np.flatnonzero(kept)
 
     if len(accepted) < 2:
-        rejected = nu_min[nu_min < REJECT_NU_FLOOR]
+        rejected = nu_min[~kept]
         singular = np.count_nonzero(rejected == 0.0)
         raise RuntimeError(
             f"only {len(accepted)} of {n_trials} trials reconstructed a physical "
@@ -308,7 +318,7 @@ def reconstruct_trials(
             f"largest rejected nu_min={rejected.max():.4f}"
         )
 
-    values = steering_stack(stack[accepted])
+    values = _g(_factor(stack[accepted], low[kept[definite]]))  # ordering 0 is low's
     mean = dict(zip(DIRECTIONS, values.mean(axis=0).tolist()))
     std = dict(zip(DIRECTIONS, values.std(axis=0, ddof=1).tolist()))
     return TrialStatistics(

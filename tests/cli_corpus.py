@@ -3,6 +3,7 @@
 Every entry is an argv and the exit code it gives: CLI_RUNS, HELP_RUNS and
 OUTPUT_RUN are argvs of ``python -m ghz_steering``, SCRIPT_RUNS those of the
 example scripts.  tests/test_cli_corpus.py runs each entry in-process twice.
+TRIAL_CASES is a second list, of seeded reconstruct_trials calls.
 
 Run as a script to compare this tree's package with another tree's:
 
@@ -12,12 +13,17 @@ runs every entry in fresh processes, once with PARENT_SRC and once with this
 tree's src/ on PYTHONPATH (the scripts are this tree's in both), and prints
 one line per entry: "identical", "numbers differ" with the largest relative
 change (and whether a zero changed sign, which no relative change shows), or
-which of text, exit code or written file differs.  The exit
-status is 1 unless every entry is identical.
+which of text, exit code or written file differs.  It then runs every
+trial case in one fresh process per tree and prints each case whose matrices,
+G, nu_min or accepted indices differ in their bytes, or whose error differs in
+type or text, and a count of the identical ones.  The exit status is 1 unless
+every entry and every trial case is identical.
 """
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import math
 import os
 import re
@@ -25,6 +31,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -53,6 +61,8 @@ CLI_RUNS: list[tuple[list[str], int]] = [
     (["tomo", "--samples", "7", "--trials", "10000", "--seed", "1", "--eta", "0.7"], 2),
     (["tomo", "--r", "3", "--eta", "0", "--samples", "5000", "--trials", "4"], 2),
     (["tomo", "--samples", "1000", "--seed", "0"], 2),
+    # trial 849 measures a variance that rounds to -2.3e-13: rejected, not a usage error
+    (["tomo", "--r", "3", "--eta", "1", "--samples", "2", "--trials", "850", "--seed", "268"], 2),
     (["check"], 0),
     (["check", "--r", "3"], 0),
     (["check", "--r", "0"], 0),
@@ -82,6 +92,21 @@ SCRIPT_RUNS: list[tuple[list[str], int]] = [
     (["loss_sweep.py", "--r", "0", "--steps", "5"], 0),
     (["tomography_demo.py"], 0),
 ]
+
+# (r, eta, n_samples, n_trials, seed) of a reconstruct_trials call on the state of squeezing r
+# in all three inputs at efficiency eta: every combination below with two seeds, then a
+# SeedSequence seed and the two seeds whose last trial measures a variance that rounds below 0.
+TRIAL_CASES: list[tuple] = [
+    (r, eta, n, trials, 2 * index + copy)
+    for index, (n, trials, r, eta) in enumerate(itertools.product(
+        (2, 3, 7, 8, 2000, 10**6), (2, 3, 50, 1000), (0.0, 0.339, 1.7, 3.0), (0.0, 0.3, 0.7, 1.0)))
+    for copy in range(2)
+] + [
+    (0.339, 0.7, 2000, 50, np.random.SeedSequence(20261020, spawn_key=(1, 2), pool_size=8)),
+    (3.0, 1.0, 2, 850, 268),
+    (3.0, 0.5, 2, 558, 260),
+]
+TRIAL_FIELDS = ("matrices", "G", "nu_min", "accepted")
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf|NaN|Infinity)\b")
 
@@ -140,6 +165,40 @@ def compare(old: tuple, new: tuple) -> str:
     return f"numbers differ ({signs}largest relative change {max(changes):.3g})"
 
 
+def trial_record(case: tuple) -> str:
+    """One line for one trial case: a digest of the bytes of each of TRIAL_FIELDS, or the error."""
+    from ghz_steering import GhzConfig, build_state, reconstruct_trials
+
+    r, eta, n_samples, n_trials, seed = case
+    try:
+        stats = reconstruct_trials(build_state(GhzConfig(r1=r, r2=r, r3=r, eta=eta)),
+                                   n_samples, n_trials, seed)
+    except Exception as exc:  # the type and text are the record
+        return f"{type(exc).__name__}: {exc}"
+    fields = (stats.matrices, stats.g, stats.min_symplectic_eigenvalues, stats.accepted)
+    return " ".join(hashlib.sha256(np.ascontiguousarray(field, dtype=float).tobytes()).hexdigest()
+                    for field in fields)
+
+
+def trial_records(src: Path) -> list[str]:
+    """trial_record of every case of TRIAL_CASES, in one fresh process with src on PYTHONPATH."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, __file__, "--trial-records"], env=env,
+                          capture_output=True, text=True, timeout=600, check=True)
+    return proc.stdout.splitlines()
+
+
+def compare_trials(old: str, new: str) -> str:
+    """One line for two trial records."""
+    if old == new:
+        return "identical"
+    old_fields, new_fields = old.split(" "), new.split(" ")
+    if ":" in old or ":" in new or len(old_fields) != len(new_fields):
+        return f"outcome differs ({old} -> {new})"
+    return "bytes differ in " + ", ".join(name for name, a, b in
+                                          zip(TRIAL_FIELDS, old_fields, new_fields) if a != b)
+
+
 def entries() -> list[tuple[str, list[str], int]]:
     """(kind, argv, exit code) of every run of the corpus."""
     return ([("cli", argv, code) for argv, code in [*CLI_RUNS, *HELP_RUNS, OUTPUT_RUN]]
@@ -147,6 +206,9 @@ def entries() -> list[tuple[str, list[str], int]]:
 
 
 def main(argv: list[str]) -> int:
+    if argv == ["--trial-records"]:  # the fresh process of trial_records
+        print("\n".join(map(trial_record, TRIAL_CASES)))
+        return 0
     if len(argv) != 1:
         print("usage: python tests/cli_corpus.py PARENT_SRC", file=sys.stderr)
         return 2
@@ -158,7 +220,13 @@ def main(argv: list[str]) -> int:
         shown = " ".join(a if len(a) < 20 else f"{a[:8]}...({len(a)} chars)" for a in run_argv)
         print(f"{verdict}: {'' if kind == 'script' else 'ghz-steering '}{shown}")
     print(f"{len(entries()) - differing} of {len(entries())} identical")
-    return 1 if differing else 0
+    verdicts = list(map(compare_trials, trial_records(parent), trial_records(ROOT / "src")))
+    for case, verdict in zip(TRIAL_CASES, verdicts):
+        if verdict != "identical":
+            print(f"{verdict}: reconstruct_trials case {case}")
+    same = verdicts.count("identical")
+    print(f"{same} of {len(TRIAL_CASES)} trial cases identical")
+    return 1 if differing or same < len(TRIAL_CASES) else 0
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ghz_steering import GhzConfig, build_state, build_states, cli, network, steering_report
+from ghz_steering import (GhzConfig, build_state, build_states, cli, network, steering,
+                          steering_report, symplectic, tomography)
 from ghz_steering.network import build_ghz
 from ghz_steering.cli import DEFAULT_GRID, SWEEP_COLUMNS, main
 from ghz_steering.symplectic import (PHYSICALITY_TOL, NumericalError, physicality_floor,
@@ -536,6 +537,26 @@ def test_sweep_and_tomo_certify_their_states_without_a_spectrum(capsys, monkeypa
     stages = [k for k, call in enumerate(calls) if isinstance(call, str)]
     assert calls[:stages[0] if stages else None] == gate
     assert (calls[stages[0]] if stages else None) == after
+
+
+@pytest.mark.parametrize("argv, factors", [
+    (["check"], [((21, 3, 6, 6), "f")]),
+    (["sweep"], [((21, 3, 6, 6), "f"), ((21, 6, 6), "c")]),
+], ids=["check", "sweep"])
+def test_check_and_sweep_read_and_factor_their_stack_once(capsys, monkeypatch, argv, factors):
+    # the 21-row stack is ingested once, for the kernel and the gate; check takes G and
+    # the spectrum from one factorization in the three orderings, ordering 0 being sigma's own
+    ingested, factored = [], []
+    for module in (cli, network, steering, symplectic, tomography):
+        monkeypatch.setattr(module, "_as_array", lambda cm, single=False, ingest=module._as_array:
+                            ingested.append(np.shape(cm)) or ingest(cm, single))
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda m: factored.append((m.shape, m.dtype.kind))
+                        or cholesky(m))
+    rc, _, err = run(capsys, argv)
+    assert (rc, err) == (0, "")
+    assert [shape for shape in ingested if len(shape) == 3] == [(21, 6, 6)]
+    assert factored == factors
 
 
 @pytest.mark.parametrize("argv", [["build", "--r", "3", "--eta", "0.3"],

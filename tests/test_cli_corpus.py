@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from cli_corpus import CLI_RUNS, HELP_RUNS, OUTPUT_RUN, SCRIPT_RUNS, SCRIPTS, compare, number_change
+from cli_corpus import (CLI_RUNS, HELP_RUNS, OUTPUT_RUN, SCRIPT_RUNS, SCRIPTS, TRIAL_CASES, compare,
+                        compare_trials, number_change, trial_record)
 from ghz_steering.cli import OUTDIR_ENV, main
 
 
@@ -55,6 +56,24 @@ def test_script_run_is_repeatable(capsys, monkeypatch, argv, code):
     first = run(capsys, script)
     assert first[0] == code, first[2]
     assert run(capsys, script) == first
+
+
+# every 97th trial case, the SeedSequence seed and the two rounded negative variances
+@pytest.mark.parametrize("case", TRIAL_CASES[::97] + TRIAL_CASES[-3:],
+                         ids=lambda case: " ".join(map(str, case[:4])))
+def test_trial_case_is_repeatable(case):
+    first = trial_record(case)
+    assert trial_record(case) == first
+
+
+@pytest.mark.parametrize("old, new, verdict", [
+    ("a b c d", "a b c d", "identical"),
+    ("a b c d", "a b c e", "bytes differ in accepted"),
+    ("a b c d", "x b y d", "bytes differ in matrices, nu_min"),
+    ("ValueError: x", "RuntimeError: x", "outcome differs (ValueError: x -> RuntimeError: x)"),
+])
+def test_compare_trials(old, new, verdict):
+    assert compare_trials(old, new) == verdict
 
 
 @pytest.mark.parametrize("old, new, change", [

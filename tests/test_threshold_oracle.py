@@ -205,14 +205,16 @@ def test_the_random_set_covers_every_kind_of_root(oracle):
 
 
 def test_the_threshold_costs_one_kernel_call(monkeypatch):
+    # one factorization of the built stack, taken as built: no ingest copy
     calls = []
-    conditionals = steering._conditionals
+    factor = steering._factor
 
-    def spy(states):
-        calls.append(np.array(states))
-        return conditionals(states)
+    def spy(states, low0=None):
+        calls.append(states)
+        return factor(states, low0)
 
-    monkeypatch.setattr(steering, "_conditionals", spy)
+    monkeypatch.setattr(steering, "_factor", spy)
+    monkeypatch.setattr(steering, "_as_array", None)
     config = GhzConfig(r1=1.2, r2=0.4, r3=2.5, t1=0.3, t2=0.8)
     assert abs(find_threshold(config, "A->BC") - 0.5) <= 1e-12
     assert len(calls) == 1

@@ -125,17 +125,34 @@ class TestSampleCovariance:
         assert str(cov_error.value) == str(table_error.value)
 
 
+def spawned_pair(seed):
+    """SeedSequence(seed).spawn(2); a SeedSequence seed is copied first, so that the
+    children it has already spawned do not move the streams."""
+    if isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
+                                      pool_size=seed.pool_size)
+        return seed.spawn(2)
+    return np.random.SeedSequence(seed).spawn(2)
+
+
 def two_stream_bartlett_reference(n_samples, dim, n_trials, seed):
     """_bartlett_covariances as one factor per trial, filled where it is drawn."""
     dof = n_samples - 1
     k = min(dof, dim)
     rows, cols = np.triu_indices(k, 1, dim)
-    chi_rng, normal_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    chi_rng, normal_rng = map(np.random.default_rng, spawned_pair(seed))
     factors = np.zeros((n_trials, k, dim))
     for factor in factors:
         factor[range(k), range(k)] = [np.sqrt(chi_rng.chisquare(dof - i)) for i in range(k)]
         factor[rows, cols] = normal_rng.standard_normal(len(rows))
     return np.swapaxes(factors, -1, -2) @ factors / dof
+
+
+def already_spawned():
+    """A SeedSequence that has spawned three children."""
+    seed = np.random.SeedSequence(17, spawn_key=(2,))
+    seed.spawn(3)
+    return seed
 
 
 class TestBartlettCovariances:
@@ -148,6 +165,22 @@ class TestBartlettCovariances:
         seed = n % 1009 + trials
         got = _bartlett_covariances(n, 6, trials, seed)
         assert np.array_equal(got, two_stream_bartlett_reference(n, 6, trials, seed))
+
+    @pytest.mark.parametrize("n", [2, 2000])
+    @pytest.mark.parametrize("make_seed", [
+        lambda: 17,
+        lambda: np.random.SeedSequence(17, spawn_key=(3, 1), pool_size=8),
+        already_spawned,
+    ], ids=["int", "spawn_key and pool_size", "already spawned"])
+    def test_builds_the_children_that_spawn_builds(self, n, make_seed):
+        # the two children come from the seed's entropy, spawn key and pool size directly,
+        # and draw byte for byte what SeedSequence(seed).spawn(2) draws; the caller's
+        # SeedSequence spawns nothing
+        seed = make_seed()
+        spawned = getattr(seed, "n_children_spawned", None)
+        got = _bartlett_covariances(n, 6, 50, seed)
+        assert np.array_equal(got, two_stream_bartlett_reference(n, 6, 50, seed))
+        assert getattr(seed, "n_children_spawned", None) == spawned
 
     def test_a_seed_sequence_is_not_advanced(self):
         # a SeedSequence draws what its entropy draws, however often it is used
@@ -401,6 +434,33 @@ class TestReconstructTrials:
         assert many.min_symplectic_eigenvalues[:3] == few.min_symplectic_eigenvalues
         assert tuple(i for i in many.accepted if i < 3) == few.accepted
 
+    @pytest.mark.parametrize("eta, trials, seed", [(1.0, 850, 268), (0.5, 558, 260)])
+    def test_a_variance_rounded_below_zero_rejects_its_trial(self, eta, trials, seed):
+        # two samples at r = 3: the last trial measures a variance of about -1e-13, which
+        # no state gives; it is counted with the trials that are not positive definite
+        cm = build_state(GhzConfig(r1=3.0, r2=3.0, r3=3.0, eta=eta))
+        assert population_measurements(trial_covariances(cm, 2, trials, seed)[-1]).min() < 0.0
+        with pytest.raises(RuntimeError, match=f"only 0 of {trials} trials .* {trials} not positive"):
+            reconstruct_trials(cm, 2, trials, seed)
+
+    def test_a_negative_variance_rejects_even_a_positive_definite_trial(self, monkeypatch):
+        # trial 0 measures -Var(xA-xB) but is assembled from +Var(xA-xB), so its matrix is the
+        # accepted one of the unmodified run: the negative record alone rejects it
+        cm = build_state(GhzConfig(eta=0.7))
+        plain = reconstruct_trials(cm, 2000, 50, 1)
+        variances, assemble = tomography._variances, tomography._assemble
+
+        def flipped(cov):
+            var = variances(cov)
+            var[0, MEASUREMENT_LABELS.index("xA-xB")] *= -1.0
+            return var
+
+        monkeypatch.setattr(tomography, "_variances", flipped)
+        monkeypatch.setattr(tomography, "_assemble", lambda var: assemble(np.abs(var)))
+        stats = reconstruct_trials(cm, 2000, 50, 1)
+        assert 0 in plain.accepted and np.array_equal(stats.matrices, plain.matrices)
+        assert stats.min_symplectic_eigenvalues[0] == 0.0 and stats.accepted == plain.accepted[1:]
+
     def test_a_trial_that_is_not_positive_definite_reads_zero(self):
         stats = reconstruct_trials(CovarianceMatrix(3.0 * np.eye(6)), 10, 3, seed=229)
         assert stats.min_symplectic_eigenvalues[0] == 0.0
@@ -412,19 +472,24 @@ class TestReconstructTrials:
         (CovarianceMatrix(build_state(GhzConfig(eta=0.7)).matrix + 0.2 * np.eye(6)), 20, 0),
     ])
     def test_a_stack_with_a_failing_matrix_takes_two_factorizations(self, monkeypatch, cm, n, seed):
-        # the spectrum of the whole stack fails; the definiteness test picks the rows
-        # for one more, and no row is retried alone.  G is one factorization of the
-        # accepted rows in the three orderings: no rejected row reaches it
+        # the ordering-0 factorization of the whole stack fails; the definiteness test picks
+        # the rows for one more, and no row is retried alone.  G reuses those factors and is
+        # one factorization of the accepted rows in orderings 1 and 2: no rejected row reaches it
         def spy(module):
             shapes, cholesky = [], module._cholesky
             monkeypatch.setattr(module, "_cholesky", lambda m: shapes.append(m.shape) or cholesky(m))
             return shapes
 
-        spectra, orderings = spy(symplectic), spy(steering)
+        spectra, orderings = spy(tomography), spy(steering)
+        ingested = []  # the state, and not the stack, which is read as assembled
+        for module in (steering, symplectic, tomography):
+            monkeypatch.setattr(module, "_as_array", lambda cm, single=False, ingest=module._as_array:
+                                ingested.append(type(cm)) or ingest(cm, single))
         stats = reconstruct_trials(cm, n, 50, seed)
+        assert ingested == [CovarianceMatrix]
         definite = sum(cholesky_succeeds(m) for m in stats.matrices)
         assert spectra == [(50, 6, 6), (definite, 6, 6)] and 0 < definite < 50
-        assert orderings == [(len(stats.accepted), 3, 6, 6)] and len(stats.accepted) < definite
+        assert orderings == [(len(stats.accepted), 2, 6, 6)] and len(stats.accepted) < definite
         assert np.array_equal(stats.min_symplectic_eigenvalues,
                               [nu_min_or_zero(m) for m in stats.matrices])
 
