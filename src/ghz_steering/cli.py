@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 from collections.abc import Sequence
 from dataclasses import asdict
@@ -31,8 +32,8 @@ from .network import (
     squeezing_db_to_r,
 )
 from .steering import DIRECTIONS, RESIDUAL_KEYS, STEERING_EPS, _factor, _g, monogamy_stack
-from .symplectic import (NumericalError, _as_array, _below_floor, _factor_spectrum,
-                         physicality_floor, purity, symplectic_eigenvalues)
+from .symplectic import (NumericalError, _below_floor, _factor_spectrum, physicality_floor, purity,
+                         symplectic_eigenvalues)
 from .tomography import REJECT_NU_FLOOR, reconstruct_trials
 
 SCHEMA_VERSION = 2
@@ -81,28 +82,42 @@ def _emit(text: str, output: str | None) -> None:
     """Write to stdout, or to the --output path (a relative one under $GHZ_STEERING_OUTDIR when
     set): atomically to a regular file or a symlink's target, by a rename of a temp file beside it
     that this call created, the only file it ever removes; directly to an existing FIFO or device.
-    ValueError if unwritable."""
+    Missing parent directories are created.  ValueError if unwritable, a directory before any
+    temp file."""
     if output is None:
         sys.stdout.write(text)
         return
     path = Path(os.environ.get(OUTDIR_ENV, ""), output)  # Path drops the dir before an absolute one
+    target = str(path)
     try:
-        target = Path(os.path.realpath(path)) if path.is_symlink() else path
-        if target.is_symlink():  # realpath stops at a link only in a loop
-            raise OSError(errno.ELOOP, os.strerror(errno.ELOOP))
-        target.parent.mkdir(parents=True, exist_ok=True)
-        if target.exists() and not (target.is_file() or target.is_dir()):  # a FIFO or device
-            target.write_text(text)
-            return
-        tmp = target.with_name(f"{target.name}.{os.urandom(8).hex()}.tmp")
-        # O_EXCL fails on any existing file; the umask applies to 0o666, as for open()
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        if os.path.islink(target):
+            target = os.path.realpath(target)
+            if os.path.islink(target):  # realpath stops at a link only in a loop
+                raise OSError(errno.ELOOP, os.strerror(errno.ELOOP))
         try:
-            with open(fd, "w") as stream:
+            mode = os.stat(target).st_mode
+        except FileNotFoundError:  # written as a new regular file
+            mode = stat.S_IFREG
+        if stat.S_ISDIR(mode):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not stat.S_ISREG(mode):  # a FIFO or device
+            with open(target, "w") as stream:
                 stream.write(text)
+            return
+        tmp = f"{target}.{os.urandom(8).hex()}.tmp"
+        # O_EXCL fails on any existing file; the umask applies to 0o666, as for open()
+        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+        try:
+            fd = os.open(tmp, flags, 0o666)
+        except FileNotFoundError:  # a missing parent directory
+            os.makedirs(os.path.dirname(tmp), exist_ok=True)
+            fd = os.open(tmp, flags, 0o666)
+        try:
+            with open(fd, "wb") as stream:
+                stream.write(text.encode())
             os.replace(tmp, target)
         except BaseException:
-            tmp.unlink(missing_ok=True)  # this run's own temp file
+            Path(tmp).unlink(missing_ok=True)  # this run's own temp file
             raise
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
@@ -192,7 +207,7 @@ def _add_output_args(parser: argparse.ArgumentParser, formats: tuple[str, ...], 
 
 
 def _require_physical(states: np.ndarray, etas: Sequence[float]) -> None:
-    """NumericalError at the eta of the first ingested state below its floor (below_floor)."""
+    """NumericalError at the eta of the first state below its floor (below_floor)."""
     below = np.flatnonzero(_below_floor(states))
     if below.size:
         raise NumericalError(f"state at eta={etas[below[0]]} violates the uncertainty relation")
@@ -201,7 +216,7 @@ def _require_physical(states: np.ndarray, etas: Sequence[float]) -> None:
 def cmd_build(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     states = build_states(config, [config.eta])
-    _require_physical(_as_array(states), [config.eta])
+    _require_physical(states, [config.eta])
     state = states[0]
     nus = symplectic_eigenvalues(state)
     variances = {lab: correlation_variance(state, lab) for lab in BUILD_COMBOS}
@@ -233,24 +248,25 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    states = _as_array(build_states(config, args.grid))  # read once, for the kernel and the gate
+    states = build_states(config, args.grid)  # built symmetric and finite: no ingest copy
     g = _g(_factor(states))
     _require_physical(states, args.grid)
-    rows = list(zip(args.grid, g.tolist(), monogamy_stack(g).tolist()))
+    res = monogamy_stack(g)
 
-    if args.format == "csv":
-        lines = [",".join(SWEEP_COLUMNS)]
-        lines += [_SWEEP_ROW % (eta, *g_row, *res) for eta, g_row, res in rows]
-        text = "\n".join(lines) + "\n"
+    if args.format == "csv":  # one % over the whole (K, 19) table
+        table = np.column_stack([args.grid, g, res])
+        body = (_SWEEP_ROW + "\n") * len(table) % tuple(table.ravel().tolist())
+        text = ",".join(SWEEP_COLUMNS) + "\n" + body
     else:
+        rows = zip(args.grid, g.tolist(), res.tolist())
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": "sweep",
             "config": asdict(config),
             "rows": [
                 {"eta": eta, "g": dict(zip(DIRECTIONS, g_row)),
-                 "residuals": dict(zip(RESIDUAL_KEYS, res))}
-                for eta, g_row, res in rows
+                 "residuals": dict(zip(RESIDUAL_KEYS, res_row))}
+                for eta, g_row, res_row in rows
             ],
         }
         text = json.dumps(doc, indent=2) + "\n"
@@ -260,7 +276,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_tomo(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    states = _as_array(build_states(config, [config.eta]))
+    states = build_states(config, [config.eta])
     g = _g(_factor(states))
     _require_physical(states, [config.eta])
     analytic = dict(zip(DIRECTIONS, g[0].tolist()))  # steering_report(states[0])
@@ -301,7 +317,7 @@ def cmd_tomo(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     grid = _parse_grid(DEFAULT_GRID)
-    states = _as_array(build_states(config, grid))
+    states = build_states(config, grid)
     low = _factor(states)
     g = _g(low)
     nu_min = _factor_spectrum(low[:, 0])[:, 0]  # ordering 0 is sigma's own factor

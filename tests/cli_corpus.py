@@ -1,7 +1,7 @@
 """A fixed corpus of CLI and script runs, and a comparator of two package trees.
 
 Every entry is an argv and the exit code it gives: CLI_RUNS, HELP_RUNS and
-OUTPUT_RUN are argvs of ``python -m ghz_steering``, SCRIPT_RUNS those of the
+OUTPUT_RUNS are argvs of ``python -m ghz_steering``, SCRIPT_RUNS those of the
 example scripts.  tests/test_cli_corpus.py runs each entry in-process twice.
 TRIAL_CASES is a second list, of seeded reconstruct_trials calls.
 
@@ -84,8 +84,13 @@ HELP_RUNS: list[tuple[list[str], int]] = [
     ([*command, "--help"], 0) for command in ([], ["build"], ["sweep"], ["tomo"], ["check"])
 ]
 
-# A relative --output lands under $GHZ_STEERING_OUTDIR.
-OUTPUT_RUN: tuple[list[str], int] = (["sweep", "--format", "json", "--output", "runs/sweep.json"], 0)
+# A relative --output lands under $GHZ_STEERING_OUTDIR, with any missing parent directory
+# created; "./", "//" and a trailing "/" are normalised away, so "sweep.csv/" is a file.
+OUTPUT_RUNS: list[tuple[list[str], int]] = [
+    (["sweep", "--format", "json", "--output", "runs/sweep.json"], 0),
+    *((["sweep", "--output", output], 0)
+      for output in ("runs/a/b/sweep.csv", "./sweep.csv", "runs//sweep.csv", "sweep.csv/")),
+]
 
 SCRIPT_RUNS: list[tuple[list[str], int]] = [
     (["loss_sweep.py", "--steps", "5"], 0),
@@ -201,7 +206,7 @@ def compare_trials(old: str, new: str) -> str:
 
 def entries() -> list[tuple[str, list[str], int]]:
     """(kind, argv, exit code) of every run of the corpus."""
-    return ([("cli", argv, code) for argv, code in [*CLI_RUNS, *HELP_RUNS, OUTPUT_RUN]]
+    return ([("cli", argv, code) for argv, code in [*CLI_RUNS, *HELP_RUNS, *OUTPUT_RUNS]]
             + [("script", argv, code) for argv, code in SCRIPT_RUNS])
 
 

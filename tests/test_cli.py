@@ -6,16 +6,18 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ghz_steering import (GhzConfig, build_state, build_states, cli, network, steering,
-                          steering_report, symplectic, tomography)
+from ghz_steering import (DIRECTIONS, RESIDUAL_KEYS, GhzConfig, build_state, build_states, cli,
+                          monogamy_stack, network, steering, steering_report, steering_stack,
+                          symplectic, tomography)
 from ghz_steering.network import build_ghz
-from ghz_steering.cli import DEFAULT_GRID, SWEEP_COLUMNS, main
+from ghz_steering.cli import DEFAULT_GRID, OUTDIR_ENV, SWEEP_COLUMNS, main
 from ghz_steering.symplectic import (PHYSICALITY_TOL, NumericalError, physicality_floor,
                                      symplectic_eigenvalues)
 
@@ -179,6 +181,33 @@ class TestSweep:
     @example([-0.0] * len(SWEEP_COLUMNS))
     def test_the_row_format_is_the_number_contract(self, values):
         assert cli._SWEEP_ROW % tuple(values) == ",".join(cli._fmt(v) for v in values)
+
+    @pytest.mark.parametrize("seed, points", [(0, 1), (1, 1), (2, 2), (3, 3), (4, 17), (5, 60),
+                                              (6, 200)])
+    def test_the_table_is_its_rows_formatted_one_by_one(self, capsys, seed, points):
+        # a seeded config and grid holding -0.0 (printed -0), 0 and 1 as far as it has room;
+        # seed 3 has no squeezing, so every G is exactly 0, and eta < 1/2 zeroes G(A->BC)
+        rng = np.random.default_rng(seed)
+        r = 0.0 if seed == 3 else float(rng.uniform(0.0, 3.0))
+        t1, t2 = rng.uniform(0.0, 1.0, 2).tolist()
+        specials = [-0.0, 0.0, 1.0][seed % 3:] + [-0.0, 0.0, 1.0][:seed % 3]
+        grid = [(specials + rng.uniform(size=points).tolist())[k] for k in rng.permutation(points)]
+        config = GhzConfig(r1=r, r2=r, r3=r, t1=t1, t2=t2)
+        g = steering_stack(build_states(config, grid))
+        res = monogamy_stack(g)
+        assert (g == 0.0).any()
+        argv = ["sweep", "--r", repr(r), "--t1", repr(t1), "--t2", repr(t2),
+                "--grid=" + ",".join(map(repr, grid))]  # "=" keeps a leading "-0.0" an argument
+
+        rows = [cli._SWEEP_ROW % (eta, *g_row, *res_row)
+                for eta, g_row, res_row in zip(grid, g.tolist(), res.tolist())]
+        assert run(capsys, argv) == (0, "\n".join([EXPECTED_SWEEP_HEADER, *rows]) + "\n", "")
+
+        doc = {"schema_version": 2, "command": "sweep", "config": asdict(config),
+               "rows": [{"eta": eta, "g": dict(zip(DIRECTIONS, g_row)),
+                         "residuals": dict(zip(RESIDUAL_KEYS, res_row))}
+                        for eta, g_row, res_row in zip(grid, g.tolist(), res.tolist())]}
+        assert run(capsys, [*argv, "--format", "json"]) == (0, json.dumps(doc, indent=2) + "\n", "")
 
 
 class TestTomo:
@@ -399,26 +428,36 @@ class TestOutputResolution:
 class TestUnwritableOutput:
     COMMANDS = [["build"], ["sweep"], ["tomo", "--samples", "2000"]]
 
+    # (--output, the path the message names); None is the absolute path of an empty directory
+    @pytest.mark.parametrize("output, shown", [(None, None), ("", "."), (".", "."), ("..", "..")],
+                             ids=["taken", "empty", "dot", "dotdot"])
     @pytest.mark.parametrize("argv", COMMANDS)
-    def test_a_directory_target_is_a_usage_error(self, capsys, tmp_path, argv):
-        target = tmp_path / "taken"
-        target.mkdir()
-        rc, out, err = run(capsys, [*argv, "--output", str(target)])
+    def test_a_directory_target_is_a_usage_error(self, capsys, monkeypatch, tmp_path, argv,
+                                                 output, shown):
+        work = tmp_path / "work"  # so that ".." is tmp_path
+        taken = work / "taken"
+        taken.mkdir(parents=True)
+        monkeypatch.chdir(work)
+        monkeypatch.delenv(OUTDIR_ENV, raising=False)
+        if output is None:
+            output = shown = str(taken)
+        rc, out, err = run(capsys, [*argv, "--output", output])
         assert rc == 3
         assert out == ""
-        assert err == f"ghz-steering: error: cannot write {target}: Is a directory\n"
-        assert target.is_dir() and not any(target.iterdir())
+        assert err == f"ghz-steering: error: cannot write {shown}: Is a directory\n"
+        assert not any(taken.iterdir())
         assert list(tmp_path.rglob("*.tmp")) == []
 
+    @pytest.mark.parametrize("below", [["out.txt"], ["sub", "out.txt"]], ids=["child", "grandchild"])
     @pytest.mark.parametrize("argv", COMMANDS)
-    def test_a_parent_that_is_a_file_is_a_usage_error(self, capsys, tmp_path, argv):
+    def test_a_parent_that_is_a_file_is_a_usage_error(self, capsys, tmp_path, argv, below):
         blocker = tmp_path / "file"
         blocker.write_text("kept")
-        target = blocker / "sub" / "out.txt"
+        target = blocker.joinpath(*below)
         rc, out, err = run(capsys, [*argv, "--output", str(target)])
         assert rc == 3
         assert out == ""
-        assert err.startswith(f"ghz-steering: error: cannot write {target}: ")
+        assert err == f"ghz-steering: error: cannot write {target}: Not a directory\n"
         assert blocker.read_text() == "kept"
         assert list(tmp_path.rglob("*.tmp")) == []
 
@@ -544,10 +583,11 @@ def test_sweep_and_tomo_certify_their_states_without_a_spectrum(capsys, monkeypa
     (["sweep"], [((21, 3, 6, 6), "f"), ((21, 6, 6), "c")]),
 ], ids=["check", "sweep"])
 def test_check_and_sweep_read_and_factor_their_stack_once(capsys, monkeypatch, argv, factors):
-    # the 21-row stack is ingested once, for the kernel and the gate; check takes G and
-    # the spectrum from one factorization in the three orderings, ordering 0 being sigma's own
+    # the 21-row stack goes to the kernel and the gate as built, with no ingest copy; check
+    # takes G and the spectrum from one factorization in the three orderings, ordering 0
+    # being sigma's own
     ingested, factored = [], []
-    for module in (cli, network, steering, symplectic, tomography):
+    for module in (network, steering, symplectic, tomography):
         monkeypatch.setattr(module, "_as_array", lambda cm, single=False, ingest=module._as_array:
                             ingested.append(np.shape(cm)) or ingest(cm, single))
     cholesky = np.linalg.cholesky
@@ -555,7 +595,7 @@ def test_check_and_sweep_read_and_factor_their_stack_once(capsys, monkeypatch, a
                         or cholesky(m))
     rc, _, err = run(capsys, argv)
     assert (rc, err) == (0, "")
-    assert [shape for shape in ingested if len(shape) == 3] == [(21, 6, 6)]
+    assert [shape for shape in ingested if len(shape) == 3] == []
     assert factored == factors
 
 

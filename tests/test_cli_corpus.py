@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cli_corpus import (CLI_RUNS, HELP_RUNS, OUTPUT_RUN, SCRIPT_RUNS, SCRIPTS, TRIAL_CASES, compare,
+from cli_corpus import (CLI_RUNS, HELP_RUNS, OUTPUT_RUNS, SCRIPT_RUNS, SCRIPTS, TRIAL_CASES, compare,
                         compare_trials, number_change, trial_record)
 from ghz_steering.cli import OUTDIR_ENV, main
 
@@ -36,13 +36,14 @@ def test_help_exit_code(capsys, argv, code):
     assert run(capsys, lambda: main(argv))[0] == code
 
 
-def test_output_run_writes_the_same_file_twice(capsys, monkeypatch, tmp_path):
-    argv, code = OUTPUT_RUN
+@pytest.mark.parametrize("argv, code", params(OUTPUT_RUNS))
+def test_output_run_writes_the_same_file_twice(capsys, monkeypatch, tmp_path, argv, code):
     monkeypatch.setenv(OUTDIR_ENV, str(tmp_path))
-    written = []
+    target, written = tmp_path / argv[-1], []
     for _ in range(2):
         assert run(capsys, lambda: main(argv)) == (code, "", "")
-        written.append((tmp_path / argv[-1]).read_bytes())
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [target]
+        written.append(target.read_bytes())
     assert written[0] and written[0] == written[1]
 
 
