@@ -208,7 +208,7 @@ def _add_output_args(parser: argparse.ArgumentParser, formats: tuple[str, ...], 
 
 def _require_physical(states: np.ndarray, etas: Sequence[float]) -> None:
     """NumericalError at the eta of the first state below its floor (below_floor)."""
-    below = np.flatnonzero(_below_floor(states))
+    below = _below_floor(states).nonzero()[0]
     if below.size:
         raise NumericalError(f"state at eta={etas[below[0]]} violates the uncertainty relation")
 

@@ -122,7 +122,7 @@ def lossy_stack(cm: CovarianceMatrix | np.ndarray, etas) -> np.ndarray:
     scale-and-add over the stack; each row is exactly symmetric, as sigma is.
     """
     etas = np.asarray(etas, dtype=float).reshape(-1)
-    if not np.all((0.0 <= etas) & (etas <= 1.0)):
+    if not ((0.0 <= etas) & (etas <= 1.0)).all():
         raise ValueError("efficiency must lie in [0, 1]")
     m = _as_array(cm, single=True)
     scale = np.ones((etas.size, m.shape[-1]))

@@ -75,7 +75,7 @@ def gaussian_steering(cm: CovarianceMatrix | np.ndarray, partition: Partition) -
 _ORDERINGS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 _QUADRATURES = np.array([quadrature_indices(order) for order in _ORDERINGS])
 _ORDERED = 6 * _QUADRATURES[:, :, None] + _QUADRATURES[:, None, :]  # in a flattened 6x6 state
-_NEXT = [1, 2, 0]  # ordering o + 1 leads with the second mode of ordering o
+_NEXT = np.array([1, 2, 0])  # ordering o + 1 leads with the second mode of ordering o
 
 
 def _column(direction: str) -> int:
@@ -100,7 +100,7 @@ def _factor(states: np.ndarray, low0: np.ndarray | None = None) -> np.ndarray:
     """Cholesky factors (K, 3, 6, 6) of an ingested (K, 6, 6) stack in the three orderings, in one
     batched call; given sigma's own factors low0 (K, 6, 6) as ordering 0, of orderings 1 and 2 only."""
     orderings = _ORDERED if low0 is None else _ORDERED[1:]
-    low = _cholesky(np.take(states.reshape(-1, 36), orderings, axis=1))
+    low = _cholesky(states.reshape(-1, 36).take(orderings, axis=1))
     return low if low0 is None else np.concatenate([low0[:, None], low], axis=1)
 
 
@@ -108,7 +108,7 @@ def _read(low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Conditional nu (K, 12, 2) in DIRECTIONS order and the principal minors (K, 3, 3) of
     each state, from its factors low of :func:`_factor`: minor [:, o, j] is P(S) =
     sqrt(det sigma_S) for the first j + 1 modes S of ordering o."""
-    diag = np.diagonal(low, axis1=-2, axis2=-1)
+    diag = low.diagonal(axis1=-2, axis2=-1)
     pairs = diag[..., 0::2] * diag[..., 1::2]  # the diagonal product of each mode's pair
     minors = np.multiply.accumulate(pairs, axis=-1)
     nus = np.ones((low.shape[0], 12, 2))  # a one-mode conditional's second entry stays 1: no term
@@ -217,7 +217,7 @@ def find_threshold(config: GhzConfig, direction: str, tol: float = 1e-4) -> floa
     nus = _clamp(nus[:, k])
     det_x = minors[:, _X_ORDERING[k], _X_LAST[k]] ** 2
     product_form = DIRECTIONS[k] in ("B->AC", "C->AB")
-    q = det_x * (np.prod(1.0 - nus**2, axis=-1) if product_form else 1.0 - np.prod(nus**2, axis=-1))
+    q = det_x * ((1.0 - nus**2).prod(axis=-1) if product_form else 1.0 - (nus**2).prod(axis=-1))
     eta = _sign_change(*q.tolist())
     if eta is None:
         raise ValueError(f"no threshold in range for direction {direction!r}")

@@ -32,7 +32,7 @@ def symmetric_part(m: np.ndarray) -> np.ndarray:
     Halving before adding keeps every entry of a finite input finite, also
     entries near the largest float, where m + m^T would overflow to inf.
     """
-    return 0.5 * m + 0.5 * np.swapaxes(m, -1, -2)
+    return 0.5 * m + 0.5 * m.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -188,13 +188,13 @@ def _factor_spectrum(low: np.ndarray) -> np.ndarray:
     """
     n = low.shape[-1] // 2
     if n > 2:
-        return _many_mode_spectrum(np.swapaxes(low, -1, -2) @ symplectic_form(n) @ low)
+        return _many_mode_spectrum(low.swapaxes(-1, -2) @ symplectic_form(n) @ low)
     if n == 1:
         return (low[..., 0, 0] * low[..., 1, 1])[..., None]
-    m = np.swapaxes(low, -1, -2) @ symplectic_form(2) @ low
+    m = low.swapaxes(-1, -2) @ symplectic_form(2) @ low
     half_parts = (m.reshape(-1, 16) @ _HALF_DUAL_PARTS).reshape(-1, 2, 3)
     nus = np.hypot.reduce(half_parts, axis=-1) @ _BOTH_SUMS
-    diag = np.diagonal(low, axis1=-2, axis2=-1).reshape(-1, 4)
+    diag = low.diagonal(axis1=-2, axis2=-1).reshape(-1, 4)
     # det L / nu+ in an order that overflows only where nu does; min() keeps the pair ascending
     np.minimum(diag[:, 0] * diag[:, 1] / nus[:, 1] * (diag[:, 2] * diag[:, 3]), nus[:, 1],
                out=nus[:, 0])
@@ -216,8 +216,8 @@ def _many_mode_spectrum(m: np.ndarray) -> np.ndarray:
     """
     n = m.shape[-1] // 2
     with np.errstate(over="ignore", invalid="ignore"):  # rows out of range go Hermitian
-        squares = np.swapaxes(m, -1, -2) @ m
-        trace = np.trace(squares, axis1=-2, axis2=-1)
+        squares = m.swapaxes(-1, -2) @ m
+        trace = squares.trace(axis1=-2, axis2=-1)
     lowest, highest = _REAL_ROUTE_TRACE
     in_range = (lowest <= trace) & (trace <= highest)  # then |s_ij| <= max(s_ii, s_jj) is finite
     if not in_range.all():
@@ -271,8 +271,8 @@ def _below_floor(m: np.ndarray) -> np.ndarray:
     try:
         _cholesky(m + 1j * f_omega)
         return np.zeros(m.shape[:-2], dtype=bool)
-    except NumericalError:  # not certified; the spectrum raises if not a state
-        nu_min = symplectic_eigenvalues(m)[..., 0]
+    except NumericalError:  # not certified; the factorization raises if not a state
+        nu_min = _factor_spectrum(_cholesky(m))[..., 0]
         return ~(nu_min >= physicality_floor(m, nu_min))
 
 

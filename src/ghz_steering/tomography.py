@@ -80,11 +80,11 @@ def _sampling_root(cm: CovarianceMatrix | np.ndarray, n_samples: int) -> np.ndar
     if n_samples - 1 > sys.float_info.max:  # the Wishart degrees of freedom are a float
         raise ValueError("too many samples: n_samples - 1 exceeds the largest float")
     w, vecs = np.linalg.eigh(_as_array(cm, single=True))
-    if not np.all(np.isfinite(w)):  # an eigenvalue past the largest float
+    if not np.isfinite(w).all():  # an eigenvalue past the largest float
         raise NumericalError(_OUT_OF_RANGE)
-    if w.min() < -1e-9 * max(1.0, abs(w.max())):
+    if w[0] < -1e-9 * max(1.0, abs(w[-1])):  # w is ascending
         raise ValueError("covariance matrix is not positive semidefinite")
-    return (vecs * np.sqrt(np.clip(w, 0.0, None))) @ vecs.T
+    return (vecs * np.sqrt(np.maximum(w, 0.0))) @ vecs.T
 
 
 def sample_quadratures(
@@ -140,7 +140,7 @@ def _bartlett_covariances(n_samples: int, dim: int, n_trials: int,
     factors[:, rows[:k], cols[:k]] = np.sqrt(
         chi_rng.chisquare(dof - np.arange(k, dtype=float), size=(n_trials, k)))
     factors[:, rows[k:], cols[k:]] = normal_rng.standard_normal((n_trials, len(rows) - k))
-    return np.swapaxes(factors, -1, -2) @ factors / dof
+    return factors.swapaxes(-1, -2) @ factors / dof
 
 
 @functools.cache
@@ -275,7 +275,8 @@ def reconstruct_trials(
     eigenvalue < REJECT_NU_FLOOR, or 0 when the factorization fails, which
     one batched test then decides for every row at once, or when a measured
     variance rounds below 0) are recorded and excluded from the statistics;
-    nothing is repaired or projected.
+    nothing is repaired or projected.  mean and std of the accepted trials'
+    G equal np.mean and np.std(ddof=1) bit for bit.
 
     Raises
     ------
@@ -306,7 +307,7 @@ def reconstruct_trials(
     nu_min[definite] = _factor_spectrum(low).min(axis=-1)
     nu_min[(var < 0.0).any(axis=-1)] = 0.0  # and where a variance rounds below 0: no state's
     kept = nu_min >= REJECT_NU_FLOOR
-    accepted = np.flatnonzero(kept)
+    accepted = kept.nonzero()[0]
 
     if len(accepted) < 2:
         rejected = nu_min[~kept]
@@ -319,8 +320,10 @@ def reconstruct_trials(
         )
 
     values = _g(_factor(stack[accepted], low[kept[definite]]))  # ordering 0 is low's
-    mean = dict(zip(DIRECTIONS, values.mean(axis=0).tolist()))
-    std = dict(zip(DIRECTIONS, values.std(axis=0, ddof=1).tolist()))
+    mean = values.sum(axis=0) / len(accepted)  # the steps of np.mean and np.std(ddof=1)
+    dev = values - mean
+    dev *= dev
+    std = np.sqrt(dev.sum(axis=0) / (len(accepted) - 1))
     return TrialStatistics(
         n_samples=n_samples,
         n_trials=n_trials,
@@ -329,6 +332,6 @@ def reconstruct_trials(
         min_symplectic_eigenvalues=tuple(nu_min.tolist()),
         accepted=tuple(accepted.tolist()),
         g=values,
-        mean=mean,
-        std=std,
+        mean=dict(zip(DIRECTIONS, mean.tolist())),
+        std=dict(zip(DIRECTIONS, std.tolist())),
     )

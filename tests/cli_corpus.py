@@ -111,7 +111,7 @@ TRIAL_CASES: list[tuple] = [
     (3.0, 1.0, 2, 850, 268),
     (3.0, 0.5, 2, 558, 260),
 ]
-TRIAL_FIELDS = ("matrices", "G", "nu_min", "accepted")
+TRIAL_FIELDS = ("matrices", "G", "nu_min", "accepted", "mean", "std")
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf|NaN|Infinity)\b")
 
@@ -172,7 +172,7 @@ def compare(old: tuple, new: tuple) -> str:
 
 def trial_record(case: tuple) -> str:
     """One line for one trial case: a digest of the bytes of each of TRIAL_FIELDS, or the error."""
-    from ghz_steering import GhzConfig, build_state, reconstruct_trials
+    from ghz_steering import DIRECTIONS, GhzConfig, build_state, reconstruct_trials
 
     r, eta, n_samples, n_trials, seed = case
     try:
@@ -180,7 +180,8 @@ def trial_record(case: tuple) -> str:
                                    n_samples, n_trials, seed)
     except Exception as exc:  # the type and text are the record
         return f"{type(exc).__name__}: {exc}"
-    fields = (stats.matrices, stats.g, stats.min_symplectic_eigenvalues, stats.accepted)
+    fields = (stats.matrices, stats.g, stats.min_symplectic_eigenvalues, stats.accepted,
+              [stats.mean[d] for d in DIRECTIONS], [stats.std[d] for d in DIRECTIONS])
     return " ".join(hashlib.sha256(np.ascontiguousarray(field, dtype=float).tobytes()).hexdigest()
                     for field in fields)
 

@@ -71,6 +71,7 @@ def test_trial_case_is_repeatable(case):
     ("a b c d", "a b c d", "identical"),
     ("a b c d", "a b c e", "bytes differ in accepted"),
     ("a b c d", "x b y d", "bytes differ in matrices, nu_min"),
+    ("a b c d e f", "a b c d x y", "bytes differ in mean, std"),
     ("ValueError: x", "RuntimeError: x", "outcome differs (ValueError: x -> RuntimeError: x)"),
 ])
 def test_compare_trials(old, new, verdict):

@@ -418,14 +418,14 @@ class TestCertifyPhysical:
 
     @pytest.fixture
     def spectra(self, monkeypatch):
-        """The stacks below_floor takes a spectrum of, by their shapes."""
+        """The stacks below_floor takes a spectrum and floor of, by their shapes."""
         shapes = []
 
-        def spy(m):
+        def spy(m, nu_min):
             shapes.append(np.shape(m))
-            return symplectic_eigenvalues(m)
+            return physicality_floor(m, nu_min)
 
-        monkeypatch.setattr(symplectic, "symplectic_eigenvalues", spy)
+        monkeypatch.setattr(symplectic, "physicality_floor", spy)
         return shapes
 
     def test_passes_every_built_state_on_the_domain(self, spectra):

@@ -98,6 +98,42 @@ class TestSampleQuadratures:
         assert diff.var(ddof=1) == pytest.approx(2 * math.exp(-2 * R), abs=0.02)
 
 
+def rotated_spectrum(spectrum):
+    """A CovarianceMatrix with eigenvalues spectrum, in a fixed random basis."""
+    basis = np.linalg.qr(np.random.default_rng(5).standard_normal((6, 6)))[0]
+    return CovarianceMatrix(basis @ np.diag(spectrum) @ basis.T)
+
+
+class TestSamplingRoot:
+    # an eigenvalue below -1e-9 max(1, lambda_max) is not round-off: relative above 1, absolute below
+    @pytest.mark.parametrize("spectrum", [
+        [1e3, 2.0, 1.0, 1.0, 0.5, -2e-6],
+        [0.5, 0.5, 0.5, 0.5, 0.5, -1.2e-9],
+    ])
+    def test_a_negative_eigenvalue_past_the_bound_is_rejected(self, spectrum):
+        cm = rotated_spectrum(spectrum)
+        for call in (lambda: sample_quadratures(cm, 10, seed=0),
+                     lambda: reconstruct_trials(cm, 2000, 3, seed=0)):
+            with pytest.raises(ValueError, match="^covariance matrix is not positive semidefinite$"):
+                call()
+
+    @pytest.mark.parametrize("spectrum", [
+        [1e3, 2.0, 1.0, 1.0, 0.5, -0.5e-6],
+        [0.5, 0.5, 0.5, 0.5, 0.5, -0.8e-9],  # -1.6e-9 lambda_max: the absolute 1e-9 admits it
+    ])
+    def test_a_negative_eigenvalue_inside_the_bound_is_clipped(self, spectrum):
+        cm = rotated_spectrum(spectrum)
+        w, vecs = np.linalg.eigh(cm.matrix)
+        assert w[0] < 0.0
+        root = (vecs * np.sqrt(np.clip(w, 0.0, None))) @ vecs.T
+        assert np.array_equal(_sampling_root(cm, 10), root)
+        assert np.array_equal(sample_quadratures(cm, 50, seed=4),
+                              np.random.default_rng(4).standard_normal((50, 6)) @ root)
+        # sampled, but no trial of a state with a zero eigenvalue reaches the floor
+        with pytest.raises(RuntimeError, match="only 0 of 3 trials"):
+            reconstruct_trials(cm, 2000, 3, seed=0)
+
+
 class TestSampleCovariance:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_rank_is_that_of_n_samples(self, n):
@@ -635,6 +671,21 @@ class TestReconstructTrials:
         assert stats.mean["BC->A"] == pytest.approx(np.mean(values))
         assert stats.std["BC->A"] == pytest.approx(np.std(values, ddof=1))
         assert all(v >= 0 for v in stats.std.values())
+
+    @pytest.mark.parametrize("eta, trials, seed, accepted, zero_columns", [
+        (1.0, 3, 0, 2, 4),
+        (1.0, 50, 1, 24, 0),
+        (0.7, 1000, 2, 765, 1),
+    ])
+    def test_mean_and_std_are_those_of_numpy_bit_for_bit(self, eta, trials, seed, accepted,
+                                                          zero_columns):
+        stats = reconstruct_trials(build_state(GhzConfig(eta=eta)), 2000, trials, seed)
+        assert [stats.mean[d] for d in DIRECTIONS] == np.mean(stats.g, axis=0).tolist()
+        assert [stats.std[d] for d in DIRECTIONS] == np.std(stats.g, axis=0, ddof=1).tolist()
+        # a pairwise direction of the paper's state that no accepted trial steers: G = +0.0 each
+        zeros = [d for k, d in enumerate(DIRECTIONS) if not stats.g[:, k].any()]
+        assert (len(stats.accepted), len(zeros)) == (accepted, zero_columns)
+        assert all(stats.std[d] == 0.0 and math.copysign(1.0, stats.std[d]) == 1.0 for d in zeros)
 
 
 def expected_too_few_message(nu_mins, accepted):
