@@ -19,13 +19,12 @@ from .steering import (
     steering_report,
     steering_stack,
 )
-from .symplectic import CovarianceMatrix, NumericalError
+from .symplectic import NumericalError
 from .tomography import reconstruct_trials
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CovarianceMatrix",
     "DIRECTIONS",
     "GhzConfig",
     "NumericalError",

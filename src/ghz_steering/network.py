@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import CovarianceMatrix, _as_array
+from .symplectic import _as_array, symmetric_part
 
 MODE_NAMES = "ABC"
 
@@ -91,8 +91,8 @@ def network_mode_matrix(t1: float, t2: float) -> np.ndarray:
     return _beam_splitter_modes(1, 2, t2) @ flip @ _beam_splitter_modes(0, 1, t1)
 
 
-def build_ghz(config: GhzConfig) -> CovarianceMatrix:
-    """Lossless output of the preparation network, modes ordered (A, B, C).
+def build_ghz(config: GhzConfig) -> np.ndarray:
+    """Lossless output of the preparation network, a read-only (6, 6) array, modes (A, B, C).
 
     Inputs: x-squeezed r1, p-squeezed r2, x-squeezed r3, each with variance
     e^{-2r} in the squeezed and e^{2r} in the other quadrature.  The passive
@@ -105,16 +105,19 @@ def build_ghz(config: GhzConfig) -> CovarianceMatrix:
 
 
 @functools.lru_cache(maxsize=64)  # a sweep and its threshold, or repeated tomography runs
-def _lossless_state(r1: float, r2: float, r3: float, t1: float, t2: float) -> CovarianceMatrix:
-    """The network output of :func:`build_ghz` for one (r1, r2, r3, t1, t2)."""
+def _lossless_state(r1: float, r2: float, r3: float, t1: float, t2: float) -> np.ndarray:
+    """The network output of :func:`build_ghz` for one (r1, r2, r3, t1, t2), symmetrized:
+    net sigma_in net^T is not exactly symmetric in rounding."""
     sigma_in = np.diag([math.exp(-2.0 * r1), math.exp(2.0 * r1), math.exp(2.0 * r2),
                         math.exp(-2.0 * r2), math.exp(-2.0 * r3), math.exp(2.0 * r3)])
     net = np.zeros((6, 6))
     net[0::2, 0::2] = net[1::2, 1::2] = network_mode_matrix(t1, t2)
-    return CovarianceMatrix(net @ sigma_in @ net.T)
+    state = symmetric_part(net @ sigma_in @ net.T)
+    state.flags.writeable = False
+    return state
 
 
-def lossy_stack(cm: CovarianceMatrix | np.ndarray, etas) -> np.ndarray:
+def lossy_stack(cm: np.ndarray, etas) -> np.ndarray:
     """Pure-loss channel on mode A for each efficiency in etas, as a (K, 2N, 2N) stack.
 
     Row k is sigma -> X sigma X^T + Y at etas[k]: X scales A's quadratures by
@@ -132,14 +135,16 @@ def lossy_stack(cm: CovarianceMatrix | np.ndarray, etas) -> np.ndarray:
     return scale[:, :, None] * m * scale[:, None, :] + noise
 
 
-def lossy_channel(cm: CovarianceMatrix | np.ndarray, eta: float) -> CovarianceMatrix:
+def lossy_channel(cm: np.ndarray, eta: float) -> np.ndarray:
     """Pure-loss channel of efficiency eta on mode A, row 0 of :func:`lossy_stack`."""
-    return CovarianceMatrix(lossy_stack(cm, [eta])[0])
+    return lossy_stack(cm, [eta])[0]
 
 
-def build_state(config: GhzConfig) -> CovarianceMatrix:
-    """Network output after the channel: loss eta on mode A, row 0 of :func:`build_states`."""
-    return CovarianceMatrix(build_states(config, [config.eta])[0])
+def build_state(config: GhzConfig) -> np.ndarray:
+    """Network output after the channel, loss eta on mode A: row 0 of :func:`build_states`, read-only."""
+    state = build_states(config, [config.eta])[0]
+    state.flags.writeable = False
+    return state
 
 
 def build_states(config: GhzConfig, etas) -> np.ndarray:
@@ -168,7 +173,10 @@ def combo_vector(label: str) -> np.ndarray:
     return vec
 
 
-def correlation_variance(cm: CovarianceMatrix | np.ndarray, label: str) -> float:
+def correlation_variance(cm: np.ndarray, label: str) -> float:
     """Variance v^T sigma v of a three-mode combination, v = combo_vector(label)."""
     vec = combo_vector(label)
-    return float(vec @ _as_array(cm, single=True) @ vec)
+    m = _as_array(cm, single=True)
+    if m.shape != (6, 6):
+        raise ValueError("expected a three-mode state")
+    return float(vec @ m @ vec)

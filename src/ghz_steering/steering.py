@@ -21,8 +21,8 @@ import math
 import numpy as np
 
 from .network import MODE_NAMES, GhzConfig, build_states
-from .symplectic import (CovarianceMatrix, Partition, _as_array, _cholesky, _factor_spectrum,
-                         quadrature_indices, schur_complement, symplectic_eigenvalues)
+from .symplectic import (Partition, _as_array, _cholesky, _factor_spectrum, quadrature_indices,
+                         schur_complement, symplectic_eigenvalues)
 
 # Conditional symplectic eigenvalues this close to 1 count as exactly 1; keeps
 # states sitting on the steering boundary from flickering into false positives.
@@ -60,7 +60,7 @@ def _quantifier(nus: np.ndarray) -> np.ndarray:
     return 0.0 - np.log(np.minimum(_clamp(nus), 1.0)).sum(axis=-1)  # not -sum: G = 0 is +0.0
 
 
-def gaussian_steering(cm: CovarianceMatrix | np.ndarray, partition: Partition) -> float:
+def gaussian_steering(cm: np.ndarray, partition: Partition) -> float:
     """Steering quantifier of the steering party over the steered party.
 
     Non-negative by construction; exactly 0 when no conditional symplectic
@@ -161,7 +161,7 @@ def steering_stack(states: np.ndarray) -> np.ndarray:
     return _g(_factor(_as_array(sigma)))
 
 
-def steering_report(cm: CovarianceMatrix | np.ndarray) -> dict[str, float]:
+def steering_report(cm: np.ndarray) -> dict[str, float]:
     """G of every directed bipartition of a three-mode state, keyed in DIRECTIONS order."""
     m = _as_array(cm, single=True)
     if m.shape != (6, 6):
@@ -190,7 +190,7 @@ def monogamy_stack(g: np.ndarray) -> np.ndarray:
     return g[..., _RESIDUALS[:, 0]] - g[..., _RESIDUALS[:, 1]] - g[..., _RESIDUALS[:, 2]]
 
 
-def monogamy_residuals(cm: CovarianceMatrix | np.ndarray) -> dict[str, float]:
+def monogamy_residuals(cm: np.ndarray) -> dict[str, float]:
     """Monogamy residuals of a three-mode state, keyed in RESIDUAL_KEYS order."""
     g = list(steering_report(cm).values())
     return dict(zip(RESIDUAL_KEYS, monogamy_stack(g).tolist()))

@@ -36,25 +36,6 @@ def symmetric_part(m: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CovarianceMatrix:
-    """Symmetrized second moments of the quadratures of an N-mode Gaussian state.
-
-    One (2N, 2N) matrix, read by :func:`_as_array` and frozen read-only.  No
-    physicality requirement is imposed here; use :func:`is_physical`.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _as_array(self.matrix, single=True))
-        self.matrix.flags.writeable = False
-
-    @property
-    def n_modes(self) -> int:
-        return self.matrix.shape[0] // 2
-
-
-@dataclass(frozen=True)
 class Partition:
     """Directed bipartition: measurements on `steering` modes condition `steered` modes."""
 
@@ -76,12 +57,9 @@ class Partition:
         object.__setattr__(self, "steered", steered)
 
 
-def _as_array(cm: CovarianceMatrix | np.ndarray, single: bool = False) -> np.ndarray:
-    """The one ingest check: a CovarianceMatrix's matrix as is, else an array of shape
-    (..., 2N, 2N), N >= 1 ((2N, 2N) if single), symmetrized.  ValueError naming any other
-    shape; NumericalError "not a state" if an entry is not finite."""
-    if isinstance(cm, CovarianceMatrix):
-        return cm.matrix
+def _as_array(cm: np.ndarray, single: bool = False) -> np.ndarray:
+    """The one ingest check: an array of shape (..., 2N, 2N), N >= 1 ((2N, 2N) if single), symmetrized.
+    ValueError naming any other shape; NumericalError "not a state" if an entry is not finite."""
     m = np.asarray(cm, dtype=float)
     if (m.ndim < 2 or (single and m.ndim > 2) or m.shape[-1] != m.shape[-2]
             or m.shape[-1] == 0 or m.shape[-1] % 2):
@@ -121,7 +99,7 @@ def _eigvalsh(m: np.ndarray) -> np.ndarray:
         raise NumericalError("eigenvalue solver failed: matrix entries out of range") from None
 
 
-def symplectic_eigenvalues(cm: CovarianceMatrix | np.ndarray) -> np.ndarray:
+def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a positive-definite covariance matrix, ascending.
 
     Takes one matrix, shape (2N, 2N), or a stack of them with any leading
@@ -249,7 +227,7 @@ def physicality_floor(m: np.ndarray, nu_min: np.ndarray) -> np.ndarray:
     return floor
 
 
-def below_floor(cm: CovarianceMatrix | np.ndarray) -> np.ndarray:
+def below_floor(cm: np.ndarray) -> np.ndarray:
     """Which matrices of a stack (..., 2N, 2N) have min nu below their :func:`physicality_floor`.
 
     With f = 1 - PHYSICALITY_TOL, the fixed floor, sigma + i f Omega =
@@ -276,7 +254,7 @@ def _below_floor(m: np.ndarray) -> np.ndarray:
         return ~(nu_min >= physicality_floor(m, nu_min))
 
 
-def is_physical(cm: CovarianceMatrix | np.ndarray) -> bool:
+def is_physical(cm: np.ndarray) -> bool:
     """True when one matrix (2N, 2N) reaches its floor (see :func:`below_floor`), False
     when it is not a state; ValueError for any other shape."""
     try:
@@ -285,7 +263,7 @@ def is_physical(cm: CovarianceMatrix | np.ndarray) -> bool:
         return False
 
 
-def schur_complement(cm: CovarianceMatrix | np.ndarray, partition: Partition) -> np.ndarray:
+def schur_complement(cm: np.ndarray, partition: Partition) -> np.ndarray:
     """Covariance of the steered party conditioned on the steering party.
 
     Returns B - C^T A^{-1} C where A is the steering-party block, B the
@@ -306,7 +284,7 @@ def schur_complement(cm: CovarianceMatrix | np.ndarray, partition: Partition) ->
     return symmetric_part(blk_b - cross.T @ np.linalg.solve(blk_a, cross))
 
 
-def purity(cm: CovarianceMatrix | np.ndarray) -> float:
+def purity(cm: np.ndarray) -> float:
     """Purity of the Gaussian state, 1/sqrt(det sigma); equals 1 for pure states.
 
     Raises ValueError unless cm is one matrix of shape (2N, 2N), N >= 1, and

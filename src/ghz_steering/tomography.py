@@ -34,8 +34,7 @@ import numpy as np
 from .network import MODE_NAMES, combo_vector
 from .steering import DIRECTIONS, _factor, _g
 from .steering import steering_report  # noqa: F401 -- not called; the benchmark traces this name
-from .symplectic import (CovarianceMatrix, NumericalError, _as_array, _cholesky, _factor_spectrum,
-                         symmetric_part)
+from .symplectic import NumericalError, _as_array, _cholesky, _factor_spectrum, symmetric_part
 
 # A reconstructed trial is kept when its minimum symplectic eigenvalue is at
 # least this floor.  The floor sits well below 1 on purpose: a pure state
@@ -73,7 +72,7 @@ _SLOT_SIGN = np.array([np.prod(row[row != 0]) for row in _COMBO_MATRIX[6:]])
 _SINGLES = np.arange(6)  # rows 0-5, the diagonal
 
 
-def _sampling_root(cm: CovarianceMatrix | np.ndarray, n_samples: int) -> np.ndarray:
+def _sampling_root(cm: np.ndarray, n_samples: int) -> np.ndarray:
     """Symmetric square root of one matrix cm (eigendecomposition), after the sampling checks."""
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
@@ -88,7 +87,7 @@ def _sampling_root(cm: CovarianceMatrix | np.ndarray, n_samples: int) -> np.ndar
 
 
 def sample_quadratures(
-    cm: CovarianceMatrix | np.ndarray,
+    cm: np.ndarray,
     n_samples: int,
     seed: int | np.random.SeedSequence,
 ) -> np.ndarray:
@@ -171,14 +170,14 @@ def _positive_definite(stack: np.ndarray) -> np.ndarray:
     return definite
 
 
-def population_measurements(cov: CovarianceMatrix | np.ndarray) -> np.ndarray:
-    """The (..., 18) variances v^T sigma v of a CovarianceMatrix or a (..., 6, 6) array.
+def population_measurements(cov: np.ndarray) -> np.ndarray:
+    """The (..., 18) variances v^T sigma v of a (..., 6, 6) array.
 
     Arrays are read as symplectic_eigenvalues reads them: symmetrized, NumericalError "not a
     state" if an entry is not finite.  Any other trailing shape raises "expected a three-mode
     state".  Noise-free for a state; for a sample covariance, the sample variances.
     """
-    if np.shape(cov.matrix if isinstance(cov, CovarianceMatrix) else cov)[-2:] != (6, 6):
+    if np.shape(cov)[-2:] != (6, 6):
         raise ValueError("expected a three-mode state")
     return _variances(_as_array(cov))
 
@@ -256,7 +255,7 @@ class TrialStatistics:
 
 
 def reconstruct_trials(
-    cm_true: CovarianceMatrix | np.ndarray,
+    cm_true: np.ndarray,
     n_samples: int = 100_000,
     n_trials: int = 3,
     seed: int = 0,

@@ -12,7 +12,8 @@ Run as a script to compare this tree's package with another tree's:
 runs every entry in fresh processes, once with PARENT_SRC and once with this
 tree's src/ on PYTHONPATH (the scripts are this tree's in both), and prints
 one line per entry: "identical", "numbers differ" with the largest relative
-change (and whether a zero changed sign, which no relative change shows), or
+change and where it sits (stdout, stderr or a written file, and the line), and
+whether a zero changed sign, which no relative change shows, or
 which of text, exit code or written file differs.  It then runs every
 trial case in one fresh process per tree and prints each case whose matrices,
 G, nu_min or accepted indices differ in their bytes, or whose error differs in
@@ -158,8 +159,9 @@ def compare(old: tuple, new: tuple) -> str:
         return f"exit code differs ({old_code} -> {new_code})"
     if old_files.keys() != new_files.keys():
         return "written file differs (different files)"
-    old_texts += [old_files[name].decode() for name in sorted(old_files)]
-    new_texts += [new_files[name].decode() for name in sorted(new_files)]
+    names = ["stdout", "stderr", *sorted(old_files)]
+    old_texts += [old_files[name].decode() for name in names[2:]]
+    new_texts += [new_files[name].decode() for name in names[2:]]
     if old_texts == new_texts:
         return "identical"
     changes = [number_change(a, b) for a, b in zip(old_texts, new_texts)]
@@ -167,7 +169,13 @@ def compare(old: tuple, new: tuple) -> str:
         where = changes.index(None)
         return "text differs" if where < 2 else "written file differs"
     signs = "a zero changed sign, " if any(map(zero_changes_sign, old_texts, new_texts)) else ""
-    return f"numbers differ ({signs}largest relative change {max(changes):.3g})"
+    # the equal text around the numbers holds the same line breaks, so the lines pair up
+    change, place = max(((number_change(a, b), f"{name} line {k}")
+                         for name, old_text, new_text in zip(names, old_texts, new_texts)
+                         for k, (a, b) in enumerate(zip(old_text.splitlines(),
+                                                        new_text.splitlines()), 1)
+                         if a != b), key=lambda found: found[0])  # the first line of the largest
+    return f"numbers differ ({signs}largest relative change {change:.3g} at {place})"
 
 
 def trial_record(case: tuple) -> str:

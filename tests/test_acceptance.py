@@ -94,7 +94,7 @@ def test_3_collective_steering_matches_closed_form_and_oracle():
         part = parse_direction(label)
         rows = [i for m in part.steered for i in (2 * m, 2 * m + 1)]
         comp = [i for m in part.steering for i in (2 * m, 2 * m + 1)]
-        m = state.matrix
+        m = state
         bar = m[np.ix_(rows, rows)] - m[np.ix_(rows, comp)] @ np.linalg.solve(
             m[np.ix_(comp, comp)], m[np.ix_(comp, rows)])
         evals = np.linalg.eigvals(symplectic_form(len(rows) // 2) @ bar)
@@ -167,7 +167,7 @@ def test_6_reconstruction_recovers_steering_within_error_bars():
     for eta in (1.0, 0.37):
         state = build_state(GhzConfig(eta=eta))
         rebuilt = covariance_from_measurements(population_measurements(state))
-        dev = float(np.max(np.abs(rebuilt - state.matrix)))
+        dev = float(np.max(np.abs(rebuilt - state)))
         if dev > 1e-12:
             failures.append(f"population round trip at eta={eta} off by {dev!r}")
 

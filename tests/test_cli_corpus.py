@@ -89,12 +89,25 @@ def test_number_change(old, new, change):
 
 
 @pytest.mark.parametrize("old, new, verdict", [
-    ("xA\n-0,1\n", "xA\n0,1\n", "numbers differ (a zero changed sign, largest relative change 0)"),
+    ("xA\n-0,1\n", "xA\n0,1\n",
+     "numbers differ (a zero changed sign, largest relative change 0 at stdout line 2)"),
     ("xA\n0,1\n", "xA\n-0,1.5\n",
-     "numbers differ (a zero changed sign, largest relative change 0.333)"),
-    ("xA\n0,1\n", "xA\n0,1.5\n", "numbers differ (largest relative change 0.333)"),
+     "numbers differ (a zero changed sign, largest relative change 0.333 at stdout line 2)"),
+    ("xA\n0,1\n", "xA\n0,1.5\n", "numbers differ (largest relative change 0.333 at stdout line 2)"),
     ("xA\n0,1\n", "xA\n0,1\n", "identical"),
 ])
 def test_compare_names_a_change_in_the_sign_of_zero(old, new, verdict):
     # (exit code, stdout, stderr, written files) as run_fresh returns them
     assert compare((0, old, "", {}), (0, new, "", {})) == verdict
+
+
+@pytest.mark.parametrize("old, new, place", [
+    ((0, "a 1\nb 2\nc 3\n", "", {}), (0, "a 1.1\nb 2\nc 4\n", "", {}), "0.25 at stdout line 3"),
+    ((0, "a 1\nb 2\n", "", {}), (0, "a 1.5\nb 2.5\n", "", {}), "0.333 at stdout line 1"),
+    ((2, "a 1\n", "error: nu=0.5\n", {}), (2, "a 1.1\n", "error: nu=1\n", {}),
+     "0.5 at stderr line 1"),
+    ((0, "a 1\n", "", {"s.csv": b"eta\n0.5\n", "t.csv": b"x\n1\n2\n"}),
+     (0, "a 1\n", "", {"s.csv": b"eta\n0.5\n", "t.csv": b"x\n1\n4\n"}), "0.5 at t.csv line 3"),
+])
+def test_compare_names_where_the_largest_change_sits(old, new, place):
+    assert compare(old, new) == f"numbers differ (largest relative change {place})"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ghz_steering import CovarianceMatrix, GhzConfig, build_state, build_states, network
+from ghz_steering import GhzConfig, build_state, build_states, network
 from ghz_steering.network import (
     MAX_SQUEEZING_R,
     build_ghz,
@@ -108,17 +108,17 @@ class TestNetworkModeMatrix:
 class TestBuildGhz:
     def test_zero_squeezing_gives_vacuum(self):
         cm = build_ghz(GhzConfig(r1=0.0, r2=0.0, r3=0.0))
-        assert np.allclose(cm.matrix, np.eye(6), atol=1e-12)
+        assert np.allclose(cm, np.eye(6), atol=1e-12)
 
     def test_uncoupled_network_passes_the_squeezed_inputs(self):
         # at t1 = t2 = 0 the network only flips signs: x, p, x squeezed vacua
         cm = build_ghz(GhzConfig(r1=0.2, r2=0.5, r3=0.9, t1=0.0, t2=0.0))
         expected = np.diag([math.exp(-0.4), math.exp(0.4), math.exp(1.0), math.exp(-1.0),
                             math.exp(-1.8), math.exp(1.8)])
-        assert np.array_equal(cm.matrix, expected)
+        assert np.array_equal(cm, expected)
 
     def test_block_structure(self):
-        m = build_ghz(GhzConfig()).matrix
+        m = build_ghz(GhzConfig())
         a, b = math.exp(2 * R), math.exp(-2 * R)
         u, v = (a + 2 * b) / 3, (2 * a + b) / 3
         c = (a - b) / 3
@@ -150,7 +150,7 @@ class TestBuildGhz:
         expected = np.diag([(a + 2 * b) / 3, (2 * a + b) / 3])
         cm = build_ghz(GhzConfig())
         for mode in range(3):
-            block = cm.matrix[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2]
+            block = cm[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2]
             assert np.allclose(block, expected, atol=1e-12)
 
 
@@ -162,28 +162,28 @@ class TestBuildGhzCache:
         network._lossless_state.cache_clear()
         for config in self.CONFIGS:
             key = (config.r1, config.r2, config.r3, config.t1, config.t2)
-            uncached = network._lossless_state.__wrapped__(*key).matrix
-            assert build_ghz(config).matrix.tobytes() == uncached.tobytes()
-            assert build_ghz(config).matrix.tobytes() == uncached.tobytes()  # now a cache hit
+            uncached = network._lossless_state.__wrapped__(*key)
+            assert build_ghz(config).tobytes() == uncached.tobytes()
+            assert build_ghz(config).tobytes() == uncached.tobytes()  # now a cache hit
 
     def test_one_read_only_state_per_key_whatever_eta(self):
         first = build_ghz(GhzConfig(eta=0.3))
         assert build_ghz(GhzConfig(eta=0.9)) is first
         assert build_ghz(GhzConfig(r1=0.34)) is not first
         with pytest.raises(ValueError):
-            first.matrix[0, 0] = 5.0
+            first[0, 0] = 5.0
 
     @pytest.mark.parametrize("field", ["t1", "t2"])
     def test_signed_zero_transmittances_give_the_same_bytes(self, field):
         # -0.0 == 0.0 share one cache key, which is sound only because both build alike
         key = {name: getattr(GhzConfig(), name) for name in ("r1", "r2", "r3", "t1", "t2")}
-        uncached = [network._lossless_state.__wrapped__(**{**key, field: zero}).matrix.tobytes()
+        uncached = [network._lossless_state.__wrapped__(**{**key, field: zero}).tobytes()
                     for zero in (0.0, -0.0)]
         assert uncached[0] == uncached[1]
         for order in ((0.0, -0.0), (-0.0, 0.0)):
             network._lossless_state.cache_clear()
             for zero in order:  # a miss, then a hit on the shared key
-                assert build_ghz(replace(GhzConfig(), **{field: zero})).matrix.tobytes() == uncached[0]
+                assert build_ghz(replace(GhzConfig(), **{field: zero})).tobytes() == uncached[0]
 
     def test_the_cache_is_bounded(self):
         network._lossless_state.cache_clear()
@@ -198,22 +198,22 @@ class TestBuildGhzCache:
 class TestLossyChannel:
     def test_full_transmission_is_identity(self):
         cm = build_ghz(GhzConfig())
-        assert np.array_equal(lossy_channel(cm, 1.0).matrix, cm.matrix)
+        assert np.array_equal(lossy_channel(cm, 1.0), cm)
 
     def test_zero_transmission_replaces_with_vacuum(self):
-        out = lossy_channel(build_ghz(GhzConfig()), 0.0).matrix
+        out = lossy_channel(build_ghz(GhzConfig()), 0.0)
         assert np.allclose(out[0:2, 0:2], np.eye(2), atol=1e-12)
         assert np.allclose(out[0:2, 2:6], np.zeros((2, 4)), atol=1e-12)
 
     def test_diagonal_value(self):
         # Delta^2 x_A -> eta * u + (1 - eta)
         u = (math.exp(2 * R) + 2 * math.exp(-2 * R)) / 3
-        out = lossy_channel(build_ghz(GhzConfig()), 0.5).matrix
+        out = lossy_channel(build_ghz(GhzConfig()), 0.5)
         assert out[0, 0] == pytest.approx(0.5 * u + 0.5, abs=1e-12)
 
     def test_off_diagonal_scales_by_sqrt_eta(self):
-        before = build_ghz(GhzConfig()).matrix
-        after = lossy_channel(build_ghz(GhzConfig()), 0.5).matrix
+        before = build_ghz(GhzConfig())
+        after = lossy_channel(build_ghz(GhzConfig()), 0.5)
         assert after[0, 2] == pytest.approx(math.sqrt(0.5) * before[0, 2], abs=1e-12)
 
     @given(
@@ -225,7 +225,7 @@ class TestLossyChannel:
         cm = build_ghz(GhzConfig())
         twice = lossy_channel(lossy_channel(cm, eta1), eta2)
         once = lossy_channel(cm, eta1 * eta2)
-        assert np.allclose(twice.matrix, once.matrix, atol=1e-12)
+        assert np.allclose(twice, once, atol=1e-12)
 
     @given(
         st.floats(min_value=0.0, max_value=1.5),
@@ -243,11 +243,11 @@ class TestLossyChannel:
 
 class TestBuildState:
     def test_lossless_equals_build_ghz(self):
-        assert np.array_equal(build_state(GhzConfig()).matrix, build_ghz(GhzConfig()).matrix)
+        assert np.array_equal(build_state(GhzConfig()), build_ghz(GhzConfig()))
 
     def test_loss_hits_first_mode(self):
         direct = lossy_channel(build_ghz(GhzConfig()), 0.3)
-        assert np.array_equal(build_state(GhzConfig(eta=0.3)).matrix, direct.matrix)
+        assert np.array_equal(build_state(GhzConfig(eta=0.3)), direct)
 
 
 # The corners of the domain: each r in {0, 3}, t1 and t2 in {0, 1}.
@@ -265,8 +265,8 @@ class TestBuildStates:
         stack = build_states(cfg, etas)
         assert stack.shape == (5, 6, 6)
         for eta, row in zip(etas, stack):
-            assert row.tobytes() == build_state(replace(cfg, eta=eta)).matrix.tobytes()
-            assert row.tobytes() == lossy_channel(build_ghz(cfg), eta).matrix.tobytes()
+            assert row.tobytes() == build_state(replace(cfg, eta=eta)).tobytes()
+            assert row.tobytes() == lossy_channel(build_ghz(cfg), eta).tobytes()
 
     @pytest.mark.parametrize("cfg", [GhzConfig(), GhzConfig(r1=3.0, r2=0.0, r3=1.0, t1=0.9, t2=0.1),
                                      *CORNER_CONFIGS])
@@ -306,4 +306,11 @@ class TestComboVector:
 
 
 def test_vacuum_difference_variance():
-    assert correlation_variance(CovarianceMatrix(np.eye(6)), "xA-xB") == pytest.approx(2.0)
+    assert correlation_variance(np.eye(6), "xA-xB") == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("cm", [np.eye(4), np.eye(2), build_state(GhzConfig())[:4, :4]])
+def test_correlation_variance_needs_a_three_mode_state(cm):
+    # the message population_measurements gives, not numpy's matmul error
+    with pytest.raises(ValueError, match="^expected a three-mode state$"):
+        correlation_variance(cm, "xA")

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from ghz_steering import (
     DIRECTIONS,
     RESIDUAL_KEYS,
-    CovarianceMatrix,
     GhzConfig,
     NumericalError,
     build_state,
@@ -85,7 +84,7 @@ def random_states(seed, n, r_max=1.7):
     """n states with r1, r2, r3 in [0, r_max] and t1, t2, eta in [0, 1]."""
     rng = np.random.default_rng(seed)
     return np.array([
-        build_state(GhzConfig(r1=r1, r2=r2, r3=r3, t1=t1, t2=t2, eta=eta)).matrix
+        build_state(GhzConfig(r1=r1, r2=r2, r3=r3, t1=t1, t2=t2, eta=eta))
         for r1, r2, r3, t1, t2, eta in zip(*rng.uniform(0.0, r_max, (3, n)),
                                            *rng.uniform(0.0, 1.0, (3, n)))])
 
@@ -174,12 +173,12 @@ def quartic_g(m, label):
 
 def two_mode_squeezed(r):
     ch, sh = math.cosh(2 * r), math.sinh(2 * r)
-    return CovarianceMatrix(np.array([
+    return np.array([
         [ch, 0, sh, 0],
         [0, ch, 0, -sh],
         [sh, 0, ch, 0],
         [0, -sh, 0, ch],
-    ]))
+    ])
 
 
 class TestParseDirection:
@@ -231,7 +230,7 @@ class TestDirectionHelpers:
 
 class TestGaussianSteering:
     def test_vacuum_two_modes(self):
-        vac = CovarianceMatrix(np.eye(4))
+        vac = np.eye(4)
         assert gaussian_steering(vac, parse_direction("A->B")) == 0.0
 
     def test_two_mode_squeezed_both_directions(self):
@@ -261,7 +260,7 @@ class TestGaussianSteering:
         # Omega @ sigma_bar, then the same clamped log sum
         cm = build_state(GhzConfig(eta=0.7))
         for label in ("BC->A", "A->BC"):
-            expected = independent_g(cm.matrix, label)
+            expected = independent_g(cm, label)
             got = gaussian_steering(cm, parse_direction(label))
             assert got == pytest.approx(expected, abs=1e-10)
 
@@ -295,7 +294,7 @@ class TestSteeringStack:
            st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_matches_independent_solve(self, r, t1, t2, eta):
-        m = build_state(GhzConfig(r1=r, r2=r, r3=r, t1=t1, t2=t2, eta=eta)).matrix
+        m = build_state(GhzConfig(r1=r, r2=r, r3=r, t1=t1, t2=t2, eta=eta))
         g = steering_stack(m[None])
         assert g.shape == (1, 12)
         for label, value in zip(DIRECTIONS, g[0]):
@@ -329,7 +328,7 @@ class TestSteeringStack:
         t1, t2 = rng.uniform(0.1, 0.9, n), rng.uniform(0.1, 0.9, n)
         eta = 0.5 - 3e-5 * rng.uniform(0.0, 1.0, n)
         states = np.array([
-            build_state(GhzConfig(r1=r[k], r2=r[k], r3=r[k], t1=t1[k], t2=t2[k], eta=eta[k])).matrix
+            build_state(GhzConfig(r1=r[k], r2=r[k], r3=r[k], t1=t1[k], t2=t2[k], eta=eta[k]))
             for k in range(n)])
         g = steering_stack(states)[:, DIRECTIONS.index("A->BC")]
         assert np.count_nonzero(g) == 0
@@ -386,7 +385,7 @@ class TestSteeringStack:
         state = build_state(GhzConfig(*rs, t1=t1, t2=t2, eta=eta))
         assert is_physical(state)
         assert symplectic_eigenvalues(state).min() >= 1.0 - PHYSICALITY_TOL
-        g = steering_stack(state.matrix[None])
+        g = steering_stack(state[None])
         assert np.all(np.isfinite(g)) and np.all(g >= 0.0)
 
     def test_a_matrix_that_is_not_positive_definite_is_not_a_state(self):
@@ -399,7 +398,7 @@ class TestSteeringStack:
                 if i != j:
                     bad[i, j] = -0.6
         assert np.linalg.eigvalsh(bad).min() < 0
-        states = np.stack([build_state(GhzConfig()).matrix, bad, np.eye(6)])
+        states = np.stack([build_state(GhzConfig()), bad, np.eye(6)])
         with pytest.raises(NumericalError, match="not a state"):
             steering_stack(states)
 
@@ -474,7 +473,7 @@ class TestSteeringReport:
 
     def test_three_modes_required(self):
         with pytest.raises(ValueError):
-            steering_report(CovarianceMatrix(np.eye(4)))
+            steering_report(np.eye(4))
 
     def test_pure_state_directional_symmetry(self):
         rep = steering_report(build_state(GhzConfig()))
@@ -484,7 +483,7 @@ class TestSteeringReport:
     def test_swapping_unlossy_modes_relabels_the_report(self):
         state = build_state(GhzConfig(eta=0.6))
         idx = quadrature_indices((0, 2, 1))
-        swapped = CovarianceMatrix(state.matrix[np.ix_(idx, idx)])
+        swapped = state[np.ix_(idx, idx)]
         rep = steering_report(state)
         rep_swapped = steering_report(swapped)
         relabel = str.maketrans("BC", "CB")

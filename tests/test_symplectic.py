@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghz_steering import (CovarianceMatrix, GhzConfig, NumericalError, build_state, build_states,
-                          monogamy_residuals, reconstruct_trials, steering_report)
+from ghz_steering import (GhzConfig, NumericalError, build_state, build_states, monogamy_residuals,
+                          reconstruct_trials, steering_report)
 from ghz_steering import symplectic
 from ghz_steering.network import build_ghz, correlation_variance, lossy_stack, network_mode_matrix
 from ghz_steering.tomography import sample_quadratures
@@ -42,7 +42,7 @@ def beam_splitter(n_modes, k, l, t):
 
 
 def transform(cm, s):
-    return CovarianceMatrix(s @ cm.matrix @ s.T)
+    return symmetric_part(s @ cm @ s.T)
 
 
 def squeezers(r1, r2):
@@ -74,7 +74,7 @@ def exact_state(r1, r2, r3, t1=1 / 3, t2=0.5, eta=1.0) -> np.ndarray:
                         math.exp(-2 * r2), math.exp(-2 * r3), math.exp(2 * r3)])
     net = np.zeros((6, 6))
     net[0::2, 0::2] = net[1::2, 1::2] = network_mode_matrix(t1, t2)
-    return lossy_stack(CovarianceMatrix(net @ sigma_in @ net.T), [eta])[0]
+    return lossy_stack(net @ sigma_in @ net.T, [eta])[0]
 
 
 def hermitian_spectrum(states):
@@ -101,49 +101,60 @@ def rotated_states(nus, seed, count, squeeze=1.5):
     return np.array(states)
 
 
-def two_mode_squeezed(r: float) -> CovarianceMatrix:
+def two_mode_squeezed(r: float) -> np.ndarray:
     ch, sh = math.cosh(2 * r), math.sinh(2 * r)
-    return CovarianceMatrix(np.array([
+    return np.array([
         [ch, 0, sh, 0],
         [0, ch, 0, -sh],
         [sh, 0, ch, 0],
         [0, -sh, 0, ch],
-    ]))
+    ])
 
 
-class TestCovarianceMatrix:
+# A built state is a read-only (6, 6) float array; covariance input is read by _as_array.
+class TestStateArrays:
     def test_symmetrized_on_ingest(self):
         raw = np.array([[1.0, 0.3], [0.1, 1.0]])
-        cm = CovarianceMatrix(raw)
-        assert cm.matrix[0, 1] == cm.matrix[1, 0] == pytest.approx(0.2)
+        m = symplectic._as_array(raw)
+        assert m[0, 1] == m[1, 0] == pytest.approx(0.2)
 
-    def test_read_only(self):
-        cm = CovarianceMatrix(np.eye(2))
-        with pytest.raises(ValueError):
-            cm.matrix[0, 0] = 5.0
+    @given(st.floats(0.0, 3.0), st.floats(0.0, 3.0), st.floats(0.0, 3.0),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @settings(max_examples=100)
+    def test_the_lossless_state_is_symmetrized_once_built(self, r1, r2, r3, t1, t2):
+        # net sigma_in net^T is not exactly symmetric in rounding; build_ghz symmetrizes it
+        state = build_ghz(GhzConfig(r1=r1, r2=r2, r3=r3, t1=t1, t2=t2))
+        assert state.tobytes() == np.ascontiguousarray(state.T).tobytes()
 
-    def test_rejects_odd_dimension(self):
+    @pytest.mark.parametrize("build", [build_state, build_ghz])
+    def test_a_built_state_is_a_read_only_float_array(self, build):
+        state = build(GhzConfig(eta=0.6))
+        assert type(state) is np.ndarray
+        assert state.shape == (6, 6) and state.dtype == np.float64
         with pytest.raises(ValueError):
-            CovarianceMatrix(np.eye(3))
+            state[0, 0] = 5.0
 
-    def test_rejects_non_square(self):
+    @pytest.mark.parametrize("single", [False, True])
+    def test_rejects_odd_dimension(self, single):
         with pytest.raises(ValueError):
-            CovarianceMatrix(np.ones((2, 4)))
+            symplectic._as_array(np.eye(3), single)
+
+    @pytest.mark.parametrize("single", [False, True])
+    def test_rejects_non_square(self, single):
+        with pytest.raises(ValueError):
+            symplectic._as_array(np.ones((2, 4)), single)
 
     def test_rejects_non_finite(self):
         with pytest.raises(NumericalError, match="not a state"):
-            CovarianceMatrix(np.array([[1.0, np.nan], [np.nan, 1.0]]))
-
-    def test_n_modes(self):
-        assert CovarianceMatrix(np.eye(6)).n_modes == 3
+            symplectic._as_array(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
     def test_entries_near_the_float_limit_stay_finite(self):
         big = np.finfo(float).max
         raw = np.array([[big, 0.9 * big], [big, big]])
-        cm = CovarianceMatrix(raw)
-        assert np.all(np.isfinite(cm.matrix))
-        assert cm.matrix[0, 0] == big
-        assert cm.matrix[0, 1] == cm.matrix[1, 0] == pytest.approx(0.95 * big, rel=1e-15)
+        m = symplectic._as_array(raw)
+        assert np.all(np.isfinite(m))
+        assert m[0, 0] == big
+        assert m[0, 1] == m[1, 0] == pytest.approx(0.95 * big, rel=1e-15)
 
 
 class TestPartition:
@@ -187,14 +198,14 @@ class TestSymplecticForm:
 
 class TestSymplecticEigenvalues:
     def test_vacuum(self):
-        assert symplectic_eigenvalues(CovarianceMatrix(np.eye(2))) == pytest.approx([1.0])
+        assert symplectic_eigenvalues(np.eye(2)) == pytest.approx([1.0])
 
     def test_single_mode_squeezed_is_pure(self):
-        nus = symplectic_eigenvalues(CovarianceMatrix(np.diag([math.exp(-2 * R), math.exp(2 * R)])))
+        nus = symplectic_eigenvalues(np.diag([math.exp(-2 * R), math.exp(2 * R)]))
         assert nus == pytest.approx([1.0], abs=1e-12)
 
     def test_thermal(self):
-        nus = symplectic_eigenvalues(CovarianceMatrix(3.0 * np.eye(2)))
+        nus = symplectic_eigenvalues(3.0 * np.eye(2))
         assert nus == pytest.approx([3.0])
 
     def test_two_mode_squeezed_is_pure(self):
@@ -210,11 +221,11 @@ class TestSymplecticEigenvalues:
         assert nus == pytest.approx([1.0, 1.0], abs=1e-14)
 
     def test_two_mode_thermal_product(self):
-        cm = CovarianceMatrix(np.diag([2.0, 2.0, 5.0, 5.0]))
+        cm = np.diag([2.0, 2.0, 5.0, 5.0])
         assert symplectic_eigenvalues(cm) == pytest.approx([2.0, 5.0])
 
     def test_ascending_order(self):
-        cm = CovarianceMatrix(np.diag([7.0, 7.0, 2.0, 2.0, 4.0, 4.0]))
+        cm = np.diag([7.0, 7.0, 2.0, 2.0, 4.0, 4.0])
         assert symplectic_eigenvalues(cm) == pytest.approx([2.0, 4.0, 7.0])
 
     def test_ghz_is_pure(self):
@@ -223,7 +234,7 @@ class TestSymplecticEigenvalues:
 
     def test_not_a_state(self):
         with pytest.raises(ValueError, match="not a state"):
-            symplectic_eigenvalues(CovarianceMatrix(np.diag([1.0, -1.0])))
+            symplectic_eigenvalues(np.diag([1.0, -1.0]))
 
     def test_not_a_state_is_a_numerical_error(self):
         with pytest.raises(NumericalError, match="not a state"):
@@ -244,7 +255,7 @@ class TestSymplecticEigenvalues:
         omega = np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]])
         for state in random_lossy_states(seed=n, count=40):
             idx = quadrature_indices(modes)
-            reduced = state.matrix[np.ix_(idx, idx)]
+            reduced = state[np.ix_(idx, idx)]
             expected = np.sort(np.abs(np.linalg.eigvals(omega @ reduced).imag))[::2]
             assert symplectic_eigenvalues(reduced) == pytest.approx(expected, rel=0, abs=1e-12)
 
@@ -260,7 +271,7 @@ class TestSymplecticEigenvalues:
         bound = 16 * np.finfo(float).eps * math.exp(2 * r) * nus[1] / nus[0]
         for t1, t2, ratio, thetas in [(0.3, 0.8, 0.4, (0.4, 1.3)), (0.5, 0.5, 1.0, (0.0, 0.0)),
                                       (0.9, 0.1, -0.7, (-0.9, 2.2))]:
-            state = CovarianceMatrix(np.diag([nus[0], nus[0], nus[1], nus[1]]))
+            state = np.diag([nus[0], nus[0], nus[1], nus[1]])
             for s in (beam_splitter(2, 0, 1, t1), phase_shifts(*thetas), squeezers(r, ratio * r),
                       beam_splitter(2, 0, 1, t2)):
                 state = transform(state, s)
@@ -278,7 +289,7 @@ class TestSymplecticEigenvalues:
         states = np.concatenate([rotated_states([1.0, mid, nu], seed=k, count=20)
                                  for k, nu in enumerate(np.geomspace(1.0, 1000.0, 31))
                                  for mid in (1.0, math.sqrt(nu))])
-        states = np.concatenate([states, [s.matrix for s in random_lossy_states(seed=6, count=50)]])
+        states = np.concatenate([states, random_lossy_states(seed=6, count=50)])
         got, reference = symplectic_eigenvalues(states), hermitian_spectrum(states)
         ratio = reference[:, -1] / reference[:, 0]
         real = ratio <= spread
@@ -291,7 +302,7 @@ class TestSymplecticEigenvalues:
     @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
     def test_three_modes_out_of_the_real_range_take_the_hermitian_route(self, scale):
         # M^T M would underflow or overflow: no warning, and the Hermitian route bit for bit
-        states = scale * np.array([s.matrix for s in random_lossy_states(seed=8, count=10)])
+        states = scale * np.array(random_lossy_states(seed=8, count=10))
         got = symplectic_eigenvalues(states)
         assert np.array_equal(got, hermitian_spectrum(states))
         assert np.allclose(got / scale, symplectic_eigenvalues(states / scale), rtol=1e-14, atol=0)
@@ -299,7 +310,7 @@ class TestSymplecticEigenvalues:
     def test_higher_rank_stack_matches_rows_bit_for_bit(self):
         # (K, 3, 4, 4): the two-mode reductions of each state, as the steering kernel stacks them
         pairs = [quadrature_indices(pair) for pair in ((1, 2), (0, 2), (0, 1))]
-        states = np.array([s.matrix for s in random_lossy_states(seed=5, count=7)])
+        states = np.array(random_lossy_states(seed=5, count=7))
         stack = np.stack([states[:, idx][:, :, idx] for idx in pairs], axis=1)
         nus = symplectic_eigenvalues(stack)
         assert nus.shape == (7, 3, 2)
@@ -319,12 +330,12 @@ class TestSymplecticEigenvalues:
     def test_two_mode_spectrum_matches_general_solver(self, r, t):
         # mix two squeezed modes on a beam splitter, then compare the
         # spectrum against a direct eigen-solve of Omega @ sigma
-        state = CovarianceMatrix(np.diag([
+        state = np.diag([
             math.exp(-2 * r), math.exp(2 * r), math.exp(2 * r), math.exp(-2 * r),
-        ]))
+        ])
         mixed = transform(state, beam_splitter(2, 0, 1, t))
         nus = symplectic_eigenvalues(mixed)
-        evals = np.linalg.eigvals(symplectic_form(2) @ mixed.matrix)
+        evals = np.linalg.eigvals(symplectic_form(2) @ mixed)
         expected = np.sort(np.abs(evals.imag))[::2]
         assert nus == pytest.approx(expected, abs=1e-12)
 
@@ -333,29 +344,29 @@ class TestSymplecticEigenvalues:
     def test_determinant_is_product_of_squares(self, r):
         cm = build_ghz(GhzConfig(r1=r, r2=r, r3=r))
         nus = symplectic_eigenvalues(cm)
-        assert np.linalg.det(cm.matrix) == pytest.approx(np.prod(nus**2), rel=1e-8)
+        assert np.linalg.det(cm) == pytest.approx(np.prod(nus**2), rel=1e-8)
 
 
 class TestIsPhysical:
     def test_vacuum(self):
-        assert is_physical(CovarianceMatrix(np.eye(2)))
+        assert is_physical(np.eye(2))
 
     def test_below_shot_noise_in_both_quadratures(self):
-        assert not is_physical(CovarianceMatrix(0.5 * np.eye(2)))
+        assert not is_physical(0.5 * np.eye(2))
 
     def test_thermal(self):
-        assert is_physical(CovarianceMatrix(2.0 * np.eye(2)))
+        assert is_physical(2.0 * np.eye(2))
 
     def test_lossy_ghz(self):
         state = build_state(GhzConfig(eta=0.3))
         assert is_physical(state)
 
     def test_non_positive_definite(self):
-        assert not is_physical(CovarianceMatrix(np.diag([1.0, -1.0])))
+        assert not is_physical(np.diag([1.0, -1.0]))
 
     def test_exact_state_is_the_built_state(self):
         config = GhzConfig(r1=0.2, r2=1.1, r3=3.0, t1=0.3, t2=0.8, eta=0.6)
-        assert np.array_equal(exact_state(0.2, 1.1, 3.0, 0.3, 0.8, 0.6), build_state(config).matrix)
+        assert np.array_equal(exact_state(0.2, 1.1, 3.0, 0.3, 0.8, 0.6), build_state(config))
 
     def test_pure_states_up_to_r_4_are_physical(self):
         # pins the verdict where the fixed floor holds; from r = 4.23 on,
@@ -378,9 +389,9 @@ class TestIsPhysical:
 
     def test_a_well_conditioned_state_below_the_fixed_floor_is_unphysical(self):
         # at r = 0.339 kappa is about 4, so the floor stays 1 - PHYSICALITY_TOL
-        state = CovarianceMatrix((1 - 1e-6) * build_state(GhzConfig(r1=R, r2=R, r3=R)).matrix)
+        state = (1 - 1e-6) * build_state(GhzConfig(r1=R, r2=R, r3=R))
         assert symplectic_eigenvalues(state).min() == pytest.approx(1 - 1e-6, abs=1e-12)
-        assert physicality_floor(state.matrix, 1 - 1e-6) == 1 - PHYSICALITY_TOL
+        assert physicality_floor(state, 1 - 1e-6) == 1 - PHYSICALITY_TOL
         assert not is_physical(state)
 
     def test_rows_above_the_fixed_floor_need_no_condition_number(self, monkeypatch):
@@ -462,7 +473,7 @@ class TestCertifyPhysical:
             assert verdicts == {-1: [False] * 100, 1: [True] * 100}
 
     def test_fails_below_the_floor(self, spectra):
-        assert below_floor(0.9 * build_state(GhzConfig()).matrix[None]).tolist() == [True]
+        assert below_floor(0.9 * build_state(GhzConfig())[None]).tolist() == [True]
         assert spectra == [(1, 6, 6)]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -485,7 +496,7 @@ class TestCertifyPhysical:
 
 class TestSchurComplement:
     def test_product_state_returns_steered_block_exactly(self):
-        cm = CovarianceMatrix(np.diag([2.0, 2.0, 3.0, 3.0]))
+        cm = np.diag([2.0, 2.0, 3.0, 3.0])
         out = schur_complement(cm, Partition(steering=(0,), steered=(1,)))
         assert np.array_equal(out, 3.0 * np.eye(2))
 
@@ -505,7 +516,7 @@ class TestSchurComplement:
     @pytest.mark.parametrize("block", [np.diag([-1e13, 2.0]), np.zeros((2, 2)),
                                        np.diag([1.0, -1.0])])
     def test_steering_block_must_be_positive_definite(self, block):
-        cm = CovarianceMatrix(np.block([[block, np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]]))
+        cm = np.block([[block, np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]])
         with pytest.raises(NumericalError, match="not a state"):
             schur_complement(cm, Partition(steering=(0,), steered=(1,)))
 
@@ -522,23 +533,23 @@ class TestSchurComplement:
 class TestPurity:
     def test_pure_states(self):
         assert purity(build_ghz(GhzConfig())) == pytest.approx(1.0, abs=1e-9)
-        squeezed = CovarianceMatrix(np.diag([math.exp(1.6), math.exp(-1.6)]))
+        squeezed = np.diag([math.exp(1.6), math.exp(-1.6)])
         assert purity(squeezed) == pytest.approx(1.0, abs=1e-12)
 
     def test_loss_mixes(self):
         assert purity(build_state(GhzConfig(eta=0.5))) < 1.0 - 1e-6
 
     def test_thermal_value(self):
-        assert purity(CovarianceMatrix(2.0 * np.eye(2))) == pytest.approx(0.5)
+        assert purity(2.0 * np.eye(2)) == pytest.approx(0.5)
 
     def test_rejects_non_positive_definite(self):
         with pytest.raises(ValueError, match="not a state"):
-            purity(CovarianceMatrix(np.diag([1.0, -1.0])))
+            purity(np.diag([1.0, -1.0]))
 
     def test_rejects_a_negative_definite_matrix(self):
         # det(-I6) = +1, so the determinant alone would pass it
         with pytest.raises(NumericalError, match="not a state"):
-            purity(CovarianceMatrix(-np.eye(6)))
+            purity(-np.eye(6))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_entries(self, bad):
@@ -547,10 +558,10 @@ class TestPurity:
 
     def test_value_is_the_determinant_formula(self):
         state = build_state(GhzConfig(eta=0.4))
-        assert purity(state) == float(1.0 / np.sqrt(np.linalg.det(state.matrix)))
+        assert purity(state) == float(1.0 / np.sqrt(np.linalg.det(state)))
 
 
-# Readers of one state: each takes a CovarianceMatrix or one (2N, 2N) array.
+# Readers of one state: each takes one (2N, 2N) array, read-only as built or writeable.
 STATE_READERS = {
     "lossy_stack": lambda cm: lossy_stack(cm, [0.0, 0.3, 1.0]),
     "correlation_variance": lambda cm: correlation_variance(cm, "xA-xB"),
@@ -578,8 +589,8 @@ class TestIngest:
         with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
             func(np.eye(*shape) if len(shape) == 2 else np.ones(shape))
 
-    @pytest.mark.parametrize("m", [np.stack(4 * [build_state(GhzConfig()).matrix]),
-                                   np.stack(3 * [build_state(GhzConfig(eta=0.5)).matrix]),
+    @pytest.mark.parametrize("m", [np.stack(4 * [build_state(GhzConfig())]),
+                                   np.stack(3 * [build_state(GhzConfig(eta=0.5))]),
                                    np.ones((2, 4))])
     def test_is_physical_takes_one_matrix(self, m):
         with pytest.raises(ValueError, match=re.escape(f"got shape {m.shape}")):
@@ -587,7 +598,7 @@ class TestIngest:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_is_physical_of_a_non_finite_matrix_is_false(self, bad):
-        m = np.array(build_state(GhzConfig()).matrix)
+        m = np.array(build_state(GhzConfig()))
         m[1, 4] = m[4, 1] = bad
         assert is_physical(m) is False
 
@@ -598,7 +609,9 @@ class TestIngest:
     @pytest.mark.parametrize("reader", STATE_READERS.values(), ids=STATE_READERS.keys())
     def test_a_state_reader_takes_the_plain_array(self, reader):
         state = build_state(GhzConfig(eta=0.6))
-        assert exact(reader(state.matrix)) == exact(reader(state))
+        copy = np.array(state)
+        assert not state.flags.writeable and copy.flags.writeable
+        assert exact(reader(copy)) == exact(reader(state))
 
     @pytest.mark.parametrize("shape", [(5, 5), (2, 6, 6)])
     @pytest.mark.parametrize("reader", STATE_READERS.values(), ids=STATE_READERS.keys())
@@ -609,7 +622,7 @@ class TestIngest:
 
     def test_below_floor_takes_what_its_siblings_take(self):
         state = build_state(GhzConfig(eta=0.5))
-        assert below_floor(state.matrix.tolist()).tolist() is False
+        assert below_floor(state.tolist()).tolist() is False
         assert below_floor(state).tolist() is False
         assert below_floor(0.9 * np.eye(2)).tolist() is True
 

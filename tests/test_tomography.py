@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from ghz_steering import steering, symplectic, tomography
 from ghz_steering import (
     DIRECTIONS,
-    CovarianceMatrix,
     GhzConfig,
     NumericalError,
     build_state,
@@ -82,12 +81,12 @@ class TestSampleQuadratures:
             sample_quadratures(build_state(GhzConfig()), 1, seed=0)
 
     def test_rejects_indefinite_matrix(self):
-        bad = CovarianceMatrix(np.diag([1.0, -1.0, 1.0, 1.0, 1.0, 1.0]))
+        bad = np.diag([1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             sample_quadratures(bad, 10, seed=0)
 
     def test_vacuum_statistics(self):
-        samples = sample_quadratures(CovarianceMatrix(np.eye(6)), 1_000_000, seed=3)
+        samples = sample_quadratures(np.eye(6), 1_000_000, seed=3)
         variances = samples.var(axis=0, ddof=1)
         assert np.allclose(variances, 1.0, atol=0.01)
 
@@ -99,9 +98,9 @@ class TestSampleQuadratures:
 
 
 def rotated_spectrum(spectrum):
-    """A CovarianceMatrix with eigenvalues spectrum, in a fixed random basis."""
+    """A symmetric matrix with eigenvalues spectrum, in a fixed random basis."""
     basis = np.linalg.qr(np.random.default_rng(5).standard_normal((6, 6)))[0]
-    return CovarianceMatrix(basis @ np.diag(spectrum) @ basis.T)
+    return symmetric_part(basis @ np.diag(spectrum) @ basis.T)
 
 
 class TestSamplingRoot:
@@ -123,7 +122,7 @@ class TestSamplingRoot:
     ])
     def test_a_negative_eigenvalue_inside_the_bound_is_clipped(self, spectrum):
         cm = rotated_spectrum(spectrum)
-        w, vecs = np.linalg.eigh(cm.matrix)
+        w, vecs = np.linalg.eigh(cm)
         assert w[0] < 0.0
         root = (vecs * np.sqrt(np.clip(w, 0.0, None))) @ vecs.T
         assert np.array_equal(_sampling_root(cm, 10), root)
@@ -146,12 +145,12 @@ class TestSampleCovariance:
         # the relative sampling error is ~5e-8 at 10^15 samples
         cm = build_state(GhzConfig(eta=0.7))
         got = sampled_covariance(cm, n, seed=21)
-        assert np.max(np.abs(got - cm.matrix)) <= 1e-6
+        assert np.max(np.abs(got - cm)) <= 1e-6
 
     @pytest.mark.parametrize("cm, n", [
         (build_state(GhzConfig()), 1),
         (build_state(GhzConfig()), 0),
-        (CovarianceMatrix(np.diag([1.0, -1.0, 1.0, 1.0, 1.0, 1.0])), 10),
+        (np.diag([1.0, -1.0, 1.0, 1.0, 1.0, 1.0]), 10),
     ])
     def test_raises_what_sample_quadratures_raises(self, cm, n):
         with pytest.raises(ValueError) as table_error:
@@ -271,7 +270,7 @@ class TestPopulationMeasurements:
         var = population_measurements(build_state(GhzConfig()))
         assert var_of(var, "xA-xB") == pytest.approx(2 * math.exp(-2 * R), abs=1e-10)
 
-    @pytest.mark.parametrize("cov", [CovarianceMatrix(np.eye(4)), np.eye(4), np.ones((6, 4)),
+    @pytest.mark.parametrize("cov", [build_state(GhzConfig())[:4, :4], np.eye(4), np.ones((6, 4)),
                                      np.ones((3, 8, 8)), np.ones((6, 6, 4))])
     def test_three_modes_required(self, cov):
         with pytest.raises(ValueError, match="expected a three-mode state"):
@@ -282,23 +281,23 @@ class TestPopulationMeasurements:
             population_measurements(np.ones(36))
 
     def test_stack_rows_equal_one_matrix_calls(self):
-        states = np.array([build_state(GhzConfig(eta=eta)).matrix for eta in (0.2, 0.5, 1.0)])
+        states = np.array([build_state(GhzConfig(eta=eta)) for eta in (0.2, 0.5, 1.0)])
         stack = np.stack([states, 2.0 * states])  # (2, 3, 6, 6)
         got = population_measurements(stack)
         assert got.shape == (2, 3, 18)
         for index in np.ndindex(2, 3):
             assert np.array_equal(got[index], population_measurements(stack[index]))
-        assert np.array_equal(got[0, 1], population_measurements(CovarianceMatrix(states[1])))
+        assert np.array_equal(got[0, 1], population_measurements(states[1]))
 
     def test_arrays_are_symmetrized_on_ingest(self):
-        state = build_state(GhzConfig(eta=0.6)).matrix
+        state = build_state(GhzConfig(eta=0.6))
         skewed = state + np.triu(np.full((6, 6), 0.25), 1) - np.tril(np.full((6, 6), 0.25), -1)
         got = population_measurements(skewed)
         assert np.array_equal(got, population_measurements(symmetric_part(skewed)))
         assert np.allclose(got, population_measurements(state), rtol=0, atol=1e-15)
 
     def test_rejects_non_finite_entries(self):
-        state = np.array(build_state(GhzConfig()).matrix)
+        state = np.array(build_state(GhzConfig()))
         state[1, 4] = np.nan
         with pytest.raises(NumericalError, match="not a state"):
             population_measurements(state)
@@ -306,7 +305,7 @@ class TestPopulationMeasurements:
 
 class TestCovarianceFromMeasurements:
     def test_vacuum(self):
-        out = covariance_from_measurements(population_measurements(CovarianceMatrix(np.eye(6))))
+        out = covariance_from_measurements(population_measurements(np.eye(6)))
         assert type(out) is np.ndarray
         assert np.allclose(out, np.eye(6), atol=1e-12)
 
@@ -340,7 +339,7 @@ class TestCovarianceFromMeasurements:
     def test_population_round_trip_is_exact(self, r, eta):
         cm = build_state(GhzConfig(r1=r, r2=r, r3=r, eta=eta))
         out = covariance_from_measurements(population_measurements(cm))
-        assert np.max(np.abs(out - cm.matrix)) <= 1e-12
+        assert np.max(np.abs(out - cm)) <= 1e-12
 
     def test_plus_and_minus_identities_agree(self):
         # Cov(xA, xB) extracted from Var(xA - xB) must equal the value
@@ -360,14 +359,14 @@ class TestCovarianceFromMeasurements:
         rot = np.eye(6)
         rot[0:2, 0:2] = [[math.cos(theta), math.sin(theta)],
                          [-math.sin(theta), math.cos(theta)]]
-        state = build_state(GhzConfig()).matrix
-        rotated = CovarianceMatrix(rot @ state @ rot.T)
+        state = build_state(GhzConfig())
+        rotated = rot @ state @ rot.T
         out = covariance_from_measurements(population_measurements(rotated))
-        assert abs(rotated.matrix[0, 1]) > 0.1
+        assert abs(rotated[0, 1]) > 0.1
         assert out[0, 1] == 0.0
         mask = np.ones((6, 6), dtype=bool)
         mask[0, 1] = mask[1, 0] = False
-        assert np.max(np.abs((out - rotated.matrix)[mask])) <= 1e-12
+        assert np.max(np.abs((out - rotated)[mask])) <= 1e-12
 
 
 def nu_min_or_zero(matrix):
@@ -396,7 +395,7 @@ def per_trial_reference(cm, n_samples, n_trials, seed):
         nu_mins.append(nu_min_or_zero(matrix))
         if nu_mins[-1] >= REJECT_NU_FLOOR:
             accepted.append(index)
-            rows.append([steering_report(CovarianceMatrix(matrix))[d] for d in DIRECTIONS])
+            rows.append([steering_report(matrix)[d] for d in DIRECTIONS])
     if len(rows) < 2:  # reconstruct_trials raises
         return matrices, nu_mins, accepted, rows, None, None
     values = np.array(rows)
@@ -453,7 +452,7 @@ class TestReconstructTrials:
         (build_state(GhzConfig(eta=0.8)), 2000, 50, 3),
         # seed found by searching 0..299: the first for which trial 0 of this
         # thermal state is not positive definite and trials 1 and 2 are accepted
-        (CovarianceMatrix(3.0 * np.eye(6)), 10, 3, 229),
+        (3.0 * np.eye(6), 10, 3, 229),
     ])
     def test_equals_the_per_trial_loop(self, cm, n, trials, seed):
         stats = reconstruct_trials(cm, n_samples=n, n_trials=trials, seed=seed)
@@ -498,14 +497,14 @@ class TestReconstructTrials:
         assert stats.min_symplectic_eigenvalues[0] == 0.0 and stats.accepted == plain.accepted[1:]
 
     def test_a_trial_that_is_not_positive_definite_reads_zero(self):
-        stats = reconstruct_trials(CovarianceMatrix(3.0 * np.eye(6)), 10, 3, seed=229)
+        stats = reconstruct_trials(3.0 * np.eye(6), 10, 3, seed=229)
         assert stats.min_symplectic_eigenvalues[0] == 0.0
         assert stats.rejected == (0,) and len(stats.accepted) >= 2
 
     @pytest.mark.parametrize("cm, n, seed", [
-        (CovarianceMatrix(3.0 * np.eye(6)), 10, 229),
+        (3.0 * np.eye(6), 10, 229),
         # noise and seed picked so that 49 of 50 trials are positive definite and 3 pass
-        (CovarianceMatrix(build_state(GhzConfig(eta=0.7)).matrix + 0.2 * np.eye(6)), 20, 0),
+        (build_state(GhzConfig(eta=0.7)) + 0.2 * np.eye(6), 20, 0),
     ])
     def test_a_stack_with_a_failing_matrix_takes_two_factorizations(self, monkeypatch, cm, n, seed):
         # the ordering-0 factorization of the whole stack fails; the definiteness test picks
@@ -522,7 +521,7 @@ class TestReconstructTrials:
             monkeypatch.setattr(module, "_as_array", lambda cm, single=False, ingest=module._as_array:
                                 ingested.append(type(cm)) or ingest(cm, single))
         stats = reconstruct_trials(cm, n, 50, seed)
-        assert ingested == [CovarianceMatrix]
+        assert ingested == [np.ndarray]
         definite = sum(cholesky_succeeds(m) for m in stats.matrices)
         assert spectra == [(50, 6, 6), (definite, 6, 6)] and 0 < definite < 50
         assert orderings == [(len(stats.accepted), 2, 6, 6)] and len(stats.accepted) < definite
@@ -532,7 +531,7 @@ class TestReconstructTrials:
     @pytest.mark.parametrize("cm, n, trials, seed", [
         (build_state(GhzConfig(eta=0.7)), 2000, 50, 1),
         (build_state(GhzConfig(r1=1.7, r2=1.7, r3=1.7, eta=0.5)), 100_000, 20, 2),
-        (CovarianceMatrix(3.0 * np.eye(6)), 10, 50, 229),  # some trials not positive definite
+        (3.0 * np.eye(6), 10, 50, 229),  # some trials not positive definite
     ])
     def test_spectra_and_g_are_those_of_the_library_calls(self, cm, n, trials, seed):
         # one factorization serves both, bit for bit as symplectic_eigenvalues and steering_stack
@@ -658,11 +657,10 @@ class TestReconstructTrials:
         np.full((6, 6), 1e308) + 1e307 * np.eye(6),  # an eigenvalue past the largest float
     ])
     def test_entries_near_the_largest_float_raise_without_an_overflow(self, matrix):
-        cm = CovarianceMatrix(matrix)
         with pytest.raises(NumericalError, match="sample covariance out of range"):
-            reconstruct_trials(cm, n_samples=10, n_trials=7, seed=0)
+            reconstruct_trials(matrix, n_samples=10, n_trials=7, seed=0)
         with pytest.raises(NumericalError, match="sample covariance out of range"):
-            sampled_covariance(cm, 10, 0)
+            sampled_covariance(matrix, 10, 0)
 
     def test_statistics_cover_accepted_trials(self):
         cm = build_state(GhzConfig())
@@ -728,7 +726,7 @@ def ks_pvalue(a, b):
 # 4-dimensional null space of S in some v with v^T (S - D) v <= 0.
 DISTRIBUTION_CELLS = {
     3: build_state(GhzConfig()),
-    7: CovarianceMatrix(build_state(GhzConfig(eta=0.7)).matrix + 4.0 * np.eye(6)),
+    7: build_state(GhzConfig(eta=0.7)) + 4.0 * np.eye(6),
     2000: build_state(GhzConfig()),
 }
 DISTRIBUTION_TRIALS = 2000
@@ -804,6 +802,6 @@ def test_reconstruction_error_shrinks_with_sample_size():
         for seed in range(10):
             samples = sample_quadratures(cm, n, seed=seed)
             rec = covariance_from_measurements(measure_set(samples))
-            dists.append(np.linalg.norm(rec - cm.matrix))
+            dists.append(np.linalg.norm(rec - cm))
         errors[n] = np.mean(dists)
     assert errors[1000] > errors[10_000] > errors[100_000]
